@@ -44,9 +44,27 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# The keys each run-config section is read with; any other key is a typo or
+# an old spelling and is rejected rather than silently left at its default.
+_OBJECTIVE_KEYS = frozenset({"metric", "formulation", "alpha", "beta", "kappa",
+                             "omega", "lagrange_cap"})
+_SOLVER_KEYS = frozenset({"nu", "lambda", "k", "m", "iota1", "iota2", "T",
+                          "batch", "batch_pos", "batch_neg", "warmup_epochs",
+                          "eval_every"})
+
+
+def _check_keys(doc: dict, section: str, known: frozenset):
+    unknown = sorted(set(doc.get(section, {})) - known)
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(sorted(known))}")
+
+
 def _load_run_config(args):
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_keys(doc, "objective", _OBJECTIVE_KEYS)
+    _check_keys(doc, "solver", _SOLVER_KEYS)
     seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
 
     dsrc = doc.get("dataset", {})

@@ -1,9 +1,12 @@
-"""Exact empirical ranking metrics and brute-force oracles.
+"""Exact empirical ranking metrics.
 
 Covers full AUC, one-way partial AUC (small false-positive rates), two-way
-partial AUC (joint TPR/FPR constraints), empirical score quantiles, the
-pairwise squared-surrogate risk over the constrained pair set, and its
-closed-form instance-wise optimum.
+partial AUC (joint TPR/FPR constraints), empirical score quantiles and the
+ROC sweep, each in O(n log n) from sorted scores without a pair matrix; the
+pair-enumerating and per-threshold-loop oracles they must match bit for bit
+live in the tests. Also covers the pairwise squared-surrogate risk over the
+constrained pair set, which enumerates pairs on purpose as the reference for
+the instance-wise reformulation, and its closed-form instance-wise optimum.
 """
 
 from __future__ import annotations
@@ -66,17 +69,18 @@ def _pos_floor(n_pos: int, alpha: float) -> int:
 
 
 def top_negatives(scores_neg, beta: float) -> np.ndarray:
-    """The floor(n_neg*beta) largest negative scores, by sorted rank."""
+    """The floor(n_neg*beta) largest negative scores, largest first."""
     neg = _as_scores(scores_neg)
     k = _neg_floor(len(neg), beta)
-    return np.sort(neg)[::-1][:k]
+    cut = len(neg) - k
+    return np.sort(np.partition(neg, cut)[cut:])[::-1]
 
 
 def bottom_positives(scores_pos, alpha: float) -> np.ndarray:
-    """The floor(n_pos*alpha) smallest positive scores, by sorted rank."""
+    """The floor(n_pos*alpha) smallest positive scores, smallest first."""
     pos = _as_scores(scores_pos)
     k = _pos_floor(len(pos), alpha)
-    return np.sort(pos)[:k]
+    return np.sort(np.partition(pos, k - 1)[:k])
 
 
 def neg_quantile_threshold(scores_neg, beta: float) -> float:
@@ -90,8 +94,12 @@ def pos_quantile_threshold(scores_pos, alpha: float) -> float:
 
 
 def _pair_value(pos: np.ndarray, neg: np.ndarray) -> float:
-    # 0-1 loss is 1{f_pos < f_neg}: strict inequality, ties rank correctly
-    bad = (pos[:, None] < neg[None, :]).mean()
+    # 0-1 loss is 1{f_pos < f_neg}: strict inequality, ties rank correctly.
+    # searchsorted(side="left") counts the positives strictly below each
+    # negative (the Mann-Whitney U count); sorting puts NaN last, so a NaN
+    # positive is never counted and a NaN negative is dropped, as `<` does.
+    below = np.searchsorted(np.sort(pos), neg[~np.isnan(neg)], side="left")
+    bad = int(below.sum()) / (len(pos) * len(neg))
     return float(1.0 - bad)
 
 
@@ -155,6 +163,13 @@ def closed_form_optimum(scores_pos, scores_neg, alpha: float, beta: float,
                              e_a + e_b + delta ** 2 + 2.0 * delta)
 
 
+def _share_at_or_above(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """For each threshold t, the fraction of scores >= t; NaN is never >= t."""
+    ranked = np.sort(scores[~np.isnan(scores)])
+    at_or_above = len(ranked) - np.searchsorted(ranked, thresholds, side="left")
+    return at_or_above / len(scores)
+
+
 def roc_curve(scores_pos, scores_neg):
     """ROC sweep: one (FPR, TPR) row per score threshold plus the (0,0) endpoint.
 
@@ -163,11 +178,7 @@ def roc_curve(scores_pos, scores_neg):
     instance with score >= threshold as predicted positive.
     """
     pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
-    allscores = np.concatenate([pos, neg])
-    order = np.argsort(-allscores, kind="stable")
-    rows = [(0.0, 0.0)]
-    for t in allscores[order]:
-        tpr = float((pos >= t).mean())
-        fpr = float((neg >= t).mean())
-        rows.append((fpr, tpr))
-    return rows
+    thresholds = -np.sort(-np.concatenate([pos, neg]))
+    fpr = _share_at_or_above(neg, thresholds)
+    tpr = _share_at_or_above(pos, thresholds)
+    return [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]

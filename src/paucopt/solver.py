@@ -123,30 +123,37 @@ def _zero_theta(g: np.ndarray, n_theta: int) -> np.ndarray:
 
 def asgda_step(state: SolverState, cfg: SolverConfig,
                obj_cfg: ObjectiveConfig, ds: Dataset) -> SolverState:
-    """One full iteration; returns a new state, leaving the input untouched."""
+    """One full iteration; returns a new state.
+
+    The input's variables and momenta are left untouched, but the minibatch
+    draw advances ``state.rng``, a generator the returned state shares.
+    """
     eta = eta_schedule(cfg, state.t)
     n_theta = state.tau.theta.n_params
     tau_old = state.tau
     max_old = state.gamma_block
 
-    # descent block: convex combination with the projected gradient point
+    # descent block: convex combination with the projected gradient point.
+    # Each combination is clamped again because rounding can carry it past
+    # a bound both endpoints sit on, e.g. (1-eta)*5 + eta*5 > 5.
     v = _zero_theta(state.v, n_theta) if cfg.freeze_theta else state.v
     flat_old = tau_old.flat()
     cand = project_min_flat(flat_old - cfg.nu * v, n_theta, obj_cfg)
-    tau_new = tau_old.with_flat((1.0 - eta) * flat_old + eta * cand)
+    tau_new = tau_old.with_flat(
+        project_min_flat((1.0 - eta) * flat_old + eta * cand, n_theta, obj_cfg))
 
     # ascent block: gamma always moves; c coordinates move only when they
     # were sampled in the batch behind the current momenta. Their partial
     # gradients carry the 1/B batch-mean factor, so the step is rescaled by
     # the batch size to recover the per-instance magnitude.
     g_cand = min(max(max_old.gamma + cfg.lam * state.w_gamma, -1.0), 1.0)
-    gamma_new = (1.0 - eta) * max_old.gamma + eta * g_cand
+    gamma_new = min(max((1.0 - eta) * max_old.gamma + eta * g_cand, -1.0), 1.0)
     c_new = max_old.c.copy()
     lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
     for idx in state.active_c:
         ci = c_new[idx]
         cand = min(max(ci + lam_c * state.w_c[idx], 0.0), 1.0)
-        c_new[idx] = (1.0 - eta) * ci + eta * cand
+        c_new[idx] = min(max((1.0 - eta) * ci + eta * cand, 0.0), 1.0)
     max_new = MaxVars(gamma_new, c_new)
 
     # fresh batch; both momentum refresh gradients use this same batch

@@ -89,6 +89,20 @@ class TestTrain:
         assert doc["min_vars"]["b"] == 0.0
         assert doc["gamma"] == 0.0
 
+    @pytest.mark.parametrize("section,entry,bad_key", [
+        ("objective", {"metric_kind": "TPAUC", "alpha": 0.5, "beta": 0.3},
+         "metric_kind"),
+        ("solver", {"lam": 0.5, "T": 50}, "lam"),
+    ])
+    def test_unknown_key_usage_error(self, tmp_path, capsys, section, entry,
+                                     bad_key):
+        # an old spelling must not silently fall back to the default
+        cfg = self.write_config(tmp_path, **{section: entry})
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert repr(bad_key) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_formulation_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path,
                                 objective={"formulation": "bogus"})

@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paucopt.metrics import (
     MetricError,
+    PaucReport,
+    bottom_positives,
     closed_form_optimum,
     empirical_auc,
     empirical_opauc,
@@ -12,10 +16,104 @@ from paucopt.metrics import (
     pairwise_surrogate_risk,
     pos_quantile_threshold,
     roc_curve,
+    top_negatives,
 )
 
 POS = [0.9, 0.4]
 NEG = [0.8, 0.3, 0.1]
+
+
+# Slow oracles: the pair-matrix and per-threshold-loop forms of the exact
+# metrics. The library counts the same pairs and thresholds from sorted
+# scores in O(n log n) and must agree with these bit for bit.
+
+def oracle_pair_value(pos: np.ndarray, neg: np.ndarray) -> float:
+    # 0-1 loss is 1{f_pos < f_neg}: strict inequality, ties rank correctly
+    bad = (pos[:, None] < neg[None, :]).mean()
+    return float(1.0 - bad)
+
+
+def oracle_top_negatives(neg: np.ndarray, k: int) -> np.ndarray:
+    return np.sort(neg)[::-1][:k]
+
+
+def oracle_bottom_positives(pos: np.ndarray, k: int) -> np.ndarray:
+    return np.sort(pos)[:k]
+
+
+def oracle_roc_curve(pos: np.ndarray, neg: np.ndarray):
+    allscores = np.concatenate([pos, neg])
+    order = np.argsort(-allscores, kind="stable")
+    rows = [(0.0, 0.0)]
+    for t in allscores[order]:
+        tpr = float((pos >= t).mean())
+        fpr = float((neg >= t).mean())
+        rows.append((fpr, tpr))
+    return rows
+
+
+def oracle_reports(pos: np.ndarray, neg: np.ndarray, k_pos: int, k_neg: int,
+                   alpha: float, beta: float):
+    sel_pos = oracle_bottom_positives(pos, k_pos)
+    sel_neg = oracle_top_negatives(neg, k_neg)
+    return (
+        PaucReport("AUC", 1.0, 1.0, oracle_pair_value(pos, neg), len(pos), len(neg)),
+        PaucReport("OPAUC", 1.0, beta, oracle_pair_value(pos, sel_neg),
+                   len(pos), k_neg),
+        PaucReport("TPAUC", alpha, beta, oracle_pair_value(sel_pos, sel_neg),
+                   k_pos, k_neg),
+    )
+
+
+@st.composite
+def tie_heavy_case(draw):
+    """Scores on a coarse half-integer grid, and a fraction giving k >= 1."""
+    grid = st.integers(-4, 4).map(lambda i: i / 2.0)
+    pos = np.array(draw(st.lists(grid, min_size=1, max_size=40)))
+    neg = np.array(draw(st.lists(grid, min_size=1, max_size=40)))
+    k_pos = draw(st.integers(1, len(pos)))
+    k_neg = draw(st.integers(1, len(neg)))
+    # a fraction just above k/n, so floor(n * fraction) = k
+    alpha = min(1.0, (k_pos + draw(st.sampled_from([0.0, 0.25, 0.5]))) / len(pos))
+    beta = min(1.0, (k_neg + draw(st.sampled_from([0.0, 0.25, 0.5]))) / len(neg))
+    return pos, neg, k_pos, k_neg, alpha, beta
+
+
+class TestAgainstOracles:
+    @given(tie_heavy_case())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy_exact(self, case):
+        pos, neg, k_pos, k_neg, alpha, beta = case
+        assert (empirical_auc(pos, neg), empirical_opauc(pos, neg, beta),
+                empirical_tpauc(pos, neg, alpha, beta)) == oracle_reports(
+                    pos, neg, k_pos, k_neg, alpha, beta)
+        top, bottom = top_negatives(neg, beta), bottom_positives(pos, alpha)
+        assert top.tolist() == oracle_top_negatives(neg, k_neg).tolist()
+        assert bottom.tolist() == oracle_bottom_positives(pos, k_pos).tolist()
+        assert (neg_quantile_threshold(neg, beta)
+                == float(oracle_top_negatives(neg, k_neg)[-1]))
+        assert (pos_quantile_threshold(pos, alpha)
+                == float(oracle_bottom_positives(pos, k_pos)[-1]))
+        assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
+
+    def test_nan_and_infinite_scores(self):
+        pos = np.array([np.nan, 0.5, -np.inf, 0.5, np.inf])
+        neg = np.array([0.5, np.nan, np.inf, -1.0, np.nan, -np.inf])
+        assert empirical_auc(pos, neg).value == oracle_pair_value(pos, neg)
+        assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
+        for k in range(1, len(neg) + 1):
+            np.testing.assert_array_equal(top_negatives(neg, k / len(neg)),
+                                          oracle_top_negatives(neg, k))
+
+    def test_scale_without_pair_matrix(self):
+        # 2e4 x 1.8e5 pairs would need a ~3.6 GB boolean matrix
+        rng = np.random.default_rng(0)
+        pos = np.round(rng.normal(1.0, 1.0, 20_000), 2)
+        neg = np.round(rng.normal(0.0, 1.0, 180_000), 2)
+        for fn in (empirical_auc, roc_curve):
+            t0 = time.perf_counter()
+            fn(pos, neg)
+            assert time.perf_counter() - t0 < 2.0, fn.__name__
 
 
 class TestQuantiles:

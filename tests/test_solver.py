@@ -87,6 +87,21 @@ class TestAsgdaStep:
             assert _box_violation(st.tau, st.gamma_block, obj) == 0.0
 
 
+    def test_no_box_violation_at_the_bound(self):
+        # with the ascent frozen every c stays 1 > beta, so the s' gradient
+        # drives s' to the top of its box, where for some eta past t ~ 1000
+        # (1-eta)*5 + eta*5 rounds above 5 unless it is clamped again
+        ds = generate_synthetic(200, 0.2, 3, 1.0, seed=0)
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1,
+                              prior_p=ds.prior_p)
+        cfg = SolverConfig(nu=0.5, lam=0.0, T=1200, batch_pos=4,
+                           batch_neg=16, seed=0, eval_every=1200)
+        tau, _, trace = train(ds, None, init_scorer("linear", 3, seed=0),
+                              cfg, obj)
+        assert tau.s_prime == 5.0
+        assert trace.box_violations == 0
+
+
 class TestTrain:
     def test_t_zero_identity(self, small_setup):
         ds, scorer, obj = small_setup
