@@ -10,8 +10,8 @@ underlying identities numerically.
 
 from .data import Dataset, Minibatch, SplitSpec, generate_synthetic, load_csv, split, stratified_sample
 from .metrics import closed_form_optimum, empirical_auc, empirical_opauc, empirical_tpauc, pairwise_surrogate_risk
-from .objectives import MaxVars, MinVars, ObjectiveConfig, eval_surrogate, eval_unbiased
-from .scorer import ScorerParams, init_scorer, score, score_batch
+from .objectives import MaxVars, MinVars, ObjectiveConfig, evaluate
+from .scorer import ScorerParams, init_scorer, score_batch
 from .solver import SolverConfig, train
 
 __all__ = [
@@ -30,11 +30,9 @@ __all__ = [
     "MaxVars",
     "MinVars",
     "ObjectiveConfig",
-    "eval_surrogate",
-    "eval_unbiased",
+    "evaluate",
     "ScorerParams",
     "init_scorer",
-    "score",
     "score_batch",
     "SolverConfig",
     "train",

@@ -44,27 +44,38 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# The keys each run-config section is read with; any other key is a typo or
-# an old spelling and is rejected rather than silently left at its default.
-_OBJECTIVE_KEYS = frozenset({"metric", "formulation", "alpha", "beta", "kappa",
-                             "omega", "lagrange_cap"})
-_SOLVER_KEYS = frozenset({"nu", "lambda", "k", "m", "iota1", "iota2", "T",
-                          "batch", "batch_pos", "batch_neg", "warmup_epochs",
-                          "eval_every"})
+# The keys each run-config section ("" is the top level) is read with; any other
+# key is a typo or an old spelling, rejected rather than left at its default.
+_CONFIG_KEYS = {
+    "": {"dataset", "split", "scorer", "objective", "solver", "seed"},
+    "dataset": {"csv", "label_col", "synthetic"},
+    "dataset.synthetic": {"n", "imbalance", "dim", "separation", "seed"},
+    "split": {"train_frac", "val_frac", "test_frac", "seed"},
+    "scorer": {"kind", "hidden"},
+    "objective": {"metric", "formulation", "alpha", "beta", "kappa", "omega", "lagrange_cap"},
+    "solver": {"nu", "lambda", "k", "m", "iota1", "iota2", "T", "batch", "batch_pos",
+               "batch_neg", "warmup_epochs", "eval_every"},
+}
 
 
-def _check_keys(doc: dict, section: str, known: frozenset):
-    unknown = sorted(set(doc.get(section, {})) - known)
-    if unknown:
-        raise ValueError(f"unknown {section} key(s) {', '.join(map(repr, unknown))}; "
-                         f"known: {', '.join(sorted(known))}")
+def _check_keys(doc: dict):
+    for section, known in _CONFIG_KEYS.items():
+        entry = doc
+        for part in filter(None, section.split(".")):
+            entry = entry.get(part, {})
+        name = section or "top-level"
+        if not isinstance(entry, dict):
+            raise ValueError(f"config {name} must be a JSON object")
+        unknown = sorted(set(entry) - known)
+        if unknown:
+            raise ValueError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
+                             f"known: {', '.join(sorted(known))}")
 
 
 def _load_run_config(args):
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
-    _check_keys(doc, "objective", _OBJECTIVE_KEYS)
-    _check_keys(doc, "solver", _SOLVER_KEYS)
+    _check_keys(doc)
     seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
 
     dsrc = doc.get("dataset", {})

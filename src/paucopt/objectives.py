@@ -1,23 +1,27 @@
 """Instance-wise minimax objectives for partial-AUC optimization.
 
-Two formulations over the descent block tau = (theta, a, b, s, s', theta_a,
-theta_b) and the ascent block (gamma, c):
+One evaluator over the descent block tau = (theta, a, b, s, s', theta_a,
+theta_b) and the ascent block (gamma, c). The two formulations share the
+objective and differ only in how the quantile-selection hinge
+[x - threshold]_+ is treated:
 
-* surrogate: the quantile-selection hinge is smoothed by a softplus of
-  sharpness kappa, leaving only (tau, gamma) — asymptotically unbiased with
-  gap at most ln2/kappa;
-* unbiased: the hinge is realized exactly through per-instance selection
-  weights c in [0,1] via [x]_+ = max_c c*x.
+* surrogate: a softplus of sharpness kappa, with selection weight
+  sigma(kappa*(x - threshold)); c plays no role. Asymptotically unbiased,
+  with gap at most ln2/kappa;
+* unbiased: c*(x - threshold) with selection weight c in [0,1], exact at
+  the inner maximum since [x]_+ = max_c c*x.
 
 Both carry the strong-concavity regularizer -omega*gamma^2 (the unbiased
 form additionally subtracts omega * mean(c_i^2)) and the Lagrangian terms
 -theta_b*(b-1-gamma) - theta_a*(-a-gamma) that decouple the gamma-domain
-coupling into plain boxes.
+coupling into plain boxes. ObjectiveConfig.boxes lists every box of the
+problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -25,8 +29,8 @@ from scipy.special import expit
 from .data import Dataset, Minibatch
 from .scorer import ScorerParams, score_batch, weighted_score_grad
 
-S_BOX = (-4.0, 1.0)
-S_PRIME_BOX = (0.0, 5.0)
+# The MinVars scalars in flat-layout order, after theta.
+FLAT_SCALARS = ("a", "b", "s", "s_prime", "theta_a", "theta_b")
 
 
 class ObjectiveError(ValueError):
@@ -58,6 +62,23 @@ class ObjectiveConfig:
         if not 0.0 < self.prior_p < 1.0:
             raise ObjectiveError("prior_p must lie in (0,1)")
 
+    @cached_property
+    def boxes(self) -> dict:
+        """(lo, hi) of every constrained variable; theta is free. OPAUC has
+        no positive-side constraint, so its multiplier theta_a is pinned at 0."""
+        cap = self.lagrange_cap
+        return {"a": (0.0, 1.0), "b": (0.0, 1.0), "s": (-4.0, 1.0),
+                "s_prime": (0.0, 5.0),
+                "theta_a": (0.0, 0.0 if self.metric_kind == "OPAUC" else cap),
+                "theta_b": (0.0, cap), "gamma": (-1.0, 1.0), "c": (0.0, 1.0)}
+
+    @cached_property
+    def flat_box(self) -> tuple:
+        """Read-only (lo, hi) arrays over FLAT_SCALARS, built once per config."""
+        bounds = np.array([self.boxes[name] for name in FLAT_SCALARS]).T
+        bounds.setflags(write=False)
+        return bounds[0], bounds[1]
+
 
 @dataclass(frozen=True)
 class MinVars:
@@ -71,10 +92,6 @@ class MinVars:
     theta_a: float = 0.0
     theta_b: float = 0.0
 
-    @property
-    def n_scalars(self) -> int:
-        return 6
-
     def flat(self) -> np.ndarray:
         """Layout: theta | a | b | s | s' | theta_a | theta_b."""
         return np.concatenate([
@@ -84,7 +101,7 @@ class MinVars:
 
     def with_flat(self, vec: np.ndarray) -> "MinVars":
         n = self.theta.n_params
-        if len(vec) != n + self.n_scalars:
+        if len(vec) != n + len(FLAT_SCALARS):
             raise ObjectiveError("flat vector length does not match layout")
         a, b, s, sp, ta, tb = vec[n:]
         return MinVars(self.theta.with_weights(vec[:n].copy()),
@@ -111,7 +128,8 @@ class LossGrad:
     value: float
     grad_min: np.ndarray      # over the MinVars flat layout
     grad_max_gamma: float
-    grad_max_c: dict          # id -> partial, batch members only
+    c_ids: np.ndarray         # the batch ids whose c the value depends on
+    grad_max_c: np.ndarray    # partial wrt c at each of c_ids
 
 
 def softplus(x, kappa: float):
@@ -133,183 +151,96 @@ def neg_branch_N(f_x, b: float, gamma: float):
     return (f_x - b) ** 2 + 2.0 * (1.0 + gamma) * f_x
 
 
-def project_min(mv: MinVars, cfg: ObjectiveConfig) -> MinVars:
-    """Coordinatewise clamp onto the descent boxes; theta is unconstrained."""
-    cap = cfg.lagrange_cap
-    return replace(
-        mv,
-        a=min(max(mv.a, 0.0), 1.0),
-        b=min(max(mv.b, 0.0), 1.0),
-        s=min(max(mv.s, S_BOX[0]), S_BOX[1]),
-        s_prime=min(max(mv.s_prime, S_PRIME_BOX[0]), S_PRIME_BOX[1]),
-        theta_a=0.0 if cfg.metric_kind == "OPAUC" else min(max(mv.theta_a, 0.0), cap),
-        theta_b=min(max(mv.theta_b, 0.0), cap),
-    )
-
-
 def project_min_flat(vec: np.ndarray, n_theta: int, cfg: ObjectiveConfig) -> np.ndarray:
-    """project_min on the flat layout, in place on a copy."""
+    """Clamp the flat descent layout onto its boxes, on a copy; theta is free."""
     out = vec.copy()
-    lo = np.array([0.0, 0.0, S_BOX[0], S_PRIME_BOX[0], 0.0, 0.0])
-    hi = np.array([1.0, 1.0, S_BOX[1], S_PRIME_BOX[1],
-                   cfg.lagrange_cap, cfg.lagrange_cap])
-    out[n_theta:] = np.clip(out[n_theta:], lo, hi)
-    if cfg.metric_kind == "OPAUC":
-        out[n_theta + 4] = 0.0
+    out[n_theta:] = np.clip(out[n_theta:], *cfg.flat_box)
     return out
 
 
-def project_max(xv: MaxVars, cfg: ObjectiveConfig) -> MaxVars:
-    return MaxVars(min(max(xv.gamma, -1.0), 1.0), np.clip(xv.c, 0.0, 1.0))
+def _hinge_branch(cfg: ObjectiveConfig, x, thr: float, frac: float,
+                  prior: float, B: int, c):
+    """Per-instance (frac*thr + [x - thr]_+) / (frac*prior) and its partials.
 
-
-def _check_batch(batch: Minibatch):
-    # single-class batches are legal (the other branch contributes zero
-    # terms); only a fully empty batch is meaningless
-    if batch.size == 0:
-        raise ObjectiveError("empty batch")
-
-
-def _assemble(mv: MinVars, ga, gb, gs, gsp, theta_weights_pos, theta_weights_neg,
-              x_pos, x_neg, cfg: ObjectiveConfig, gamma: float):
-    """Finish an evaluation: Lagrangian terms, theta backprop, flat gradient."""
-    lag = -mv.theta_b * (mv.b - 1.0 - gamma) - mv.theta_a * (-mv.a - gamma)
-    gb += -mv.theta_b
-    ga += mv.theta_a
-    g_gamma_lag = mv.theta_a + mv.theta_b
-    g_theta_a = mv.a + gamma
-    g_theta_b = 1.0 + gamma - mv.b
-    if cfg.metric_kind == "OPAUC":
-        gs = 0.0
-        g_theta_a = 0.0
-    x = np.vstack([x_pos, x_neg])
-    w = np.concatenate([theta_weights_pos, theta_weights_neg])
-    _, g_theta = weighted_score_grad(mv.theta, x, w)
-    grad_min = np.concatenate([g_theta, [ga, gb, gs, gsp, g_theta_a, g_theta_b]])
-    return lag, g_gamma_lag, g_theta_a, grad_min
-
-
-def eval_surrogate(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
-                   batch: Minibatch, ds: Dataset) -> LossGrad:
-    """Softplus-smoothed objective value and exact analytic partials.
-
-    The value is the batch mean of the per-instance objective plus the
-    Lagrangian terms (added once). grad_max_c is empty: c plays no role.
+    c is None for the surrogate hinge, a softplus with selection weight
+    sigma(kappa*(x - thr)); otherwise the hinge is c*(x - thr) with weight
+    c. Returns the terms, d value/d x, d value/d thr and d value/d c (None
+    for the surrogate); the value is a batch mean, so each carries 1/B.
     """
-    if cfg.formulation != "surrogate":
-        raise ObjectiveError("eval_surrogate requires formulation='surrogate'")
-    _check_batch(batch)
-    p, q = cfg.prior_p, 1.0 - cfg.prior_p
-    alpha, beta, kappa, omega = cfg.alpha, cfg.beta, cfg.kappa, cfg.omega
-    gamma = xv.gamma
-    B = batch.size
-    x_pos = ds.features[batch.pos_ids]
-    x_neg = ds.features[batch.neg_ids]
-    f_pos = score_batch(mv.theta, x_pos)
-    f_neg = score_batch(mv.theta, x_neg)
-
-    P = pos_branch_P(f_pos, mv.a, gamma)
-    N = neg_branch_N(f_neg, mv.b, gamma)
-    dP_df = 2.0 * (f_pos - mv.a) - 2.0 * (1.0 + gamma)
-    dN_df = 2.0 * (f_neg - mv.b) + 2.0 * (1.0 + gamma)
-
-    if cfg.metric_kind == "TPAUC":
-        sig_p = expit(kappa * (P - mv.s))
-        pos_terms = (alpha * mv.s + softplus(P - mv.s, kappa)) / (alpha * p)
-        wp = sig_p / (alpha * p) / B                 # d value / d P_i
-        gs = float(np.sum(alpha - sig_p) / (alpha * p)) / B
+    scale = frac * prior
+    if c is None:
+        w = expit(cfg.kappa * (x - thr))
+        hinge = softplus(x - thr, cfg.kappa)
+        d_c = None
     else:
-        pos_terms = P / p
-        wp = np.full_like(P, 1.0 / p / B)
-        gs = 0.0
-
-    sig_n = expit(kappa * (N - mv.s_prime))
-    neg_terms = (beta * mv.s_prime + softplus(N - mv.s_prime, kappa)) / (beta * q)
-    wn = sig_n / (beta * q) / B                      # d value / d N_i
-    gsp = float(np.sum(beta - sig_n) / (beta * q)) / B
-
-    data_value = (np.sum(pos_terms) + np.sum(neg_terms)) / B
-    gamma_term = -(1.0 + omega) * gamma ** 2
-
-    ga = float(np.sum(wp * (-2.0 * (f_pos - mv.a))))
-    gb = float(np.sum(wn * (-2.0 * (f_neg - mv.b))))
-    g_gamma = float(np.sum(wp * (-2.0 * f_pos)) + np.sum(wn * (2.0 * f_neg))
-                    - 2.0 * (1.0 + omega) * gamma)
-
-    lag, g_gamma_lag, _, grad_min = _assemble(
-        mv, ga, gb, gs, gsp, wp * dP_df, wn * dN_df, x_pos, x_neg, cfg, gamma)
-    return LossGrad(float(data_value + gamma_term + lag), grad_min,
-                    g_gamma + g_gamma_lag, {})
-
-
-def eval_unbiased(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
-                  batch: Minibatch, ds: Dataset) -> LossGrad:
-    """Exactly unbiased objective using per-instance selection weights c.
-
-    Negative hinges become c_i*(N_i - s'); for TPAUC the positive hinges
-    become c_i*(P_i - s). The concavity regularizer subtracts
-    omega*(gamma^2 + mean over the batch of the participating c_i^2).
-    """
-    if cfg.formulation != "unbiased":
-        raise ObjectiveError("eval_unbiased requires formulation='unbiased'")
-    _check_batch(batch)
-    if len(xv.c) < ds.n:
-        raise ObjectiveError("c must carry one entry per dataset instance")
-    p, q = cfg.prior_p, 1.0 - cfg.prior_p
-    alpha, beta, omega = cfg.alpha, cfg.beta, cfg.omega
-    gamma = xv.gamma
-    B = batch.size
-    x_pos = ds.features[batch.pos_ids]
-    x_neg = ds.features[batch.neg_ids]
-    f_pos = score_batch(mv.theta, x_pos)
-    f_neg = score_batch(mv.theta, x_neg)
-    c_neg = xv.c[batch.neg_ids]
-
-    P = pos_branch_P(f_pos, mv.a, gamma)
-    N = neg_branch_N(f_neg, mv.b, gamma)
-    dP_df = 2.0 * (f_pos - mv.a) - 2.0 * (1.0 + gamma)
-    dN_df = 2.0 * (f_neg - mv.b) + 2.0 * (1.0 + gamma)
-
-    grad_c = {}
-    if cfg.metric_kind == "TPAUC":
-        c_pos = xv.c[batch.pos_ids]
-        pos_terms = (alpha * mv.s + c_pos * (P - mv.s)) / (alpha * p)
-        wp = c_pos / (alpha * p) / B
-        gs = float(np.sum(alpha - c_pos) / (alpha * p)) / B
-        c_reg = (np.sum(c_pos ** 2) + np.sum(c_neg ** 2)) / B
-        for i, idx in enumerate(batch.pos_ids):
-            grad_c[int(idx)] = float((P[i] - mv.s) / (alpha * p) / B
-                                     - 2.0 * omega * c_pos[i] / B)
-    else:
-        pos_terms = P / p
-        wp = np.full_like(P, 1.0 / p / B)
-        gs = 0.0
-        c_reg = np.sum(c_neg ** 2) / B
-
-    neg_terms = (beta * mv.s_prime + c_neg * (N - mv.s_prime)) / (beta * q)
-    wn = c_neg / (beta * q) / B
-    gsp = float(np.sum(beta - c_neg) / (beta * q)) / B
-    for j, idx in enumerate(batch.neg_ids):
-        grad_c[int(idx)] = float((N[j] - mv.s_prime) / (beta * q) / B
-                                 - 2.0 * omega * c_neg[j] / B)
-
-    data_value = (np.sum(pos_terms) + np.sum(neg_terms)) / B
-    gamma_term = -(1.0 + omega) * gamma ** 2 - omega * c_reg
-
-    ga = float(np.sum(wp * (-2.0 * (f_pos - mv.a))))
-    gb = float(np.sum(wn * (-2.0 * (f_neg - mv.b))))
-    g_gamma = float(np.sum(wp * (-2.0 * f_pos)) + np.sum(wn * (2.0 * f_neg))
-                    - 2.0 * (1.0 + omega) * gamma)
-
-    lag, g_gamma_lag, _, grad_min = _assemble(
-        mv, ga, gb, gs, gsp, wp * dP_df, wn * dN_df, x_pos, x_neg, cfg, gamma)
-    return LossGrad(float(data_value + gamma_term + lag), grad_min,
-                    g_gamma + g_gamma_lag, grad_c)
+        w = c
+        hinge = c * (x - thr)
+        d_c = (x - thr) / scale / B - 2.0 * cfg.omega * c / B
+    terms = (frac * thr + hinge) / scale
+    return terms, w / scale / B, float(np.sum(frac - w) / scale) / B, d_c
 
 
 def evaluate(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
              batch: Minibatch, ds: Dataset) -> LossGrad:
-    """Dispatch on cfg.formulation."""
-    if cfg.formulation == "surrogate":
-        return eval_surrogate(cfg, mv, xv, batch, ds)
-    return eval_unbiased(cfg, mv, xv, batch, ds)
+    """Objective value and exact analytic partials under cfg.formulation.
+
+    The value is the batch mean of the per-instance objective plus the
+    Lagrangian terms (added once). Negative hinges are taken at s'; for
+    TPAUC the positive hinges are taken at s. For the unbiased form the
+    concavity regularizer also subtracts omega * the batch mean of the
+    participating c_i^2; c_ids is empty for the surrogate.
+    """
+    if batch.size == 0:
+        # single-class batches are legal (the other branch contributes zero
+        # terms); only a fully empty batch is meaningless
+        raise ObjectiveError("empty batch")
+    unbiased = cfg.formulation == "unbiased"
+    if unbiased and len(xv.c) < ds.n:
+        raise ObjectiveError("c must carry one entry per dataset instance")
+    p, q = cfg.prior_p, 1.0 - cfg.prior_p
+    omega, gamma, B = cfg.omega, xv.gamma, batch.size
+    x_pos = ds.features[batch.pos_ids]
+    x_neg = ds.features[batch.neg_ids]
+    f_pos = score_batch(mv.theta, x_pos)
+    f_neg = score_batch(mv.theta, x_neg)
+
+    P = pos_branch_P(f_pos, mv.a, gamma)
+    N = neg_branch_N(f_neg, mv.b, gamma)
+    dP_df = 2.0 * (f_pos - mv.a) - 2.0 * (1.0 + gamma)
+    dN_df = 2.0 * (f_neg - mv.b) + 2.0 * (1.0 + gamma)
+
+    hinged = []    # (ids, c, d value/d c) of each branch with a hinge
+    if cfg.metric_kind == "TPAUC":
+        c_pos = xv.c[batch.pos_ids] if unbiased else None
+        pos_terms, wp, gs, gc = _hinge_branch(cfg, P, mv.s, cfg.alpha, p, B, c_pos)
+        hinged.append((batch.pos_ids, c_pos, gc))
+    else:
+        pos_terms = P / p
+        wp = np.full_like(P, 1.0 / p / B)
+        gs = 0.0
+    c_neg = xv.c[batch.neg_ids] if unbiased else None
+    neg_terms, wn, gsp, gc = _hinge_branch(cfg, N, mv.s_prime, cfg.beta, q, B, c_neg)
+    hinged.append((batch.neg_ids, c_neg, gc))
+
+    data_value = (np.sum(pos_terms) + np.sum(neg_terms)) / B
+    gamma_term = -(1.0 + omega) * gamma ** 2
+    if unbiased:
+        gamma_term -= omega * (sum(np.sum(c ** 2) for _, c, _ in hinged) / B)
+        c_ids = np.concatenate([ids for ids, _, _ in hinged])
+        grad_c = np.concatenate([g for _, _, g in hinged])
+    else:
+        c_ids, grad_c = np.zeros(0, dtype=np.intp), np.zeros(0)
+
+    # Lagrangian terms; theta_a prices the positive side, absent for OPAUC
+    lag = -mv.theta_b * (mv.b - 1.0 - gamma) - mv.theta_a * (-mv.a - gamma)
+    ga = float(np.sum(wp * (-2.0 * (f_pos - mv.a)))) + mv.theta_a
+    gb = float(np.sum(wn * (-2.0 * (f_neg - mv.b)))) - mv.theta_b
+    g_gamma = float(np.sum(wp * (-2.0 * f_pos)) + np.sum(wn * (2.0 * f_neg))
+                    - 2.0 * (1.0 + omega) * gamma)
+    g_theta_a = 0.0 if cfg.metric_kind == "OPAUC" else mv.a + gamma
+    _, g_theta = weighted_score_grad(mv.theta, np.vstack([x_pos, x_neg]),
+                                     np.concatenate([wp * dP_df, wn * dN_df]))
+    grad_min = np.concatenate([g_theta, [ga, gb, gs, gsp, g_theta_a,
+                                         1.0 + gamma - mv.b]])
+    return LossGrad(float(data_value + gamma_term + lag), grad_min,
+                    g_gamma + (mv.theta_a + mv.theta_b), c_ids, grad_c)

@@ -117,11 +117,6 @@ def score_batch(params: ScorerParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, x)[0]
 
 
-def score(params: ScorerParams, x: np.ndarray) -> float:
-    """Score a single feature row."""
-    return float(score_batch(params, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
 def backprop_logit(params: ScorerParams, x: np.ndarray,
                    dz: np.ndarray) -> np.ndarray:
     """Gradient of sum_i dz_i * z_i w.r.t. the flat weights.
@@ -143,14 +138,6 @@ def backprop_logit(params: ScorerParams, x: np.ndarray,
             # tanh' = 1 - a^2 at the producing layer's output
             delta = (delta @ w) * (1.0 - acts[li] ** 2)
     return np.concatenate(grads)
-
-
-def score_grad(params: ScorerParams, x: np.ndarray):
-    """Score and the flat gradient d f / d weights for a single row."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    f = score_batch(params, x)
-    dz = f * (1.0 - f)  # sigmoid'
-    return float(f[0]), backprop_logit(params, x, dz)
 
 
 def weighted_score_grad(params: ScorerParams, x: np.ndarray,
@@ -183,10 +170,3 @@ def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
             g = backprop_logit(cur, x, (f - y) / len(idx))
             w = w - lr * g
     return params.with_weights(w)
-
-
-def cross_entropy(params: ScorerParams, ds) -> float:
-    """Mean binary cross-entropy over a dataset."""
-    f = np.clip(score_batch(params, ds.features), 1e-12, 1 - 1e-12)
-    y = ds.labels.astype(np.float64)
-    return float(-np.mean(y * np.log(f) + (1 - y) * np.log(1 - f)))

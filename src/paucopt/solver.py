@@ -10,7 +10,7 @@ old variables on the same batch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .objectives import (
     ObjectiveConfig,
     evaluate,
     initial_max_vars,
-    project_max,
     project_min_flat,
 )
 from .scorer import ScorerParams, score_batch, warmup_logistic
@@ -67,8 +66,8 @@ class SolverState:
     gamma_block: MaxVars
     v: np.ndarray              # momentum for grad wrt tau (flat layout)
     w_gamma: float             # momentum for grad wrt gamma
-    w_c: dict                  # id -> momentum for grad wrt c_id
-    active_c: tuple            # ids sampled in the latest batch; only they move
+    w_c: np.ndarray            # momentum for grad wrt c, one entry per instance
+    active_c: np.ndarray       # ids sampled in the latest batch; only they move
     t: int
     rng: np.random.Generator
 
@@ -106,10 +105,10 @@ def init_state(ds: Dataset, scorer_init: ScorerParams,
     return SolverState(
         tau=tau,
         gamma_block=initial_max_vars(ds.n),
-        v=np.zeros(scorer_init.n_params + tau.n_scalars),
+        v=np.zeros_like(tau.flat()),
         w_gamma=0.0,
-        w_c={},
-        active_c=(),
+        w_c=np.zeros(ds.n),
+        active_c=np.zeros(0, dtype=np.intp),
         t=0,
         rng=np.random.default_rng(cfg.seed),
     )
@@ -143,17 +142,20 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
         project_min_flat((1.0 - eta) * flat_old + eta * cand, n_theta, obj_cfg))
 
     # ascent block: gamma always moves; c coordinates move only when they
-    # were sampled in the batch behind the current momenta. Their partial
-    # gradients carry the 1/B batch-mean factor, so the step is rescaled by
-    # the batch size to recover the per-instance magnitude.
-    g_cand = min(max(max_old.gamma + cfg.lam * state.w_gamma, -1.0), 1.0)
-    gamma_new = min(max((1.0 - eta) * max_old.gamma + eta * g_cand, -1.0), 1.0)
-    c_new = max_old.c.copy()
-    lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
-    for idx in state.active_c:
-        ci = c_new[idx]
-        cand = min(max(ci + lam_c * state.w_c[idx], 0.0), 1.0)
-        c_new[idx] = min(max((1.0 - eta) * ci + eta * cand, 0.0), 1.0)
+    # were sampled in the batch behind the current momenta (the surrogate
+    # samples none). Their partial gradients carry the 1/B batch-mean
+    # factor, so the step is rescaled by the batch size to recover the
+    # per-instance magnitude.
+    lo, hi = obj_cfg.boxes["gamma"]
+    g_cand = min(max(max_old.gamma + cfg.lam * state.w_gamma, lo), hi)
+    gamma_new = min(max((1.0 - eta) * max_old.gamma + eta * g_cand, lo), hi)
+    c_new, ids = max_old.c.copy(), state.active_c
+    if len(ids):
+        lo, hi = obj_cfg.boxes["c"]
+        lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
+        c_act = c_new[ids]
+        c_cand = np.clip(c_act + lam_c * state.w_c[ids], lo, hi)
+        c_new[ids] = np.clip((1.0 - eta) * c_act + eta * c_cand, lo, hi)
     max_new = MaxVars(gamma_new, c_new)
 
     # fresh batch; both momentum refresh gradients use this same batch
@@ -169,14 +171,13 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
         v_next = _zero_theta(v_next, n_theta)
     w_gamma_next = (lg_new.grad_max_gamma
                     + (1.0 - xi) * (state.w_gamma - lg_old.grad_max_gamma))
-    w_c_next = dict(state.w_c)
-    for idx, g_new in lg_new.grad_max_c.items():
-        g_old = lg_old.grad_max_c[idx]
-        w_c_next[idx] = g_new + (1.0 - xi) * (w_c_next.get(idx, 0.0) - g_old)
+    w_c_next, ids = state.w_c, lg_new.c_ids
+    if len(ids):
+        w_c_next = w_c_next.copy()
+        w_c_next[ids] = lg_new.grad_max_c + (1.0 - xi) * (w_c_next[ids] - lg_old.grad_max_c)
 
     return SolverState(tau=tau_new, gamma_block=max_new, v=v_next,
-                       w_gamma=w_gamma_next, w_c=w_c_next,
-                       active_c=tuple(lg_new.grad_max_c),
+                       w_gamma=w_gamma_next, w_c=w_c_next, active_c=ids,
                        t=state.t + 1, rng=state.rng)
 
 
@@ -203,17 +204,15 @@ def grad_mapping_proxy(state: SolverState, cfg: SolverConfig,
 
 def _box_violation(tau: MinVars, xv: MaxVars, cfg: ObjectiveConfig) -> float:
     """Largest distance of any variable from its box; 0 when feasible."""
-    from .objectives import S_BOX, S_PRIME_BOX
     dev = 0.0
-    for val, lo, hi in ((tau.a, 0.0, 1.0), (tau.b, 0.0, 1.0),
-                        (tau.s, *S_BOX), (tau.s_prime, *S_PRIME_BOX),
-                        (tau.theta_a, 0.0, cfg.lagrange_cap),
-                        (tau.theta_b, 0.0, cfg.lagrange_cap),
-                        (xv.gamma, -1.0, 1.0)):
-        dev = max(dev, lo - val, val - hi)
-    if len(xv.c):
-        dev = max(dev, float(-xv.c.min()), float(xv.c.max() - 1.0))
-    return max(dev, 0.0)
+    for name, (lo, hi) in cfg.boxes.items():
+        if name == "c":
+            values = (float(xv.c.min()), float(xv.c.max())) if len(xv.c) else ()
+        else:
+            values = (xv.gamma if name == "gamma" else getattr(tau, name),)
+        for val in values:
+            dev = max(dev, lo - val, val - hi)
+    return dev
 
 
 def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> float:

@@ -9,21 +9,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, Minibatch
 from .metrics import closed_form_optimum, pairwise_surrogate_risk
 from .objectives import (
     MaxVars,
     MinVars,
     ObjectiveConfig,
+    evaluate,
     neg_branch_N,
     pos_branch_P,
     softplus,
 )
-from .scorer import ScorerParams
+from .scorer import ScorerParams, score_batch
 from .solver import SolverConfig, train
 
 
@@ -95,14 +96,15 @@ def check_topk_threshold(trials: int = 500, seed: int = 0) -> VerificationReport
     return _report("topk_threshold", trials, worst, 1e-9)
 
 
-def _threshold_objective_min_hinge(losses, beta, lo=0.0, hi=5.0) -> float:
-    """min over s' in [lo,hi] of beta*s' + mean([N_i - s']_+): exact."""
+def _threshold_objective_min_hinge(losses, beta) -> float:
+    """min over s' in its box of beta*s' + mean([N_i - s']_+): exact."""
+    lo, hi = ObjectiveConfig().boxes["s_prime"]
     pts = np.concatenate([[lo, hi], np.clip(losses, lo, hi)])
     vals = beta * pts + np.mean(np.maximum(losses[None, :] - pts[:, None], 0.0), axis=1)
     return float(vals.min())
 
 
-def _threshold_objective_min_soft(losses, beta, kappa, lo=0.0, hi=5.0) -> float:
+def _threshold_objective_min_soft(losses, beta, kappa) -> float:
     """min over s' of the softplus-smoothed threshold objective.
 
     The objective is convex in s' with derivative beta - mean(sigmoid(
@@ -110,6 +112,8 @@ def _threshold_objective_min_soft(losses, beta, kappa, lo=0.0, hi=5.0) -> float:
     precision, then clamp to the box.
     """
     from scipy.special import expit
+
+    lo, hi = ObjectiveConfig().boxes["s_prime"]
 
     def deriv(s):
         return beta - float(np.mean(expit(kappa * (losses - s))))
@@ -178,20 +182,43 @@ def check_monotone_branches(trials: int = 1000, seed: int = 0) -> VerificationRe
 
 
 def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> VerificationReport:
-    """[x]_+ = max over c in [0,1] of c*x, attained at c = 1{x>0}."""
+    """The unbiased objective at c* = 1{loss > threshold} is the hinge objective.
+
+    [x]_+ = max over c in [0,1] of c*x is attained at c = 1{x > 0}, so the
+    unbiased form, evaluated at c*, must reproduce exactly the objective
+    written with the hinge itself. Trials alternate OPAUC and TPAUC; omega
+    and the multipliers are 0, so only the hinge terms are compared.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        x = float(rng.uniform(-5, 5))
-        c_star = 1.0 if x > 0 else 0.0
-        worst = max(worst, abs(c_star * x - max(x, 0.0)))
+    for trial in range(trials):
+        n_pos, n_neg = int(rng.integers(1, 8)), int(rng.integers(1, 16))
+        ds = Dataset(rng.normal(size=(n_pos + n_neg, 2)), np.repeat([1, 0], [n_pos, n_neg]))
+        theta = ScorerParams("linear", (2, 1), rng.normal(size=3))
+        p = ds.prior_p
+        cfg = ObjectiveConfig(("OPAUC", "TPAUC")[trial % 2], "unbiased",
+                              float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1)), prior_p=p)
+        box = cfg.boxes
+        mv = MinVars(theta, *(float(rng.uniform(*box[k])) for k in ("a", "b", "s", "s_prime")))
+        gamma = float(rng.uniform(*box["gamma"]))
+        P = pos_branch_P(score_batch(theta, ds.features[ds.pos_ids]), mv.a, gamma)
+        N = neg_branch_N(score_batch(theta, ds.features[ds.neg_ids]), mv.b, gamma)
+        c_star = np.zeros(ds.n)
+        c_star[ds.neg_ids] = N > mv.s_prime
+        hinge = np.sum((cfg.beta * mv.s_prime + np.maximum(N - mv.s_prime, 0.0))
+                       / (cfg.beta * (1 - p)))
+        if cfg.metric_kind == "TPAUC":
+            c_star[ds.pos_ids] = P > mv.s
+            hinge += np.sum((cfg.alpha * mv.s + np.maximum(P - mv.s, 0.0)) / (cfg.alpha * p))
+        else:
+            hinge += np.sum(P / p)
+        lg = evaluate(cfg, mv, MaxVars(gamma, c_star), Minibatch(ds.pos_ids, ds.neg_ids), ds)
+        worst = max(worst, abs(lg.value - (hinge / ds.n - gamma ** 2)))
     return _report("hinge_weight_identity", trials, worst, 0.0)
 
 
 def quantile_deviation(ds: Dataset, tau: MinVars, gamma: float, beta: float) -> float:
     """Effective selected-negative fraction: share with N-loss strictly above s'."""
-    from .scorer import score_batch
-
     f_neg = score_batch(tau.theta, ds.features[ds.neg_ids])
     losses = neg_branch_N(f_neg, tau.b, gamma)
     return float(np.mean(losses > tau.s_prime))
@@ -205,31 +232,17 @@ def run_bias_sweep(ds_train: Dataset, ds_val: Dataset | None,
     All runs share the scorer initialization and solver seed so the only
     moving part is the hinge treatment.
     """
+    runs = [(replace(obj_cfg_base, formulation="surrogate", kappa=kappa), kappa)
+            for kappa in kappas]
+    runs.append((replace(obj_cfg_base, formulation="unbiased"), float("nan")))
     rows = []
-    for kappa in kappas:
-        cfg = ObjectiveConfig(**{**_cfg_dict(obj_cfg_base),
-                                 "formulation": "surrogate", "kappa": kappa})
+    for cfg, kappa in runs:
         tau, xv, trace = train(ds_train, ds_val, scorer_init, solver_cfg, cfg)
-        rows.append(_sweep_row("surrogate", kappa, ds_train, tau, xv, cfg, trace))
-    cfg = ObjectiveConfig(**{**_cfg_dict(obj_cfg_base), "formulation": "unbiased"})
-    tau, xv, trace = train(ds_train, ds_val, scorer_init, solver_cfg, cfg)
-    rows.append(_sweep_row("unbiased", float("nan"), ds_train, tau, xv, cfg, trace))
+        beta_eff = quantile_deviation(ds_train, tau, xv.gamma, cfg.beta)
+        rows.append({"kind": cfg.formulation, "kappa": kappa,
+                     "val_pauc": trace.best_val_pauc, "beta_eff": beta_eff,
+                     "beta_dev": abs(beta_eff - cfg.beta)})
     return rows
-
-
-def _cfg_dict(cfg: ObjectiveConfig) -> dict:
-    return asdict(cfg)
-
-
-def _sweep_row(kind, kappa, ds, tau, xv, cfg, trace):
-    beta_eff = quantile_deviation(ds, tau, xv.gamma, cfg.beta)
-    return {
-        "kind": kind,
-        "kappa": kappa,
-        "val_pauc": trace.best_val_pauc,
-        "beta_eff": beta_eff,
-        "beta_dev": abs(beta_eff - cfg.beta),
-    }
 
 
 ALL_CHECKS = {

@@ -147,7 +147,7 @@ def test_4_gradient_fidelity():
                - evaluate(cfg, mv, MaxVars(xv.gamma - h, xv.c), batch,
                           ds).value) / (2 * h)
         worst = max(worst, abs(num - lg.grad_max_gamma) / max(abs(num), 1e-3))
-        for idx, g in lg.grad_max_c.items():
+        for idx, g in zip(lg.c_ids, lg.grad_max_c):
             cp, cm = xv.c.copy(), xv.c.copy()
             cp[idx] += h
             cm[idx] -= h

@@ -93,6 +93,11 @@ class TestTrain:
         ("objective", {"metric_kind": "TPAUC", "alpha": 0.5, "beta": 0.3},
          "metric_kind"),
         ("solver", {"lam": 0.5, "T": 50}, "lam"),
+        ("scorer", {"kind": "mlp", "hidden_layers": [16]}, "hidden_layers"),
+        ("seeed", 3, "seeed"),
+        ("dataset", {"synthetic": {"n": 400, "imbalance": 0.2, "dim": 3,
+                                   "sepration": 3.0, "seed": 5}}, "sepration"),
+        ("split", {"trian_frac": 0.7}, "trian_frac"),
     ])
     def test_unknown_key_usage_error(self, tmp_path, capsys, section, entry,
                                      bad_key):

@@ -9,16 +9,19 @@ from paucopt.objectives import (
     MinVars,
     ObjectiveConfig,
     ObjectiveError,
-    eval_surrogate,
-    eval_unbiased,
     evaluate,
     neg_branch_N,
     pos_branch_P,
-    project_max,
-    project_min,
+    project_min_flat,
     softplus,
 )
 from paucopt.scorer import ScorerParams, init_scorer
+from paucopt.solver import SolverConfig, asgda_step, init_state
+
+
+def project_min(mv, cfg):
+    """project_min_flat on a MinVars."""
+    return mv.with_flat(project_min_flat(mv.flat(), mv.theta.n_params, cfg))
 
 
 def const_scorer_ds(*scores_and_labels):
@@ -99,13 +102,22 @@ class TestProjection:
         mv = MinVars(init_scorer("linear", 2, seed=0), a=0.4, b=0.2, s=-1.0,
                      s_prime=2.0, theta_a=0.0, theta_b=3.0)
         out = project_min(mv, cfg)
-        assert out == mv
+        np.testing.assert_array_equal(out.flat(), mv.flat())
 
     def test_gamma_clamp(self):
-        cfg = ObjectiveConfig()
-        out = project_max(MaxVars(-2.0, np.array([1.5, -0.5, 0.3])), cfg)
+        # asgda_step clamps gamma and the active c onto their boxes; with
+        # eta = 1 the step lands on the pushed-out candidate itself
+        ds = generate_synthetic(40, 0.3, 2, 1.0, seed=0)
+        cfg = ObjectiveConfig("OPAUC", "unbiased", prior_p=ds.prior_p)
+        scfg = SolverConfig(k_coef=2.0, m_coef=8.0, batch_pos=2, batch_neg=4)
+        st = init_state(ds, init_scorer("linear", 2, seed=0), scfg)
+        st.gamma_block = MaxVars(0.5, np.full(ds.n, 0.3))
+        st.w_gamma = -100.0
+        st.active_c = np.array([0, 1, 2])
+        st.w_c[:2] = [100.0, -100.0]
+        out = asgda_step(st, scfg, cfg, ds).gamma_block
         assert out.gamma == -1.0
-        np.testing.assert_array_equal(out.c, [1.0, 0.0, 0.3])
+        np.testing.assert_array_equal(out.c[:4], [1.0, 0.0, 0.3, 0.3])
 
     def test_opauc_pins_theta_a(self):
         cfg = ObjectiveConfig(metric_kind="OPAUC")
@@ -118,16 +130,16 @@ class TestSurrogateValues:
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         mv = MinVars(theta, a=1.0, b=0.5, s_prime=1.0)
-        lg = eval_surrogate(cfg, mv, MaxVars(0.0, np.ones(2)),
-                            Minibatch(np.array([], int), np.array([1])), ds)
+        lg = evaluate(cfg, mv, MaxVars(0.0, np.ones(2)),
+                      Minibatch(np.array([], int), np.array([1])), ds)
         assert lg.value == pytest.approx((0.5 + math.log(2) / 2) / 0.25)
 
     def test_positive_a_gradient(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         mv = MinVars(theta, a=0.65)
-        lg = eval_surrogate(cfg, mv, MaxVars(0.0, np.ones(2)),
-                            Minibatch(np.array([0]), np.array([], int)), ds)
+        lg = evaluate(cfg, mv, MaxVars(0.0, np.ones(2)),
+                      Minibatch(np.array([0]), np.array([], int)), ds)
         assert lg.grad_min[theta.n_params] == pytest.approx(0.6)
 
     def test_omega_adds_gamma_penalty(self):
@@ -137,16 +149,16 @@ class TestSurrogateValues:
         mv = MinVars(theta)
         base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         reg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 1.5, 1e9, 0.5)
-        g0 = eval_surrogate(base, mv, xv, batch, ds).grad_max_gamma
-        g1 = eval_surrogate(reg, mv, xv, batch, ds).grad_max_gamma
+        g0 = evaluate(base, mv, xv, batch, ds).grad_max_gamma
+        g1 = evaluate(reg, mv, xv, batch, ds).grad_max_gamma
         assert g1 - g0 == pytest.approx(-2 * 1.5 * 0.3)
 
     def test_grad_max_c_empty(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "surrogate", prior_p=0.5)
-        lg = eval_surrogate(cfg, MinVars(theta), MaxVars(0.0, np.ones(2)),
-                            Minibatch(np.array([0]), np.array([1])), ds)
-        assert lg.grad_max_c == {}
+        lg = evaluate(cfg, MinVars(theta), MaxVars(0.0, np.ones(2)),
+                      Minibatch(np.array([0]), np.array([1])), ds)
+        assert dict(zip(lg.c_ids, lg.grad_max_c)) == {}
 
     def test_batch_mean_linearity(self):
         ds = generate_synthetic(30, 0.4, 3, 1.0, seed=0)
@@ -157,7 +169,7 @@ class TestSurrogateValues:
                      theta_b=0.7)
         xv = MaxVars(0.2, np.ones(ds.n))
         full = Minibatch(ds.pos_ids, ds.neg_ids)
-        whole = eval_surrogate(cfg, mv, xv, full, ds)
+        whole = evaluate(cfg, mv, xv, full, ds)
         # strip constants shared by every evaluation (Lagrangian + gamma term)
         const = (-(1 + cfg.omega) * xv.gamma ** 2
                  - mv.theta_b * (mv.b - 1 - xv.gamma)
@@ -165,10 +177,10 @@ class TestSurrogateValues:
         per_instance = []
         for i in ds.pos_ids:
             b1 = Minibatch(np.array([i]), np.array([], int))
-            per_instance.append(eval_surrogate(cfg, mv, xv, b1, ds).value - const)
+            per_instance.append(evaluate(cfg, mv, xv, b1, ds).value - const)
         for j in ds.neg_ids:
             b1 = Minibatch(np.array([], int), np.array([j]))
-            per_instance.append(eval_surrogate(cfg, mv, xv, b1, ds).value - const)
+            per_instance.append(evaluate(cfg, mv, xv, b1, ds).value - const)
         assert whole.value == pytest.approx(np.mean(per_instance) + const,
                                             abs=1e-12)
 
@@ -178,8 +190,8 @@ class TestUnbiasedValues:
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         mv = MinVars(theta, b=0.5, s_prime=0.5)
-        lg = eval_unbiased(cfg, mv, MaxVars(0.0, np.ones(2)),
-                           Minibatch(np.array([], int), np.array([1])), ds)
+        lg = evaluate(cfg, mv, MaxVars(0.0, np.ones(2)),
+                      Minibatch(np.array([], int), np.array([1])), ds)
         assert lg.value == pytest.approx(3.0)
 
     def test_c_grad_at_zero_multiplicand(self):
@@ -188,9 +200,9 @@ class TestUnbiasedValues:
         cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.8, 1e9, 0.5)
         mv = MinVars(theta, b=0.5, s_prime=1.0)  # N = 1.0 exactly
         c = np.full(2, 0.6)
-        lg = eval_unbiased(cfg, mv, MaxVars(0.0, c),
-                           Minibatch(np.array([], int), np.array([1])), ds)
-        assert lg.grad_max_c[1] == pytest.approx(-2 * 0.8 * 0.6 / 1)
+        lg = evaluate(cfg, mv, MaxVars(0.0, c),
+                      Minibatch(np.array([], int), np.array([1])), ds)
+        assert dict(zip(lg.c_ids, lg.grad_max_c))[1] == pytest.approx(-2 * 0.8 * 0.6 / 1)
 
     def test_c_maximization_recovers_hinge(self):
         # coordinatewise optimum c* = 1{N - s' > 0} matches the exact-hinge value
@@ -210,8 +222,8 @@ class TestUnbiasedValues:
             N = neg_branch_N(f_neg, mv.b, gamma)
             c = np.zeros(n)
             c[ds.neg_ids] = (N - mv.s_prime > 0).astype(float)
-            lg = eval_unbiased(cfg, mv, MaxVars(gamma, c),
-                               Minibatch(ds.pos_ids, ds.neg_ids), ds)
+            lg = evaluate(cfg, mv, MaxVars(gamma, c),
+                          Minibatch(ds.pos_ids, ds.neg_ids), ds)
             # hinge counterpart computed directly
             from paucopt.objectives import pos_branch_P
             f_pos = score_batch(theta, ds.features[ds.pos_ids])
@@ -227,8 +239,8 @@ class TestUnbiasedValues:
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "unbiased", prior_p=0.5)
         with pytest.raises(ObjectiveError, match="c must"):
-            eval_unbiased(cfg, MinVars(theta), MaxVars(0.0, np.ones(1)),
-                          Minibatch(np.array([0]), np.array([1])), ds)
+            evaluate(cfg, MinVars(theta), MaxVars(0.0, np.ones(1)),
+                     Minibatch(np.array([0]), np.array([1])), ds)
 
 
 class TestDegeneration:
@@ -255,8 +267,8 @@ class TestDegeneration:
             op = ObjectiveConfig("OPAUC", "unbiased", **kw)
             mv_tp = MinVars(theta, a=a, b=b, s=s, s_prime=sp)
             mv_op = MinVars(theta, a=a, b=b, s_prime=sp)
-            v_tp = eval_unbiased(tp, mv_tp, MaxVars(gamma, c), batch, ds).value
-            v_op = eval_unbiased(op, mv_op, MaxVars(gamma, c), batch, ds).value
+            v_tp = evaluate(tp, mv_tp, MaxVars(gamma, c), batch, ds).value
+            v_op = evaluate(op, mv_op, MaxVars(gamma, c), batch, ds).value
             assert v_tp == pytest.approx(v_op, abs=1e-12)
 
 
@@ -305,7 +317,7 @@ class TestGradientFidelity:
                    - evaluate(cfg, mv, MaxVars(xv.gamma - h, xv.c), batch,
                               ds).value) / (2 * h)
             worst = max(worst, abs(num - lg.grad_max_gamma) / max(abs(num), 1e-3))
-            for idx, g in lg.grad_max_c.items():
+            for idx, g in zip(lg.c_ids, lg.grad_max_c):
                 cp, cm = xv.c.copy(), xv.c.copy()
                 cp[idx] += h
                 cm[idx] -= h

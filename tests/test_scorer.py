@@ -4,15 +4,33 @@ import pytest
 from paucopt.data import Dataset
 from paucopt.scorer import (
     ScorerParams,
-    cross_entropy,
+    backprop_logit,
     init_scorer,
     param_count,
-    score,
     score_batch,
-    score_grad,
     warmup_logistic,
     weighted_score_grad,
 )
+
+
+def score(params: ScorerParams, x: np.ndarray) -> float:
+    """Score a single feature row."""
+    return float(score_batch(params, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
+
+
+def score_grad(params: ScorerParams, x: np.ndarray):
+    """Score and the flat gradient d f / d weights for a single row."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    f = score_batch(params, x)
+    dz = f * (1.0 - f)  # sigmoid'
+    return float(f[0]), backprop_logit(params, x, dz)
+
+
+def cross_entropy(params: ScorerParams, ds) -> float:
+    """Mean binary cross-entropy over a dataset."""
+    f = np.clip(score_batch(params, ds.features), 1e-12, 1 - 1e-12)
+    y = ds.labels.astype(np.float64)
+    return float(-np.mean(y * np.log(f) + (1 - y) * np.log(1 - f)))
 
 
 def mlp_forward_oracle(params, x):
