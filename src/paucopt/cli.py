@@ -229,15 +229,6 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _time_steps(step_fn, reps: int) -> tuple[float, float]:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        step_fn()
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return float(np.median(times)), float(np.percentile(times, 90))
-
-
 def _pairwise_reference_step(f_pos, f_neg) -> float:
     # deliberately pair-enumerating: the O(n_pos*n_neg) baseline being compared
     total = 0.0
@@ -249,36 +240,38 @@ def _pairwise_reference_step(f_pos, f_neg) -> float:
 
 def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0,
                dim: int = 5):
-    """Median/p90 per-step milliseconds for instance-wise vs pairwise losses."""
+    """Median/p90 per-step milliseconds for instance-wise vs pairwise losses.
+
+    The reps go round-robin over every batch size and kind, so a slow phase
+    of the host slows all of them alike instead of one batch size. Each
+    timed call follows an untimed call of the same step, so it runs with
+    warm caches, as back-to-back reps do.
+    """
     n = 2 * max(batch_sizes) + 4
     ds = generate_synthetic(n, 0.5, dim, 2.0, seed)
     scorer = init_scorer("linear", dim, seed=seed)
-    rows = []
+    obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate",
+                              beta=0.3, prior_p=ds.prior_p)
+    mv = MinVars(theta=scorer)
+    xv = initial_max_vars(ds.n)
+    steps = []     # (half batch, kind, step, per-rep milliseconds)
     for bs in batch_sizes:
         half = bs // 2
-        obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate",
-                                  beta=0.3, prior_p=ds.prior_p)
-        mv = MinVars(theta=scorer)
-        xv = initial_max_vars(ds.n)
-        rng = np.random.default_rng(seed)
-        batch = stratified_sample(ds, half, half, rng)
-
-        def inst_step():
-            eval_objective(obj_cfg, mv, xv, batch, ds)
-
-        med, p90 = _time_steps(inst_step, reps)
-        rows.append((half, half, med, p90, "instance_wise"))
-
-        f_pos = score_batch(scorer, ds.features[batch.pos_ids])
-        f_neg = score_batch(scorer, ds.features[batch.neg_ids])
-        f_pos_l, f_neg_l = list(f_pos), list(f_neg)
-
-        def pair_step():
-            _pairwise_reference_step(f_pos_l, f_neg_l)
-
-        med, p90 = _time_steps(pair_step, reps)
-        rows.append((half, half, med, p90, "pairwise"))
-    return rows
+        batch = stratified_sample(ds, half, half, np.random.default_rng(seed))
+        f_pos = list(score_batch(scorer, ds.features[batch.pos_ids]))
+        f_neg = list(score_batch(scorer, ds.features[batch.neg_ids]))
+        steps.append((half, "instance_wise",
+                      lambda b=batch: eval_objective(obj_cfg, mv, xv, b, ds), []))
+        steps.append((half, "pairwise",
+                      lambda p=f_pos, q=f_neg: _pairwise_reference_step(p, q), []))
+    for _ in range(reps):
+        for _, _, step, times in steps:
+            step()
+            t0 = time.perf_counter()
+            step()
+            times.append((time.perf_counter() - t0) * 1000.0)
+    return [(half, half, float(np.median(times)), float(np.percentile(times, 90)), kind)
+            for half, kind, _, times in steps]
 
 
 def cmd_bench(args) -> int:

@@ -1,10 +1,10 @@
 """Exact empirical ranking metrics.
 
 Covers full AUC, one-way partial AUC (small false-positive rates), two-way
-partial AUC (joint TPR/FPR constraints), empirical score quantiles and the
-ROC sweep, each in O(n log n) from sorted scores without a pair matrix; the
-pair-enumerating and per-threshold-loop oracles they must match bit for bit
-live in the tests. Also covers the pairwise squared-surrogate risk over the
+partial AUC (joint TPR/FPR constraints), the top/bottom score selections
+they rank over and the ROC sweep, each in O(n log n) from sorted scores
+without a pair matrix; the pair-enumerating and per-threshold-loop oracles
+they must match bit for bit live in the tests. Also covers the pairwise squared-surrogate risk over the
 constrained pair set, which enumerates pairs on purpose as the reference for
 the instance-wise reformulation, and its closed-form instance-wise optimum.
 """
@@ -81,16 +81,6 @@ def bottom_positives(scores_pos, alpha: float) -> np.ndarray:
     pos = _as_scores(scores_pos)
     k = _pos_floor(len(pos), alpha)
     return np.sort(np.partition(pos, k - 1)[:k])
-
-
-def neg_quantile_threshold(scores_neg, beta: float) -> float:
-    """Empirical upper score quantile: the k-th largest negative score."""
-    return float(top_negatives(scores_neg, beta)[-1])
-
-
-def pos_quantile_threshold(scores_pos, alpha: float) -> float:
-    """Empirical lower score quantile: the k-th smallest positive score."""
-    return float(bottom_positives(scores_pos, alpha)[-1])
 
 
 def _pair_value(pos: np.ndarray, neg: np.ndarray) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, Minibatch
-from .scorer import ScorerParams, score_batch, weighted_score_grad
+from .scorer import ScorerParams, score_with_pullback
 
 # The MinVars scalars in flat-layout order, after theta.
 FLAT_SCALARS = ("a", "b", "s", "s_prime", "theta_a", "theta_b")
@@ -199,10 +199,11 @@ def evaluate(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
         raise ObjectiveError("c must carry one entry per dataset instance")
     p, q = cfg.prior_p, 1.0 - cfg.prior_p
     omega, gamma, B = cfg.omega, xv.gamma, batch.size
-    x_pos = ds.features[batch.pos_ids]
-    x_neg = ds.features[batch.neg_ids]
-    f_pos = score_batch(mv.theta, x_pos)
-    f_neg = score_batch(mv.theta, x_neg)
+    # one forward pass over the stacked batch; its activations serve the
+    # theta backprop below
+    f, pullback = score_with_pullback(
+        mv.theta, ds.features[np.concatenate([batch.pos_ids, batch.neg_ids])])
+    f_pos, f_neg = f[:len(batch.pos_ids)], f[len(batch.pos_ids):]
 
     P = pos_branch_P(f_pos, mv.a, gamma)
     N = neg_branch_N(f_neg, mv.b, gamma)
@@ -238,8 +239,7 @@ def evaluate(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
     g_gamma = float(np.sum(wp * (-2.0 * f_pos)) + np.sum(wn * (2.0 * f_neg))
                     - 2.0 * (1.0 + omega) * gamma)
     g_theta_a = 0.0 if cfg.metric_kind == "OPAUC" else mv.a + gamma
-    _, g_theta = weighted_score_grad(mv.theta, np.vstack([x_pos, x_neg]),
-                                     np.concatenate([wp * dP_df, wn * dN_df]))
+    g_theta = pullback(np.concatenate([wp * dP_df, wn * dN_df]) * f * (1.0 - f))
     grad_min = np.concatenate([g_theta, [ga, gb, gs, gsp, g_theta_a,
                                          1.0 + gamma - mv.b]])
     return LossGrad(float(data_value + gamma_term + lag), grad_min,

@@ -117,14 +117,14 @@ def score_batch(params: ScorerParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, x)[0]
 
 
-def backprop_logit(params: ScorerParams, x: np.ndarray,
+def backprop_logit(params: ScorerParams, acts: list,
                    dz: np.ndarray) -> np.ndarray:
     """Gradient of sum_i dz_i * z_i w.r.t. the flat weights.
 
-    z_i is the pre-sigmoid logit of row i; callers fold the sigmoid factor
-    (or a cross-entropy residual) into dz.
+    z_i is the pre-sigmoid logit of row i and acts are the activations one
+    _forward of those rows returned; callers fold the sigmoid factor (or a
+    cross-entropy residual) into dz.
     """
-    _, acts, _ = _forward(params, x)
     layers = list(_layers(params))
     grads = [None] * len(layers)
     delta = dz[:, None]  # (n, dout) running upstream derivative at layer input
@@ -140,13 +140,11 @@ def backprop_logit(params: ScorerParams, x: np.ndarray,
     return np.concatenate(grads)
 
 
-def weighted_score_grad(params: ScorerParams, x: np.ndarray,
-                        weights: np.ndarray):
-    """Scores plus the flat gradient of sum_i weights_i * f_i."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    f = score_batch(params, x)
-    dz = weights * f * (1.0 - f)
-    return f, backprop_logit(params, x, dz)
+def score_with_pullback(params: ScorerParams, x: np.ndarray):
+    """Scores of a batch plus the map dz -> backprop_logit over the same
+    forward pass, so scoring and backprop share one set of activations."""
+    f, acts, _ = _forward(params, x)
+    return f, lambda dz: backprop_logit(params, acts, dz)
 
 
 def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
@@ -164,9 +162,8 @@ def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
             idx = order[start:start + batch_size]
             x = ds.features[idx]
             y = ds.labels[idx].astype(np.float64)
-            cur = params.with_weights(w)
-            f = score_batch(cur, x)
+            f, pullback = score_with_pullback(params.with_weights(w), x)
             # dCE/dz = f - y, averaged over the batch
-            g = backprop_logit(cur, x, (f - y) / len(idx))
+            g = pullback((f - y) / len(idx))
             w = w - lr * g
     return params.with_weights(w)

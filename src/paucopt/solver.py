@@ -122,10 +122,13 @@ def _zero_theta(g: np.ndarray, n_theta: int) -> np.ndarray:
 
 def asgda_step(state: SolverState, cfg: SolverConfig,
                obj_cfg: ObjectiveConfig, ds: Dataset) -> SolverState:
-    """One full iteration; returns a new state.
+    """One full iteration in O(batch) time and memory; returns the new state.
 
-    The input's variables and momenta are left untouched, but the minibatch
-    draw advances ``state.rng``, a generator the returned state shares.
+    c and w_c are written in place, at the active ids only, so the returned
+    state shares those two arrays (and the generator ``state.rng``, whose
+    minibatch draw it advances) with its input: the input's c and w_c hold
+    the new values afterwards. Its tau, gamma, v and w_gamma are left as
+    they were.
     """
     eta = eta_schedule(cfg, state.t)
     n_theta = state.tau.theta.n_params
@@ -141,6 +144,12 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
     tau_new = tau_old.with_flat(
         project_min_flat((1.0 - eta) * flat_old + eta * cand, n_theta, obj_cfg))
 
+    # fresh batch; both momentum refresh gradients use this same batch, and
+    # the old-point one is taken before c is overwritten below
+    batch = stratified_sample(ds, min(cfg.batch_pos, ds.n_pos),
+                              min(cfg.batch_neg, ds.n_neg), state.rng)
+    lg_old = evaluate(obj_cfg, tau_old, max_old, batch, ds)
+
     # ascent block: gamma always moves; c coordinates move only when they
     # were sampled in the batch behind the current momenta (the surrogate
     # samples none). Their partial gradients carry the 1/B batch-mean
@@ -149,20 +158,15 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
     lo, hi = obj_cfg.boxes["gamma"]
     g_cand = min(max(max_old.gamma + cfg.lam * state.w_gamma, lo), hi)
     gamma_new = min(max((1.0 - eta) * max_old.gamma + eta * g_cand, lo), hi)
-    c_new, ids = max_old.c.copy(), state.active_c
+    c, ids = max_old.c, state.active_c
     if len(ids):
         lo, hi = obj_cfg.boxes["c"]
         lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
-        c_act = c_new[ids]
+        c_act = c[ids]
         c_cand = np.clip(c_act + lam_c * state.w_c[ids], lo, hi)
-        c_new[ids] = np.clip((1.0 - eta) * c_act + eta * c_cand, lo, hi)
-    max_new = MaxVars(gamma_new, c_new)
-
-    # fresh batch; both momentum refresh gradients use this same batch
-    batch = stratified_sample(ds, min(cfg.batch_pos, ds.n_pos),
-                              min(cfg.batch_neg, ds.n_neg), state.rng)
+        c[ids] = np.clip((1.0 - eta) * c_act + eta * c_cand, lo, hi)
+    max_new = MaxVars(gamma_new, c)
     lg_new = evaluate(obj_cfg, tau_new, max_new, batch, ds)
-    lg_old = evaluate(obj_cfg, tau_old, max_old, batch, ds)
 
     rho = cfg.iota1 * eta ** 2
     xi = cfg.iota2 * eta ** 2
@@ -171,13 +175,12 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
         v_next = _zero_theta(v_next, n_theta)
     w_gamma_next = (lg_new.grad_max_gamma
                     + (1.0 - xi) * (state.w_gamma - lg_old.grad_max_gamma))
-    w_c_next, ids = state.w_c, lg_new.c_ids
+    w_c, ids = state.w_c, lg_new.c_ids
     if len(ids):
-        w_c_next = w_c_next.copy()
-        w_c_next[ids] = lg_new.grad_max_c + (1.0 - xi) * (w_c_next[ids] - lg_old.grad_max_c)
+        w_c[ids] = lg_new.grad_max_c + (1.0 - xi) * (w_c[ids] - lg_old.grad_max_c)
 
     return SolverState(tau=tau_new, gamma_block=max_new, v=v_next,
-                       w_gamma=w_gamma_next, w_c=w_c_next, active_c=ids,
+                       w_gamma=w_gamma_next, w_c=w_c, active_c=ids,
                        t=state.t + 1, rng=state.rng)
 
 
@@ -202,14 +205,16 @@ def grad_mapping_proxy(state: SolverState, cfg: SolverConfig,
     return float(np.linalg.norm(flat - moved) / cfg.nu)
 
 
-def _box_violation(tau: MinVars, xv: MaxVars, cfg: ObjectiveConfig) -> float:
-    """Largest distance of any variable from its box; 0 when feasible."""
+def _box_violation(tau: MinVars, gamma: float, c: np.ndarray,
+                   cfg: ObjectiveConfig) -> float:
+    """Largest distance from its box of any scalar, gamma or the given c
+    values; 0 when all are feasible."""
     dev = 0.0
     for name, (lo, hi) in cfg.boxes.items():
         if name == "c":
-            values = (float(xv.c.min()), float(xv.c.max())) if len(xv.c) else ()
+            values = (float(c.min()), float(c.max())) if len(c) else ()
         else:
-            values = (xv.gamma if name == "gamma" else getattr(tau, name),)
+            values = (gamma if name == "gamma" else getattr(tau, name),)
         for val in values:
             dev = max(dev, lo - val, val - hi)
     return dev
@@ -255,8 +260,12 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
         return state.tau, state.gamma_block, trace
 
     for _ in range(cfg.T):
+        # a step writes c only at the ids active when it starts, and every
+        # other c entry was checked when last written
+        touched = state.active_c
         state = asgda_step(state, cfg, obj_cfg, ds_train)
-        if _box_violation(state.tau, state.gamma_block, obj_cfg) > 0.0:
+        xv = state.gamma_block
+        if _box_violation(state.tau, xv.gamma, xv.c[touched], obj_cfg) > 0.0:
             trace.box_violations += 1
         if state.t % cfg.eval_every == 0 or state.t == cfg.T:
             record(state)

@@ -201,8 +201,10 @@ def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> Verificati
         box = cfg.boxes
         mv = MinVars(theta, *(float(rng.uniform(*box[k])) for k in ("a", "b", "s", "s_prime")))
         gamma = float(rng.uniform(*box["gamma"]))
-        P = pos_branch_P(score_batch(theta, ds.features[ds.pos_ids]), mv.a, gamma)
-        N = neg_branch_N(score_batch(theta, ds.features[ds.neg_ids]), mv.b, gamma)
+        # positives come first, so this is the stacked batch evaluate scores
+        f = score_batch(theta, ds.features)
+        P = pos_branch_P(f[ds.pos_ids], mv.a, gamma)
+        N = neg_branch_N(f[ds.neg_ids], mv.b, gamma)
         c_star = np.zeros(ds.n)
         c_star[ds.neg_ids] = N > mv.s_prime
         hinge = np.sum((cfg.beta * mv.s_prime + np.maximum(N - mv.s_prime, 0.0))

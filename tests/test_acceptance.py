@@ -171,7 +171,7 @@ def test_5_feasibility_invariant():
     violations = 0
     for _ in range(2000):
         st = asgda_step(st, cfg, obj, ds)
-        if _box_violation(st.tau, st.gamma_block, obj) > 0.0:
+        if _box_violation(st.tau, st.gamma_block.gamma, st.gamma_block.c, obj) > 0.0:
             violations += 1
     report("feasibility_invariant", violations == 0)
 

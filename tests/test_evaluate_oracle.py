@@ -2,7 +2,10 @@
 per-id-loop forms they replaced, kept here unchanged as oracles.
 
 Both sides do the same float operations in the same order, so every value,
-gradient and solver variable must match exactly (==), not to a tolerance.
+gradient and solver variable must match exactly (==), not to a tolerance;
+the one exception is a batch of one positive and one negative, where the
+oracle's one-row forward passes may round differently from the stacked one
+(bound 1e-12).
 """
 
 from collections import namedtuple
@@ -22,7 +25,7 @@ from paucopt.objectives import (
     pos_branch_P,
     softplus,
 )
-from paucopt.scorer import init_scorer, score_batch, weighted_score_grad
+from paucopt.scorer import _forward, backprop_logit, init_scorer, score_batch
 from paucopt.solver import (
     SolverConfig,
     SolverState,
@@ -37,6 +40,14 @@ S_PRIME_BOX = (0.0, 5.0)
 
 # grad_max_c is a dict id -> partial, batch members only
 LossGrad = namedtuple("LossGrad", "value grad_min grad_max_gamma grad_max_c")
+
+
+def weighted_score_grad(params, x: np.ndarray, weights: np.ndarray):
+    """Scores plus the flat gradient of sum_i weights_i * f_i."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    f = score_batch(params, x)
+    dz = weights * f * (1.0 - f)
+    return f, backprop_logit(params, _forward(params, x)[1], dz)
 
 
 def project_min_flat(vec: np.ndarray, n_theta: int, cfg: ObjectiveConfig) -> np.ndarray:
@@ -277,11 +288,17 @@ def test_evaluate_matches_two_evaluator_oracle(metric, formulation, kind):
         batch = Minibatch(batch.pos_ids[:n_pos], batch.neg_ids[:n_neg])
         got = evaluate(cfg, mv, xv, batch, ds)
         want = evaluate_oracle(cfg, mv, xv, batch, ds)
-        assert got.value == want.value
-        assert np.array_equal(got.grad_min, want.grad_min)
-        assert got.grad_max_gamma == want.grad_max_gamma
-        assert dict(zip(got.c_ids, got.grad_max_c)) == want.grad_max_c
-        assert len(got.c_ids) == len(want.grad_max_c)
+        assert list(got.c_ids) == list(want.grad_max_c)
+        got_all = [got.value, *got.grad_min, got.grad_max_gamma, *got.grad_max_c]
+        want_all = [want.value, *want.grad_min, want.grad_max_gamma,
+                    *want.grad_max_c.values()]
+        if (n_pos, n_neg) == (1, 1):
+            # evaluate scores the batch stacked, the oracle each one-row
+            # class alone; a one-row matmul takes another BLAS path and can
+            # differ in the last bits
+            np.testing.assert_allclose(got_all, want_all, rtol=0, atol=1e-12)
+        else:
+            assert got_all == want_all
 
 
 @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])

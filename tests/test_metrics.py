@@ -12,15 +12,23 @@ from paucopt.metrics import (
     empirical_auc,
     empirical_opauc,
     empirical_tpauc,
-    neg_quantile_threshold,
     pairwise_surrogate_risk,
-    pos_quantile_threshold,
     roc_curve,
     top_negatives,
 )
 
 POS = [0.9, 0.4]
 NEG = [0.8, 0.3, 0.1]
+
+
+def neg_quantile_threshold(scores_neg, beta: float) -> float:
+    """Empirical upper score quantile: the k-th largest negative score."""
+    return float(top_negatives(scores_neg, beta)[-1])
+
+
+def pos_quantile_threshold(scores_pos, alpha: float) -> float:
+    """Empirical lower score quantile: the k-th smallest positive score."""
+    return float(bottom_positives(scores_pos, alpha)[-1])
 
 
 # Slow oracles: the pair-matrix and per-threshold-loop forms of the exact

@@ -4,12 +4,13 @@ import pytest
 from paucopt.data import Dataset
 from paucopt.scorer import (
     ScorerParams,
+    _forward,
     backprop_logit,
     init_scorer,
     param_count,
     score_batch,
+    score_with_pullback,
     warmup_logistic,
-    weighted_score_grad,
 )
 
 
@@ -21,9 +22,18 @@ def score(params: ScorerParams, x: np.ndarray) -> float:
 def score_grad(params: ScorerParams, x: np.ndarray):
     """Score and the flat gradient d f / d weights for a single row."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    f = score_batch(params, x)
+    f, pullback = score_with_pullback(params, x)
     dz = f * (1.0 - f)  # sigmoid'
-    return float(f[0]), backprop_logit(params, x, dz)
+    return float(f[0]), pullback(dz)
+
+
+def weighted_score_grad(params: ScorerParams, x: np.ndarray,
+                        weights: np.ndarray):
+    """Scores plus the flat gradient of sum_i weights_i * f_i."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    f = score_batch(params, x)
+    dz = weights * f * (1.0 - f)
+    return f, backprop_logit(params, _forward(params, x)[1], dz)
 
 
 def cross_entropy(params: ScorerParams, ds) -> float:

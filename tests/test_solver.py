@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import paucopt.scorer
+import paucopt.solver
 from paucopt.data import generate_synthetic, split, SplitSpec
 from paucopt.objectives import MaxVars, MinVars, ObjectiveConfig
-from paucopt.scorer import init_scorer, score_batch
+from paucopt.scorer import init_scorer, score_batch, warmup_logistic
 from paucopt.solver import (
     SolverConfig,
     SolverError,
+    _box_violation,
     asgda_step,
     eta_schedule,
     grad_mapping_proxy,
@@ -78,13 +83,12 @@ class TestAsgdaStep:
 
     def test_feasible_after_every_step(self, small_setup):
         ds, scorer, obj = small_setup
-        from paucopt.solver import _box_violation
         cfg = SolverConfig(nu=2.0, lam=2.0, T=100, batch_pos=4, batch_neg=8,
                            seed=1)
         st = init_state(ds, scorer, cfg)
         for _ in range(100):
             st = asgda_step(st, cfg, obj, ds)
-            assert _box_violation(st.tau, st.gamma_block, obj) == 0.0
+            assert _box_violation(st.tau, st.gamma_block.gamma, st.gamma_block.c, obj) == 0.0
 
 
     def test_no_box_violation_at_the_bound(self):
@@ -184,3 +188,81 @@ class TestGradMappingProxy:
         tail = [r.grad_map_proxy for r in trace.records
                 if r.t > 0.9 * 2000]
         assert max(tail) <= first / 10
+
+
+class TestStepIsBatchSized:
+    """Structural checks that one step does O(batch) work; no timing."""
+
+    @staticmethod
+    def unbiased_setup(n):
+        ds = generate_synthetic(n, 0.1, 5, 4.0, seed=7)
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1,
+                              prior_p=ds.prior_p)
+        cfg = SolverConfig(nu=0.5, lam=0.5, T=10, batch_pos=32,
+                           batch_neg=224, seed=7)
+        return ds, obj, cfg, init_state(ds, init_scorer("linear", 5, seed=7), cfg)
+
+    def test_step_peak_allocation_does_not_grow_with_n(self):
+        peaks = []
+        for n in (2_000, 200_000):
+            ds, obj, cfg, st = self.unbiased_setup(n)
+            for _ in range(3):   # past the first step, c and w_c move
+                st = asgda_step(st, cfg, obj, ds)
+            tracemalloc.start()
+            try:
+                asgda_step(st, cfg, obj, ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one n-length float copy at n = 2e5 would add 1.6 MB
+        assert abs(peaks[1] - peaks[0]) <= 4096, peaks
+
+    def test_forward_passes_per_step_and_warmup_batch(self, monkeypatch):
+        calls = []
+        forward = paucopt.scorer._forward
+
+        def counting(params, x):
+            calls.append(len(x))
+            return forward(params, x)
+
+        monkeypatch.setattr(paucopt.scorer, "_forward", counting)
+        ds, obj, cfg, st = self.unbiased_setup(2_000)
+        for _ in range(5):
+            calls.clear()
+            st = asgda_step(st, cfg, obj, ds)
+            assert calls == [256, 256]
+        calls.clear()
+        warmup_logistic(st.tau.theta, ds, 1, 0.1, batch_size=256)
+        assert calls == [256] * (ds.n // 256) + [ds.n % 256]
+
+    def test_touched_box_count_equals_full_count(self):
+        # acceptance test 5's problem, through train, against a replay of
+        # the same steps checked over the whole c array
+        ds = generate_synthetic(800, 0.2, 4, 2.0, seed=13)
+        scorer = init_scorer("mlp", 4, (4,), seed=13)
+        obj = ObjectiveConfig("TPAUC", "unbiased", 0.6, 0.4, 4.0, 0.5,
+                              prior_p=ds.prior_p)
+        cfg = SolverConfig(nu=1.5, lam=1.0, T=2000, batch_pos=16,
+                           batch_neg=48, seed=13, eval_every=2000)
+        full = 0
+        st = init_state(ds, scorer, cfg)
+        for _ in range(cfg.T):
+            st = asgda_step(st, cfg, obj, ds)
+            xv = st.gamma_block
+            full += _box_violation(st.tau, xv.gamma, xv.c, obj) > 0.0
+        assert train(ds, None, scorer, cfg, obj)[2].box_violations == full
+
+    def test_touched_box_check_sees_a_written_c_past_its_box(self, monkeypatch):
+        # every step after the first writes one c entry to 1.5
+        step = paucopt.solver.asgda_step
+
+        def leaky(state, *args):
+            ids = state.active_c
+            out = step(state, *args)
+            out.gamma_block.c[ids[:1]] = 1.5
+            return out
+
+        monkeypatch.setattr(paucopt.solver, "asgda_step", leaky)
+        ds, obj, cfg, _ = self.unbiased_setup(2_000)
+        trace = train(ds, None, init_scorer("linear", 5, seed=7), cfg, obj)[2]
+        assert trace.box_violations == cfg.T - 1
