@@ -13,15 +13,16 @@ import json
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, SplitSpec, generate_synthetic, load_csv, save_csv, split, stratified_sample
-from .metrics import MetricError, empirical_auc, empirical_opauc, empirical_tpauc, roc_curve
-from .objectives import MinVars, ObjectiveConfig, ObjectiveError, evaluate as eval_objective, initial_max_vars
+from .data import SplitSpec, generate_synthetic, load_csv, save_csv, split, stratified_sample
+from .metrics import empirical_auc, empirical_opauc, empirical_tpauc, roc_curve
+from .objectives import FLAT_SCALARS, MinVars, ObjectiveConfig, evaluate as eval_objective, initial_max_vars
 from .scorer import ScorerParams, init_scorer, score_batch, warmup_logistic
-from .solver import SolverConfig, SolverError, train
+from .solver import SolverConfig, _val_pauc, train
 from .verify import reports_to_json, run_all_checks, run_bias_sweep, ALL_CHECKS
 
 
@@ -44,83 +45,99 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# The keys each run-config section ("" is the top level) is read with; any other
-# key is a typo or an old spelling, rejected rather than left at its default.
-_CONFIG_KEYS = {
-    "": {"dataset", "split", "scorer", "objective", "solver", "seed"},
-    "dataset": {"csv", "label_col", "synthetic"},
-    "dataset.synthetic": {"n", "imbalance", "dim", "separation", "seed"},
-    "split": {"train_frac", "val_frac", "test_frac", "seed"},
-    "scorer": {"kind", "hidden"},
-    "objective": {"metric", "formulation", "alpha", "beta", "kappa", "omega", "lagrange_cap"},
-    "solver": {"nu", "lambda", "k", "m", "iota1", "iota2", "T", "batch", "batch_pos",
-               "batch_neg", "warmup_epochs", "eval_every"},
+# Run-config sections read into a dataclass, less the fields the command sets;
+# the dataclass gives each key its type and default.
+_DATACLASS_SECTIONS = {"split": (SplitSpec, ()), "objective": (ObjectiveConfig, ("prior_p",)),
+                       "solver": (SolverConfig, ("seed", "freeze_theta"))}
+# Run-config spellings of the dataclass fields whose key differs from the name.
+_SPELLINGS = {"metric": "metric_kind", "lambda": "lam", "k": "k_coef", "m": "m_coef"}
+# (type, default) of each key of the other sections ("" is the top level); a
+# seed left at None is the run seed.
+_PLAIN_SECTIONS = {
+    "": {"seed": (int, 0)},
+    "dataset": {"csv": (str, None), "label_col": (str, "label")},
+    "dataset.synthetic": {"n": (int, 2000), "imbalance": (float, 0.1), "dim": (int, 5),
+                          "separation": (float, 4.0), "seed": (int, None)},
+    "scorer": {"kind": (str, "linear"), "hidden": (list[int], [8])},
 }
 
 
-def _check_keys(doc: dict):
-    for section, known in _CONFIG_KEYS.items():
-        entry = doc
-        for part in filter(None, section.split(".")):
-            entry = entry.get(part, {})
-        name = section or "top-level"
-        if not isinstance(entry, dict):
-            raise ValueError(f"config {name} must be a JSON object")
-        unknown = sorted(set(entry) - known)
+def _key_types() -> dict:
+    """{section: {key: type}} of the run config. Each section is an object key
+    of its parent; solver.batch is the one key that no field backs."""
+    types = {name: {key: kind for key, (kind, _) in keys.items()}
+             for name, keys in _PLAIN_SECTIONS.items()}
+    json_key = {name: key for key, name in _SPELLINGS.items()}
+    for section, (cls, skip) in _DATACLASS_SECTIONS.items():
+        types[section] = {json_key.get(name, name): kind for name, kind
+                          in typing.get_type_hints(cls).items() if name not in skip}
+    types["solver"]["batch"] = int
+    for section in filter(None, list(types)):
+        parent, _, key = section.rpartition(".")
+        types[parent][key] = dict
+    return types
+
+
+_KEY_TYPES = _key_types()
+_TYPE_NAMES = {dict: "an object", list[int]: "a list of integers", str: "a string",
+               int: "an integer", float: "a number"}
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance over JSON values: an int is also a number, a bool is neither
+    (no run-config key takes a bool), and list[int] is a list of integers."""
+    if kind == list[int]:
+        return isinstance(value, list) and all(_has_type(v, int) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _read_sections(doc) -> dict:
+    """{section: values} of a run config, each key checked against _KEY_TYPES
+    before any data is read. A plain section has its defaults filled in; a
+    dataclass section holds the keys given, under their field names."""
+    if not isinstance(doc, dict):
+        raise ValueError("config top-level must be a JSON object")
+    sections = {}
+    for section, types in _KEY_TYPES.items():
+        parent, _, key = section.rpartition(".")
+        entry = sections[parent].get(key, {}) if section else doc
+        unknown = sorted(set(entry) - set(types))
         if unknown:
-            raise ValueError(f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
-                             f"known: {', '.join(sorted(known))}")
+            raise ValueError(f"unknown {section or 'top-level'} key(s) "
+                             f"{', '.join(map(repr, unknown))}; known: {', '.join(sorted(types))}")
+        for key, value in entry.items():
+            if not _has_type(value, types[key]):
+                raise ValueError(f"config {f'{section}.{key}'.lstrip('.')} must be "
+                                 f"{_TYPE_NAMES[types[key]]}, got {value!r}")
+        defaults = _PLAIN_SECTIONS.get(section, {})
+        sections[section] = {**{key: default for key, (_, default) in defaults.items()},
+                             **{_SPELLINGS.get(key, key): value for key, value in entry.items()}}
+    return sections
 
 
 def _load_run_config(args):
     with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    _check_keys(doc)
-    seed = _seed_override(args.seed if args.seed is not None else doc.get("seed", 0))
+        sections = _read_sections(json.load(fh))
+    seed = _seed_override(args.seed if args.seed is not None else sections[""]["seed"])
 
-    dsrc = doc.get("dataset", {})
-    if "csv" in dsrc:
-        ds = load_csv(dsrc["csv"], dsrc.get("label_col", "label"))
+    dsrc, syn = sections["dataset"], sections["dataset.synthetic"]
+    if dsrc["csv"] is not None:
+        ds = load_csv(dsrc["csv"], dsrc["label_col"])
     else:
-        syn = dsrc.get("synthetic", {})
-        ds = generate_synthetic(syn.get("n", 2000), syn.get("imbalance", 0.1),
-                                syn.get("dim", 5), syn.get("separation", 4.0),
-                                syn.get("seed", seed))
-    sp = doc.get("split", {})
-    spec = SplitSpec(sp.get("train_frac", 0.7), sp.get("val_frac", 0.15),
-                     sp.get("test_frac", 0.15), sp.get("seed", seed))
-    ds_train, ds_val, ds_test = split(ds, spec)
+        ds = generate_synthetic(syn["n"], syn["imbalance"], syn["dim"], syn["separation"],
+                                seed if syn["seed"] is None else syn["seed"])
+    ds_train, ds_val, ds_test = split(ds, SplitSpec(**{"seed": seed, **sections["split"]}))
+    sc = sections["scorer"]
+    scorer = init_scorer(sc["kind"], ds.dim, tuple(sc["hidden"]), seed=seed)
+    obj_cfg = ObjectiveConfig(**sections["objective"], prior_p=ds_train.prior_p)
 
-    sc = doc.get("scorer", {})
-    scorer = init_scorer(sc.get("kind", "linear"), ds.dim,
-                         tuple(sc.get("hidden", (8,))), seed=seed)
-
-    ob = doc.get("objective", {})
-    obj_cfg = ObjectiveConfig(
-        metric_kind=ob.get("metric", "OPAUC"),
-        formulation=ob.get("formulation", "surrogate"),
-        alpha=ob.get("alpha", 1.0),
-        beta=ob.get("beta", 0.3),
-        kappa=ob.get("kappa", 4.0),
-        omega=ob.get("omega", 0.0),
-        lagrange_cap=ob.get("lagrange_cap", 1e9),
-        prior_p=ds_train.prior_p,
-    )
-    so = doc.get("solver", {})
-    T = args.T if getattr(args, "T", None) is not None else so.get("T", 500)
-    batch = so.get("batch", 256)
-    solver_cfg = SolverConfig(
-        nu=so.get("nu", 0.5), lam=so.get("lambda", 0.5),
-        k_coef=so.get("k", 2.0), m_coef=so.get("m", 10.0),
-        iota1=so.get("iota1", 1.0), iota2=so.get("iota2", 1.0),
-        T=T,
-        batch_pos=so.get("batch_pos", max(1, batch // 8)),
-        batch_neg=so.get("batch_neg", batch - max(1, batch // 8)),
-        seed=seed,
-        warmup_epochs=so.get("warmup_epochs", 0),
-        eval_every=so.get("eval_every", 50),
-    )
-    return ds_train, ds_val, ds_test, scorer, obj_cfg, solver_cfg
+    so = sections["solver"]
+    if "batch" in so:
+        batch = so.pop("batch")
+        so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
+    if args.T is not None:
+        so["T"] = args.T
+    return ds_train, ds_val, ds_test, scorer, obj_cfg, SolverConfig(**so, seed=seed)
 
 
 def _write_trace(trace, path: Path):
@@ -138,22 +155,16 @@ def cmd_train(args) -> int:
     _write_trace(trace, out / "trace.csv")
 
     checkpoint = {
-        "scorer": json.loads(tau.theta.to_json()),
-        "min_vars": {"a": tau.a, "b": tau.b, "s": tau.s, "s_prime": tau.s_prime,
-                     "theta_a": tau.theta_a, "theta_b": tau.theta_b},
+        "scorer": tau.theta.to_dict(),
+        "min_vars": {name: getattr(tau, name) for name in FLAT_SCALARS},
         "gamma": xv.gamma,
     }
     if trace.best_tau is not None:
-        checkpoint["best_scorer"] = json.loads(trace.best_tau.theta.to_json())
+        checkpoint["best_scorer"] = trace.best_tau.theta.to_dict()
     (out / "checkpoint.json").write_text(json.dumps(checkpoint, indent=2),
                                          encoding="utf-8")
 
-    scores = score_batch(tau.theta, ds_val.features)
-    pos, neg = scores[ds_val.pos_ids], scores[ds_val.neg_ids]
-    if obj_cfg.metric_kind == "TPAUC":
-        rep = empirical_tpauc(pos, neg, obj_cfg.alpha, obj_cfg.beta)
-    else:
-        rep = empirical_opauc(pos, neg, obj_cfg.beta)
+    rep = _val_pauc(tau, ds_val, obj_cfg)
     report = json.loads(rep.to_json())
     report["last_iterate_val_pauc"] = rep.value
     report["best_iterate_val_pauc"] = trace.best_val_pauc
@@ -165,9 +176,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = load_csv(args.data, args.label_col)
     doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
-    scorer_doc = doc["scorer"] if "scorer" in doc else doc
-    scorer = ScorerParams(scorer_doc["kind"], tuple(scorer_doc["layer_dims"]),
-                          np.asarray(scorer_doc["weights"]))
+    scorer = ScorerParams.from_dict(doc["scorer"] if "scorer" in doc else doc)
     scores = score_batch(scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
 
@@ -216,10 +225,6 @@ def cmd_verify(args) -> int:
         print("error: --trials must be positive", file=sys.stderr)
         return 2
     only = set(args.only) if args.only else None
-    if only and not only <= set(ALL_CHECKS):
-        print(f"error: unknown check(s) {sorted(only - set(ALL_CHECKS))}",
-              file=sys.stderr)
-        return 2
     seed = _seed_override(args.seed)
     reports = run_all_checks(seed=seed, only=only, trials=args.trials)
     text = reports_to_json(reports)
@@ -378,10 +383,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DataError, MetricError, ObjectiveError, SolverError,
-            FileNotFoundError, KeyError, json.JSONDecodeError,
-            ValueError) as exc:
-        # bad configs, unreadable inputs: usage errors, same class as bad flags
+    except (FileNotFoundError, KeyError, ValueError) as exc:
+        # bad configs or inputs; every paucopt error and JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,10 @@ Covers full AUC, one-way partial AUC (small false-positive rates), two-way
 partial AUC (joint TPR/FPR constraints), the top/bottom score selections
 they rank over and the ROC sweep, each in O(n log n) from sorted scores
 without a pair matrix; the pair-enumerating and per-threshold-loop oracles
-they must match bit for bit live in the tests. Also covers the pairwise squared-surrogate risk over the
-constrained pair set, which enumerates pairs on purpose as the reference for
-the instance-wise reformulation, and its closed-form instance-wise optimum.
+they must match bit for bit live in the tests. Also covers the pairwise
+squared-surrogate risk over the constrained pair set, which enumerates pairs
+on purpose as the reference for the instance-wise reformulation, and its
+closed-form instance-wise optimum.
 """
 
 from __future__ import annotations

@@ -50,18 +50,16 @@ class ScorerParams:
     def with_weights(self, w: np.ndarray) -> "ScorerParams":
         return ScorerParams(self.kind, self.layer_dims, w)
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "layer_dims": list(self.layer_dims),
+                "weights": self.weights.tolist()}
+
     def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "layer_dims": list(self.layer_dims),
-            "weights": self.weights.tolist(),
-        })
+        return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "ScorerParams":
-        doc = json.loads(text)
-        return cls(doc["kind"], tuple(doc["layer_dims"]),
-                   np.asarray(doc["weights"], dtype=np.float64))
+    def from_dict(cls, doc: dict) -> "ScorerParams":
+        return cls(doc["kind"], doc["layer_dims"], doc["weights"])
 
 
 def param_count(layer_dims) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Minibatch, stratified_sample
-from .metrics import empirical_opauc, empirical_tpauc
+from .metrics import PaucReport, empirical_opauc, empirical_tpauc
 from .objectives import (
     MaxVars,
     MinVars,
@@ -188,19 +188,18 @@ def full_batch(ds: Dataset) -> Minibatch:
     return Minibatch(ds.pos_ids, ds.neg_ids)
 
 
-def grad_mapping_proxy(state: SolverState, cfg: SolverConfig,
-                       obj_cfg: ObjectiveConfig, ds: Dataset) -> float:
+def grad_mapping_proxy(tau: MinVars, grad_min: np.ndarray, cfg: SolverConfig,
+                       obj_cfg: ObjectiveConfig) -> float:
     """Projected-stationarity proxy (1/nu)*||tau - P(tau - nu*g)||_2.
 
-    g is the full-data descent gradient at the current variables; the exact
-    metric would maximize over the ascent block first.
+    g is grad_min, the full-data descent gradient at tau and the current
+    ascent block; the exact metric would maximize over the ascent block first.
     """
     if cfg.nu == 0:
         return 0.0
-    n_theta = state.tau.theta.n_params
-    lg = evaluate(obj_cfg, state.tau, state.gamma_block, full_batch(ds), ds)
-    g = _zero_theta(lg.grad_min, n_theta) if cfg.freeze_theta else lg.grad_min
-    flat = state.tau.flat()
+    n_theta = tau.theta.n_params
+    g = _zero_theta(grad_min, n_theta) if cfg.freeze_theta else grad_min
+    flat = tau.flat()
     moved = project_min_flat(flat - cfg.nu * g, n_theta, obj_cfg)
     return float(np.linalg.norm(flat - moved) / cfg.nu)
 
@@ -220,13 +219,14 @@ def _box_violation(tau: MinVars, gamma: float, c: np.ndarray,
     return dev
 
 
-def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> float:
+def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> PaucReport:
+    """The exact partial AUC obj_cfg trains for, of tau's scores on ds_val."""
     scores = score_batch(tau.theta, ds_val.features)
     pos = scores[ds_val.pos_ids]
     neg = scores[ds_val.neg_ids]
     if obj_cfg.metric_kind == "TPAUC":
-        return empirical_tpauc(pos, neg, obj_cfg.alpha, obj_cfg.beta).value
-    return empirical_opauc(pos, neg, obj_cfg.beta).value
+        return empirical_tpauc(pos, neg, obj_cfg.alpha, obj_cfg.beta)
+    return empirical_opauc(pos, neg, obj_cfg.beta)
 
 
 def train(ds_train: Dataset, ds_val: Dataset | None,
@@ -247,17 +247,14 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
     def record(st: SolverState):
         eta = eta_schedule(cfg, max(st.t - 1, 0))
         lg = evaluate(obj_cfg, st.tau, st.gamma_block, full_batch(ds_train), ds_train)
-        proxy = grad_mapping_proxy(st, cfg, obj_cfg, ds_train)
-        val = _val_pauc(st.tau, ds_val, obj_cfg) if ds_val is not None else float("nan")
+        proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj_cfg)
+        val = (_val_pauc(st.tau, ds_val, obj_cfg).value if ds_val is not None
+               else float("nan"))
         elapsed = (time.perf_counter() - t0) * 1000.0
         trace.records.append(TraceRecord(st.t, eta, lg.value, proxy, val, elapsed))
         if ds_val is not None and not (val <= trace.best_val_pauc):
             trace.best_val_pauc = val
             trace.best_tau = st.tau
-
-    if cfg.T == 0:
-        record(state)
-        return state.tau, state.gamma_block, trace
 
     for _ in range(cfg.T):
         # a step writes c only at the ids active when it starts, and every
@@ -267,6 +264,7 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
         xv = state.gamma_block
         if _box_violation(state.tau, xv.gamma, xv.c[touched], obj_cfg) > 0.0:
             trace.box_violations += 1
-        if state.t % cfg.eval_every == 0 or state.t == cfg.T:
+        if state.t % cfg.eval_every == 0 and state.t < cfg.T:
             record(state)
+    record(state)
     return state.tau, state.gamma_block, trace

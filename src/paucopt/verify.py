@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.special import expit
 
 from .data import Dataset, Minibatch
 from .metrics import closed_form_optimum, pairwise_surrogate_risk
@@ -111,8 +112,6 @@ def _threshold_objective_min_soft(losses, beta, kappa) -> float:
     kappa*(N_i - s'))), monotone increasing in s'; bisect it to machine
     precision, then clamp to the box.
     """
-    from scipy.special import expit
-
     lo, hi = ObjectiveConfig().boxes["s_prime"]
 
     def deriv(s):

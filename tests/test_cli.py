@@ -1,9 +1,17 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from paucopt.cli import main
+from paucopt.cli import _load_run_config, main
+from paucopt.data import SplitSpec, generate_synthetic, load_csv, split
+from paucopt.objectives import ObjectiveConfig
+from paucopt.scorer import init_scorer
+from paucopt.solver import SolverConfig
 
 
 def run_cli(*argv):
@@ -98,6 +106,10 @@ class TestTrain:
         ("dataset", {"synthetic": {"n": 400, "imbalance": 0.2, "dim": 3,
                                    "sepration": 3.0, "seed": 5}}, "sepration"),
         ("split", {"trian_frac": 0.7}, "trian_frac"),
+        # fields the command sets itself are not run-config keys
+        ("solver", {"freeze_theta": True}, "freeze_theta"),
+        ("objective", {"prior_p": 0.2}, "prior_p"),
+        ("solver", {"seed": 4}, "seed"),
     ])
     def test_unknown_key_usage_error(self, tmp_path, capsys, section, entry,
                                      bad_key):
@@ -108,11 +120,135 @@ class TestTrain:
         assert repr(bad_key) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("section,entry,name", [
+        ("solver", {"T": "50"}, "solver.T"),
+        ("objective", {"beta": "0.3"}, "objective.beta"),
+        ("scorer", {"kind": "mlp", "hidden": 8}, "scorer.hidden"),
+        ("split", {"train_frac": "0.7"}, "split.train_frac"),
+        ("dataset", {"synthetic": {"n": "300"}}, "dataset.synthetic.n"),
+        ("solver", {"batch": "64"}, "solver.batch"),
+        ("scorer", {"kind": "mlp", "hidden": [8.0]}, "scorer.hidden"),
+        ("seed", "7", "seed"),
+        # a bool is neither an integer nor a number
+        ("solver", {"T": True}, "solver.T"),
+        ("objective", {"alpha": True}, "objective.alpha"),
+    ])
+    def test_wrong_type_usage_error(self, tmp_path, capsys, section, entry, name):
+        cfg = self.write_config(tmp_path, **{section: entry})
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert f"config {name} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_formulation_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path,
                                 objective={"formulation": "bogus"})
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
+
+
+def load_config(tmp_path, doc, seed=None, T=None):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return _load_run_config(argparse.Namespace(config=str(path), seed=seed, T=T))
+
+
+class TestRunConfigSchema:
+    """Configs load to the dataclasses, splits and scorer written out by hand."""
+
+    @pytest.fixture(autouse=True)
+    def no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("PAUC_SEED", raising=False)
+
+    def check(self, loaded, ds, spec, sizes, scorer, obj_cfg, solver_cfg):
+        *parts, got_scorer, got_obj, got_solver = loaded
+        assert tuple(p.n for p in parts) == sizes
+        for got, want in zip(parts, split(ds, spec)):
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.labels, want.labels)
+        assert (got_scorer.kind, got_scorer.layer_dims) == (scorer.kind, scorer.layer_dims)
+        np.testing.assert_array_equal(got_scorer.weights, scorer.weights)
+        assert got_obj == obj_cfg
+        assert got_solver == solver_cfg
+
+    def test_empty_config(self, tmp_path):
+        self.check(
+            load_config(tmp_path, {}),
+            generate_synthetic(2000, 0.1, 5, 4.0, 0), SplitSpec(0.7, 0.15, 0.15, 0),
+            (1400, 300, 300), init_scorer("linear", 5, (8,), seed=0),
+            ObjectiveConfig("OPAUC", "surrogate", alpha=1.0, beta=0.3, kappa=4.0,
+                            omega=0.0, lagrange_cap=1e9, prior_p=140 / 1400),
+            SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0, iota1=1.0, iota2=1.0,
+                         T=500, batch_pos=32, batch_neg=224, seed=0, warmup_epochs=0,
+                         eval_every=50, freeze_theta=False))
+
+    def test_readme_sample(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        self.check(
+            load_config(tmp_path, doc),
+            generate_synthetic(2000, 0.1, 5, 4.0, 7), SplitSpec(0.7, 0.15, 0.15, 7),
+            (1400, 300, 300), init_scorer("linear", 5, seed=7),
+            ObjectiveConfig("OPAUC", "unbiased", alpha=1.0, beta=0.3, kappa=4.0,
+                            omega=0.1, lagrange_cap=1e9, prior_p=140 / 1400),
+            SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0, iota1=1.0, iota2=1.0,
+                         T=300, batch_pos=32, batch_neg=224, seed=7, warmup_epochs=2,
+                         eval_every=50))
+
+    def test_every_key_non_default(self, tmp_path):
+        doc = {
+            "dataset": {"label_col": "y", "synthetic": {
+                "n": 600, "imbalance": 0.25, "dim": 3, "separation": 3, "seed": 4}},
+            "split": {"train_frac": 0.5, "val_frac": 0.3, "test_frac": 0.2, "seed": 9},
+            "scorer": {"kind": "mlp", "hidden": [4, 3]},
+            "objective": {"metric": "TPAUC", "formulation": "unbiased", "alpha": 0.5,
+                          "beta": 0.4, "kappa": 8.0, "omega": 0.2, "lagrange_cap": 100},
+            "solver": {"nu": 0.3, "lambda": 0.2, "k": 1.5, "m": 8.0, "iota1": 0.7,
+                       "iota2": 0.9, "T": 40, "batch": 64, "batch_pos": 5, "batch_neg": 20,
+                       "warmup_epochs": 1, "eval_every": 10},
+            "seed": 3,
+        }
+        self.check(
+            load_config(tmp_path, doc),
+            generate_synthetic(600, 0.25, 3, 3.0, 4), SplitSpec(0.5, 0.3, 0.2, 9),
+            (300, 180, 120), init_scorer("mlp", 3, (4, 3), seed=3),
+            ObjectiveConfig("TPAUC", "unbiased", alpha=0.5, beta=0.4, kappa=8.0,
+                            omega=0.2, lagrange_cap=100.0, prior_p=75 / 300),
+            SolverConfig(nu=0.3, lam=0.2, k_coef=1.5, m_coef=8.0, iota1=0.7, iota2=0.9,
+                         T=40, batch_pos=5, batch_neg=20, seed=3, warmup_epochs=1,
+                         eval_every=10))
+
+    def test_run_seed_and_mlp_default(self, tmp_path):
+        # the run seed also seeds the data and the split; an mlp has one
+        # hidden layer of 8 unless told otherwise
+        self.check(
+            load_config(tmp_path, {"scorer": {"kind": "mlp"}, "seed": 5}),
+            generate_synthetic(2000, 0.1, 5, 4.0, 5), SplitSpec(0.7, 0.15, 0.15, 5),
+            (1400, 300, 300), init_scorer("mlp", 5, (8,), seed=5),
+            ObjectiveConfig(prior_p=140 / 1400), SolverConfig(seed=5))
+
+    def test_csv_and_command_values(self, tmp_path, synth_csv):
+        ds = load_csv(synth_csv)
+        relabelled = tmp_path / "y.csv"
+        relabelled.write_text(synth_csv.read_text().replace("label", "y", 1))
+        doc = {"dataset": {"csv": str(relabelled), "label_col": "y"}, "seed": 3,
+               "solver": {"T": 40}}
+        self.check(
+            load_config(tmp_path, doc, seed=11, T=9),
+            ds, SplitSpec(0.7, 0.15, 0.15, 11), (210, 45, 45),
+            init_scorer("linear", ds.dim, seed=11),
+            ObjectiveConfig(prior_p=42 / 210), SolverConfig(T=9, seed=11))
+
+    @pytest.mark.parametrize("solver,sizes", [
+        ({"batch": 64}, (8, 56)),
+        ({"batch": 4}, (1, 3)),
+        ({"batch": 64, "batch_pos": 5}, (5, 56)),
+        ({"batch_neg": 30}, (32, 30)),
+    ])
+    def test_batch_split(self, tmp_path, solver, sizes):
+        solver_cfg = load_config(tmp_path, {"solver": solver})[-1]
+        assert (solver_cfg.batch_pos, solver_cfg.batch_neg) == sizes
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -161,13 +163,13 @@ class TestWarmup:
 class TestSerialization:
     def test_json_roundtrip(self):
         p = init_scorer("mlp", 4, (5, 2), seed=9)
-        q = ScorerParams.from_json(p.to_json())
+        q = ScorerParams.from_dict(json.loads(p.to_json()))
         assert q.kind == p.kind
         assert q.layer_dims == p.layer_dims
         np.testing.assert_array_equal(q.weights, p.weights)
 
     def test_scores_survive_roundtrip(self):
         p = init_scorer("mlp", 3, (4,), seed=2)
-        q = ScorerParams.from_json(p.to_json())
+        q = ScorerParams.from_dict(json.loads(p.to_json()))
         x = np.random.default_rng(0).normal(size=(10, 3))
         np.testing.assert_array_equal(score_batch(p, x), score_batch(q, x))

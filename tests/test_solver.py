@@ -6,7 +6,7 @@ import pytest
 import paucopt.scorer
 import paucopt.solver
 from paucopt.data import generate_synthetic, split, SplitSpec
-from paucopt.objectives import MaxVars, MinVars, ObjectiveConfig
+from paucopt.objectives import MaxVars, MinVars, ObjectiveConfig, evaluate
 from paucopt.scorer import init_scorer, score_batch, warmup_logistic
 from paucopt.solver import (
     SolverConfig,
@@ -14,6 +14,7 @@ from paucopt.solver import (
     _box_violation,
     asgda_step,
     eta_schedule,
+    full_batch,
     grad_mapping_proxy,
     init_state,
     train,
@@ -157,13 +158,12 @@ class TestGradMappingProxy:
         ds, scorer, obj = small_setup
         cfg = SolverConfig(T=1, batch_pos=4, batch_neg=8, seed=0)
         st = init_state(ds, scorer, cfg)
-        p = grad_mapping_proxy(st, cfg, obj, ds)
+        lg = evaluate(obj, st.tau, st.gamma_block, full_batch(ds), ds)
+        p = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj)
         assert p >= 0.0 and np.isfinite(p)
 
     def test_small_nu_approximates_grad_norm(self, small_setup):
         ds, scorer, obj = small_setup
-        from paucopt.objectives import evaluate
-        from paucopt.solver import full_batch
         cfg = SolverConfig(nu=1e-7, T=1, batch_pos=4, batch_neg=8, seed=0)
         st = init_state(ds, scorer, cfg)
         # move interior so no box face is active (theta_a stays pinned at 0)
@@ -171,7 +171,7 @@ class TestGradMappingProxy:
         flat[-2] = 0.0
         st.tau = st.tau.with_flat(flat)
         lg = evaluate(obj, st.tau, st.gamma_block, full_batch(ds), ds)
-        proxy = grad_mapping_proxy(st, cfg, obj, ds)
+        proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj)
         assert proxy == pytest.approx(np.linalg.norm(lg.grad_min), rel=1e-6)
 
     def test_convex_toy_proxy_decreases(self):
@@ -183,7 +183,9 @@ class TestGradMappingProxy:
         cfg = SolverConfig(nu=0.1, lam=0.3, T=2000, batch_pos=16,
                            batch_neg=48, seed=11, freeze_theta=True,
                            eval_every=100)
-        first = grad_mapping_proxy(init_state(ds, scorer, cfg), cfg, obj, ds)
+        st = init_state(ds, scorer, cfg)
+        lg = evaluate(obj, st.tau, st.gamma_block, full_batch(ds), ds)
+        first = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj)
         _, _, trace = train(ds, None, scorer, cfg, obj)
         tail = [r.grad_map_proxy for r in trace.records
                 if r.t > 0.9 * 2000]
