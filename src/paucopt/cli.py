@@ -12,15 +12,13 @@ import csv
 import json
 import os
 import sys
-import time
 import typing
 from pathlib import Path
 
-import numpy as np
-
-from .data import SplitSpec, generate_synthetic, load_csv, save_csv, split, stratified_sample
+from .bench import BENCH_COLUMNS, bench_document, bench_rows
+from .data import SplitSpec, generate_synthetic, load_csv, save_csv, split
 from .metrics import empirical_auc, empirical_opauc, empirical_tpauc, roc_curve
-from .objectives import FLAT_SCALARS, MinVars, ObjectiveConfig, evaluate as eval_objective, initial_max_vars
+from .objectives import FLAT_SCALARS, ObjectiveConfig
 from .scorer import ScorerParams, init_scorer, score_batch, warmup_logistic
 from .solver import SolverConfig, _val_pauc, train
 from .verify import reports_to_json, run_all_checks, run_bias_sweep, ALL_CHECKS
@@ -117,10 +115,17 @@ def _read_sections(doc) -> dict:
 
 def _load_run_config(args):
     with open(args.config, encoding="utf-8") as fh:
-        sections = _read_sections(json.load(fh))
+        doc = json.load(fh)
+    sections = _read_sections(doc)
     seed = _seed_override(args.seed if args.seed is not None else sections[""]["seed"])
 
     dsrc, syn = sections["dataset"], sections["dataset.synthetic"]
+    # a key that would be read for nothing is an error, not a silent no-op
+    given = doc.get("dataset", {})
+    if "csv" in given and "synthetic" in given:
+        raise ValueError("config dataset.synthetic has no effect beside dataset.csv")
+    if "csv" not in given and "label_col" in given:
+        raise ValueError("config dataset.label_col has no effect without dataset.csv")
     if dsrc["csv"] is not None:
         ds = load_csv(dsrc["csv"], dsrc["label_col"])
     else:
@@ -234,61 +239,20 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _pairwise_reference_step(f_pos, f_neg) -> float:
-    # deliberately pair-enumerating: the O(n_pos*n_neg) baseline being compared
-    total = 0.0
-    for fp in f_pos:
-        for fn in f_neg:
-            total += (1.0 - (fp - fn)) ** 2
-    return total / (len(f_pos) * len(f_neg))
-
-
-def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0,
-               dim: int = 5):
-    """Median/p90 per-step milliseconds for instance-wise vs pairwise losses.
-
-    The reps go round-robin over every batch size and kind, so a slow phase
-    of the host slows all of them alike instead of one batch size. Each
-    timed call follows an untimed call of the same step, so it runs with
-    warm caches, as back-to-back reps do.
-    """
-    n = 2 * max(batch_sizes) + 4
-    ds = generate_synthetic(n, 0.5, dim, 2.0, seed)
-    scorer = init_scorer("linear", dim, seed=seed)
-    obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate",
-                              beta=0.3, prior_p=ds.prior_p)
-    mv = MinVars(theta=scorer)
-    xv = initial_max_vars(ds.n)
-    steps = []     # (half batch, kind, step, per-rep milliseconds)
-    for bs in batch_sizes:
-        half = bs // 2
-        batch = stratified_sample(ds, half, half, np.random.default_rng(seed))
-        f_pos = list(score_batch(scorer, ds.features[batch.pos_ids]))
-        f_neg = list(score_batch(scorer, ds.features[batch.neg_ids]))
-        steps.append((half, "instance_wise",
-                      lambda b=batch: eval_objective(obj_cfg, mv, xv, b, ds), []))
-        steps.append((half, "pairwise",
-                      lambda p=f_pos, q=f_neg: _pairwise_reference_step(p, q), []))
-    for _ in range(reps):
-        for _, _, step, times in steps:
-            step()
-            t0 = time.perf_counter()
-            step()
-            times.append((time.perf_counter() - t0) * 1000.0)
-    return [(half, half, float(np.median(times)), float(np.percentile(times, 90)), kind)
-            for half, kind, _, times in steps]
-
-
 def cmd_bench(args) -> int:
     seed = _seed_override(args.seed)
     rows = bench_rows(tuple(args.batch_sizes), args.reps, seed)
     out = _out_dir(args)
     with open(out / "timings.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["batch_pos", "batch_neg", "median_ms", "p90_ms", "kind"])
+        w.writerow(BENCH_COLUMNS)
         w.writerows(rows)
     for row in rows:
         print(",".join(str(v) for v in row))
+    if args.label is not None:
+        doc = bench_document(args.label, rows, seed, args.reps, args.steps)
+        (out / f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=2) + "\n",
+                                                      encoding="utf-8")
     return 0
 
 
@@ -361,6 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--reps", type=int, default=15)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="out")
+    b.add_argument("--label", default=None,
+                   help="also time solver steps at n = 2e3, 2e5, 2e6; write BENCH_<label>.json")
+    b.add_argument("--steps", type=int, default=200, help="timed steps per size and formulation")
     b.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("sweep", help="softplus-sharpness sensitivity sweep")

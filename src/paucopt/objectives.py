@@ -1,9 +1,11 @@
 """Instance-wise minimax objectives for partial-AUC optimization.
 
 One evaluator over the descent block tau = (theta, a, b, s, s', theta_a,
-theta_b) and the ascent block (gamma, c). The two formulations share the
-objective and differ only in how the quantile-selection hinge
-[x - threshold]_+ is treated:
+theta_b) and the ascent block (gamma, c), at K stacked points in one pass
+over a minibatch, so a solver step gets its gradients at the old and the
+new point from one call. The two formulations share the objective and
+differ only in how the quantile-selection hinge [x - threshold]_+ is
+treated:
 
 * surrogate: a softplus of sharpness kappa, with selection weight
   sigma(kappa*(x - threshold)); c plays no role. Asymptotically unbiased,
@@ -119,17 +121,14 @@ class MaxVars:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
 
 
-def initial_max_vars(n: int) -> MaxVars:
-    return MaxVars(gamma=0.0, c=np.ones(n))
-
-
 @dataclass(frozen=True)
 class LossGrad:
-    value: float
-    grad_min: np.ndarray      # over the MinVars flat layout
-    grad_max_gamma: float
-    c_ids: np.ndarray         # the batch ids whose c the value depends on
-    grad_max_c: np.ndarray    # partial wrt c at each of c_ids
+    """Values and partials at K points, one row (or entry) per point."""
+
+    value: np.ndarray         # (K,)
+    grad_min: np.ndarray      # (K, P), over the MinVars flat layout
+    grad_max_gamma: np.ndarray  # (K,)
+    grad_max_c: np.ndarray    # (K, len(hinged_ids)), partial wrt c at each hinged id
 
 
 def softplus(x, kappa: float):
@@ -158,89 +157,111 @@ def project_min_flat(vec: np.ndarray, n_theta: int, cfg: ObjectiveConfig) -> np.
     return out
 
 
-def _hinge_branch(cfg: ObjectiveConfig, x, thr: float, frac: float,
+def hinged_ids(cfg: ObjectiveConfig, batch: Minibatch) -> np.ndarray:
+    """The batch ids whose c the value depends on, positives first: both
+    classes for TPAUC, the negatives for OPAUC, none for the surrogate."""
+    if cfg.formulation == "surrogate":
+        return np.zeros(0, dtype=np.intp)
+    if cfg.metric_kind == "TPAUC":
+        return np.concatenate([batch.pos_ids, batch.neg_ids])
+    return batch.neg_ids
+
+
+def _hinge_branch(cfg: ObjectiveConfig, x, thr, frac: float,
                   prior: float, B: int, c):
     """Per-instance (frac*thr + [x - thr]_+) / (frac*prior) and its partials.
 
-    c is None for the surrogate hinge, a softplus with selection weight
-    sigma(kappa*(x - thr)); otherwise the hinge is c*(x - thr) with weight
-    c. Returns the terms, d value/d x, d value/d thr and d value/d c (None
-    for the surrogate); the value is a batch mean, so each carries 1/B.
+    x and c are (K, branch size) and thr is (K, 1). c is None for the
+    surrogate hinge, a softplus with selection weight sigma(kappa*(x - thr));
+    otherwise the hinge is c*(x - thr) with weight c. Returns the terms,
+    d value/d x, d value/d thr and d value/d c (None for the surrogate);
+    the value is a batch mean, so each carries 1/B.
     """
-    scale = frac * prior
+    scale, gap = frac * prior, x - thr
     if c is None:
-        w = expit(cfg.kappa * (x - thr))
-        hinge = softplus(x - thr, cfg.kappa)
+        w = expit(cfg.kappa * gap)
+        hinge = softplus(gap, cfg.kappa)
         d_c = None
     else:
         w = c
-        hinge = c * (x - thr)
-        d_c = (x - thr) / scale / B - 2.0 * cfg.omega * c / B
+        hinge = c * gap
+        d_c = gap / scale / B - 2.0 * cfg.omega * c / B
     terms = (frac * thr + hinge) / scale
-    return terms, w / scale / B, float(np.sum(frac - w) / scale) / B, d_c
+    return terms, w / scale / B, (frac - w).sum(axis=-1, keepdims=True) / scale / B, d_c
 
 
-def evaluate(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
-             batch: Minibatch, ds: Dataset) -> LossGrad:
-    """Objective value and exact analytic partials under cfg.formulation.
+def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
+             batch: Minibatch, ds: Dataset, c: np.ndarray | None = None, *,
+             dims) -> LossGrad:
+    """Values and exact analytic partials under cfg.formulation at K points.
 
-    The value is the batch mean of the per-instance objective plus the
+    tau stacks K MinVars.flat vectors whose theta has layer shape dims,
+    gamma is (K,), and c holds the unbiased form's weights at
+    hinged_ids(cfg, batch), one row per point; the surrogate reads no c.
+    Each value is the batch mean of the per-instance objective plus the
     Lagrangian terms (added once). Negative hinges are taken at s'; for
     TPAUC the positive hinges are taken at s. For the unbiased form the
     concavity regularizer also subtracts omega * the batch mean of the
-    participating c_i^2; c_ids is empty for the surrogate.
+    participating c_i^2. The forward pass, every (K, B) term and every
+    batch sum run once over the stacked batch for all K points.
     """
     if batch.size == 0:
         # single-class batches are legal (the other branch contributes zero
         # terms); only a fully empty batch is meaningless
         raise ObjectiveError("empty batch")
+    K, n_pos, tpauc = len(tau), len(batch.pos_ids), cfg.metric_kind == "TPAUC"
     unbiased = cfg.formulation == "unbiased"
-    if unbiased and len(xv.c) < ds.n:
-        raise ObjectiveError("c must carry one entry per dataset instance")
+    if unbiased and (c is None or c.shape != (K, n_pos * tpauc + len(batch.neg_ids))):
+        raise ObjectiveError("c must hold one weight per hinged batch id at each point")
     p, q = cfg.prior_p, 1.0 - cfg.prior_p
-    omega, gamma, B = cfg.omega, xv.gamma, batch.size
-    # one forward pass over the stacked batch; its activations serve the
-    # theta backprop below
+    omega, B = cfg.omega, batch.size
+    # the flat-layout scalars as (K, 1) columns, gamma likewise
+    a, b, s, sp, ta, tb = tau[:, -len(FLAT_SCALARS):, None].transpose(1, 0, 2)
+    g = gamma[:, None]
+    # one forward pass of the K points over the stacked batch; its
+    # activations serve the theta backprop below
     f, pullback = score_with_pullback(
-        mv.theta, ds.features[np.concatenate([batch.pos_ids, batch.neg_ids])])
-    f_pos, f_neg = f[:len(batch.pos_ids)], f[len(batch.pos_ids):]
+        dims, tau[:, :-len(FLAT_SCALARS)],
+        ds.features[np.concatenate([batch.pos_ids, batch.neg_ids])])
+    f_pos, f_neg = f[:, :n_pos], f[:, n_pos:]
 
-    P = pos_branch_P(f_pos, mv.a, gamma)
-    N = neg_branch_N(f_neg, mv.b, gamma)
-    dP_df = 2.0 * (f_pos - mv.a) - 2.0 * (1.0 + gamma)
-    dN_df = 2.0 * (f_neg - mv.b) + 2.0 * (1.0 + gamma)
+    # pos_branch_P and neg_branch_N, sharing their differences with the partials
+    d_pos, d_neg, g2 = f_pos - a, f_neg - b, 2.0 * (1.0 + g)
+    P = d_pos ** 2 - g2 * f_pos
+    N = d_neg ** 2 + g2 * f_neg
+    dP_df = 2.0 * d_pos - g2
+    dN_df = 2.0 * d_neg + g2
 
-    hinged = []    # (ids, c, d value/d c) of each branch with a hinge
-    if cfg.metric_kind == "TPAUC":
-        c_pos = xv.c[batch.pos_ids] if unbiased else None
-        pos_terms, wp, gs, gc = _hinge_branch(cfg, P, mv.s, cfg.alpha, p, B, c_pos)
-        hinged.append((batch.pos_ids, c_pos, gc))
+    hinged = []    # (c, d value/d c) of each branch with a hinge
+    split = n_pos if tpauc else 0
+    c_pos, c_neg = (c[:, :split], c[:, split:]) if unbiased else (None, None)
+    if tpauc:
+        pos_terms, wp, gs, gc = _hinge_branch(cfg, P, s, cfg.alpha, p, B, c_pos)
+        hinged.append((c_pos, gc))
     else:
         pos_terms = P / p
         wp = np.full_like(P, 1.0 / p / B)
-        gs = 0.0
-    c_neg = xv.c[batch.neg_ids] if unbiased else None
-    neg_terms, wn, gsp, gc = _hinge_branch(cfg, N, mv.s_prime, cfg.beta, q, B, c_neg)
-    hinged.append((batch.neg_ids, c_neg, gc))
+        gs = np.zeros((K, 1))
+    neg_terms, wn, gsp, gc = _hinge_branch(cfg, N, sp, cfg.beta, q, B, c_neg)
+    hinged.append((c_neg, gc))
 
-    data_value = (np.sum(pos_terms) + np.sum(neg_terms)) / B
-    gamma_term = -(1.0 + omega) * gamma ** 2
+    data_value = (pos_terms.sum(axis=-1) + neg_terms.sum(axis=-1)) / B
+    # libm pow, as Python's float ** 2 rounds, not numpy's square
+    gamma_term = -(1.0 + omega) * np.float_power(gamma, 2)
     if unbiased:
-        gamma_term -= omega * (sum(np.sum(c ** 2) for _, c, _ in hinged) / B)
-        c_ids = np.concatenate([ids for ids, _, _ in hinged])
-        grad_c = np.concatenate([g for _, _, g in hinged])
+        gamma_term -= omega * (sum((ci ** 2).sum(axis=-1) for ci, _ in hinged) / B)
+        grad_c = np.concatenate([gci for _, gci in hinged], axis=-1)
     else:
-        c_ids, grad_c = np.zeros(0, dtype=np.intp), np.zeros(0)
+        grad_c = np.zeros((K, 0))
 
     # Lagrangian terms; theta_a prices the positive side, absent for OPAUC
-    lag = -mv.theta_b * (mv.b - 1.0 - gamma) - mv.theta_a * (-mv.a - gamma)
-    ga = float(np.sum(wp * (-2.0 * (f_pos - mv.a)))) + mv.theta_a
-    gb = float(np.sum(wn * (-2.0 * (f_neg - mv.b)))) - mv.theta_b
-    g_gamma = float(np.sum(wp * (-2.0 * f_pos)) + np.sum(wn * (2.0 * f_neg))
-                    - 2.0 * (1.0 + omega) * gamma)
-    g_theta_a = 0.0 if cfg.metric_kind == "OPAUC" else mv.a + gamma
-    g_theta = pullback(np.concatenate([wp * dP_df, wn * dN_df]) * f * (1.0 - f))
-    grad_min = np.concatenate([g_theta, [ga, gb, gs, gsp, g_theta_a,
-                                         1.0 + gamma - mv.b]])
-    return LossGrad(float(data_value + gamma_term + lag), grad_min,
-                    g_gamma + (mv.theta_a + mv.theta_b), c_ids, grad_c)
+    lag = -tb * (b - 1.0 - g) - ta * (-a - g)
+    ga = (wp * (-2.0 * d_pos)).sum(axis=-1, keepdims=True) + ta
+    gb = (wn * (-2.0 * d_neg)).sum(axis=-1, keepdims=True) - tb
+    g_gamma = ((wp * (-2.0 * f_pos)).sum(axis=-1) + (wn * (2.0 * f_neg)).sum(axis=-1)
+               - 2.0 * (1.0 + omega) * gamma)
+    g_theta_a = a + g if tpauc else np.zeros((K, 1))
+    g_theta = pullback(np.concatenate([wp * dP_df, wn * dN_df], axis=-1) * f * (1.0 - f))
+    grad_min = np.concatenate([g_theta, ga, gb, gs, gsp, g_theta_a, 1.0 + g - b], axis=-1)
+    return LossGrad(data_value + gamma_term + lag[:, 0], grad_min,
+                    g_gamma + (ta + tb)[:, 0], grad_c)

@@ -77,28 +77,29 @@ def init_scorer(kind: str, dim: int, hidden=(), seed: int = 0) -> ScorerParams:
     return ScorerParams(kind, dims, np.concatenate(chunks))
 
 
-def _layers(params: ScorerParams):
-    """Yield (W: dout x din, b: dout) views into the flat weight vector."""
-    dims = params.layer_dims
-    off = 0
+def _layers(dims, weights: np.ndarray) -> list:
+    """(W: K x dout x din, b: K x 1 x dout) views of each layer into a
+    (K, P) stack of flat weight vectors of layer shape dims."""
+    layers, off = [], 0
     for din, dout in zip(dims[:-1], dims[1:]):
-        w = params.weights[off:off + din * dout].reshape(dout, din)
+        w = weights[:, off:off + din * dout].reshape(len(weights), dout, din)
         off += din * dout
-        b = params.weights[off:off + dout]
+        layers.append((w, weights[:, None, off:off + dout]))
         off += dout
-        yield w, b
+    return layers
 
 
-def _forward(params: ScorerParams, x: np.ndarray):
-    """Batch forward pass. Returns (scores, activations, pre_logits)."""
+def _forward(layers: list, x: np.ndarray):
+    """Forward pass of K weight vectors (one _layers list) over one batch of
+    rows; each layer is one broadcast matmul over the K points. Returns
+    (scores (K, B), activations, pre_logits (K, B))."""
     acts = [x]
-    layers = list(_layers(params))
     h = x
     for w, b in layers[:-1]:
-        h = np.tanh(h @ w.T + b)
+        h = np.tanh(h @ w.transpose(0, 2, 1) + b)
         acts.append(h)
     w, b = layers[-1]
-    z = (h @ w.T + b)[:, 0]
+    z = (h @ w.transpose(0, 2, 1) + b)[..., 0]
     # keep scores strictly inside (0,1) even when the sigmoid saturates
     f = np.clip(expit(z), 1e-300, np.nextafter(1.0, 0.0))
     return f, acts, z
@@ -112,37 +113,37 @@ def score_batch(params: ScorerParams, x: np.ndarray) -> np.ndarray:
             f"feature dimension {x.shape[1]} does not match scorer input "
             f"{params.layer_dims[0]}"
         )
-    return _forward(params, x)[0]
+    return _forward(_layers(params.layer_dims, params.weights[None]), x)[0][0]
 
 
-def backprop_logit(params: ScorerParams, acts: list,
-                   dz: np.ndarray) -> np.ndarray:
-    """Gradient of sum_i dz_i * z_i w.r.t. the flat weights.
+def backprop_logit(layers: list, acts: list, dz: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i dz[k, i] * z[k, i] w.r.t. each of the K flat weight
+    vectors, as a (K, P) stack.
 
-    z_i is the pre-sigmoid logit of row i and acts are the activations one
-    _forward of those rows returned; callers fold the sigmoid factor (or a
-    cross-entropy residual) into dz.
+    z[k, i] is the pre-sigmoid logit of row i under the k-th weights; layers
+    and acts are the views and activations of one _forward of those weights
+    and rows. Callers fold the sigmoid factor (or a cross-entropy residual)
+    into dz (K, B).
     """
-    layers = list(_layers(params))
-    grads = [None] * len(layers)
-    delta = dz[:, None]  # (n, dout) running upstream derivative at layer input
+    grads = []
+    delta = dz[..., None]  # (K, B, dout) running upstream derivative at layer input
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
-        a_in = acts[li]
-        gw = delta.T @ a_in
-        gb = delta.sum(axis=0)
-        grads[li] = np.concatenate([gw.ravel(), gb])
+        gw = delta.swapaxes(-1, -2) @ acts[li]
+        grads[:0] = [gw.reshape(len(dz), -1), delta.sum(axis=-2)]
         if li > 0:
             # tanh' = 1 - a^2 at the producing layer's output
             delta = (delta @ w) * (1.0 - acts[li] ** 2)
-    return np.concatenate(grads)
+    return np.concatenate(grads, axis=-1)
 
 
-def score_with_pullback(params: ScorerParams, x: np.ndarray):
-    """Scores of a batch plus the map dz -> backprop_logit over the same
-    forward pass, so scoring and backprop share one set of activations."""
-    f, acts, _ = _forward(params, x)
-    return f, lambda dz: backprop_logit(params, acts, dz)
+def score_with_pullback(dims, weights: np.ndarray, x: np.ndarray):
+    """Scores (K, B) of a batch under a (K, P) weight stack plus the map
+    dz -> backprop_logit over the same forward pass, so scoring and backprop
+    share one set of layer views and activations."""
+    layers = _layers(dims, weights)
+    f, acts, _ = _forward(layers, x)
+    return f, lambda dz: backprop_logit(layers, acts, dz)
 
 
 def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
@@ -160,8 +161,8 @@ def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
             idx = order[start:start + batch_size]
             x = ds.features[idx]
             y = ds.labels[idx].astype(np.float64)
-            f, pullback = score_with_pullback(params.with_weights(w), x)
+            f, pullback = score_with_pullback(params.layer_dims, w[None], x)
             # dCE/dz = f - y, averaged over the batch
             g = pullback((f - y) / len(idx))
-            w = w - lr * g
+            w = w - lr * g[0]
     return params.with_weights(w)

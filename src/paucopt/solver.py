@@ -3,8 +3,10 @@
 Each iteration moves the descent block tau and the ascent block (gamma, c)
 by a convex combination with a projected gradient step, samples a fresh
 stratified minibatch, and refreshes the gradient momenta v (for tau) and w
-(for gamma/c) with STORM-style corrections evaluated at both the new and
-old variables on the same batch.
+(for gamma/c) with STORM-style corrections, which take the gradients at
+the old and the new variables on the same batch from one stacked
+evaluation. The state keeps tau flat; MinVars and MaxVars are built only
+for the trace and the return value.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import numpy as np
 from .data import Dataset, Minibatch, stratified_sample
 from .metrics import PaucReport, empirical_opauc, empirical_tpauc
 from .objectives import (
+    FLAT_SCALARS,
     MaxVars,
     MinVars,
     ObjectiveConfig,
     evaluate,
-    initial_max_vars,
+    hinged_ids,
     project_min_flat,
 )
 from .scorer import ScorerParams, score_batch, warmup_logistic
@@ -62,14 +65,22 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    tau: MinVars
-    gamma_block: MaxVars
+    scorer: ScorerParams       # theta's kind and layer shape (weights: the start's)
+    tau: np.ndarray            # descent block in the MinVars.flat layout
+    gamma: float
+    c: np.ndarray              # one entry per instance; empty for the surrogate
     v: np.ndarray              # momentum for grad wrt tau (flat layout)
     w_gamma: float             # momentum for grad wrt gamma
-    w_c: np.ndarray            # momentum for grad wrt c, one entry per instance
+    w_c: np.ndarray            # momentum for grad wrt c, laid out as c
     active_c: np.ndarray       # ids sampled in the latest batch; only they move
     t: int
     rng: np.random.Generator
+
+    def min_vars(self) -> MinVars:
+        return MinVars(self.scorer).with_flat(self.tau)
+
+    def max_vars(self) -> MaxVars:
+        return MaxVars(self.gamma, self.c)
 
 
 @dataclass(frozen=True)
@@ -98,20 +109,16 @@ def eta_schedule(cfg: SolverConfig, t: int) -> float:
     return cfg.k_coef / (cfg.m_coef + t) ** (1.0 / 3.0)
 
 
-def init_state(ds: Dataset, scorer_init: ScorerParams,
-               cfg: SolverConfig) -> SolverState:
-    tau = MinVars(theta=scorer_init, a=1.0, b=0.0, s=0.0, s_prime=1.0,
-                  theta_a=0.0, theta_b=0.0)
-    return SolverState(
-        tau=tau,
-        gamma_block=initial_max_vars(ds.n),
-        v=np.zeros_like(tau.flat()),
-        w_gamma=0.0,
-        w_c=np.zeros(ds.n),
-        active_c=np.zeros(0, dtype=np.intp),
-        t=0,
-        rng=np.random.default_rng(cfg.seed),
-    )
+def init_state(ds: Dataset, scorer_init: ScorerParams, cfg: SolverConfig,
+               obj_cfg: ObjectiveConfig) -> SolverState:
+    """tau at MinVars' defaults, gamma 0 and, for the unbiased form only, c
+    at 1 with one entry per instance; the surrogate reads no c."""
+    n_c = ds.n if obj_cfg.formulation == "unbiased" else 0
+    tau = MinVars(scorer_init).flat()
+    return SolverState(scorer=scorer_init, tau=tau, gamma=0.0, c=np.ones(n_c),
+                       v=np.zeros_like(tau), w_gamma=0.0, w_c=np.zeros(n_c),
+                       active_c=np.zeros(0, dtype=np.intp), t=0,
+                       rng=np.random.default_rng(cfg.seed))
 
 
 def _zero_theta(g: np.ndarray, n_theta: int) -> np.ndarray:
@@ -124,31 +131,29 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
                obj_cfg: ObjectiveConfig, ds: Dataset) -> SolverState:
     """One full iteration in O(batch) time and memory; returns the new state.
 
-    c and w_c are written in place, at the active ids only, so the returned
-    state shares those two arrays (and the generator ``state.rng``, whose
-    minibatch draw it advances) with its input: the input's c and w_c hold
-    the new values afterwards. Its tau, gamma, v and w_gamma are left as
-    they were.
+    Both momentum gradients come from one evaluate call over the old and
+    the new point. c and w_c are written in place, at the active ids only,
+    so the returned state shares those two arrays (and the generator
+    ``state.rng``, whose minibatch draw it advances) with its input: the
+    input's c and w_c hold the new values afterwards. Its tau, gamma, v and
+    w_gamma are left as they were.
     """
     eta = eta_schedule(cfg, state.t)
-    n_theta = state.tau.theta.n_params
-    tau_old = state.tau
-    max_old = state.gamma_block
+    n_theta = state.scorer.n_params
 
     # descent block: convex combination with the projected gradient point.
     # Each combination is clamped again because rounding can carry it past
     # a bound both endpoints sit on, e.g. (1-eta)*5 + eta*5 > 5.
     v = _zero_theta(state.v, n_theta) if cfg.freeze_theta else state.v
-    flat_old = tau_old.flat()
-    cand = project_min_flat(flat_old - cfg.nu * v, n_theta, obj_cfg)
-    tau_new = tau_old.with_flat(
-        project_min_flat((1.0 - eta) * flat_old + eta * cand, n_theta, obj_cfg))
+    cand = project_min_flat(state.tau - cfg.nu * v, n_theta, obj_cfg)
+    tau_new = project_min_flat((1.0 - eta) * state.tau + eta * cand, n_theta, obj_cfg)
 
     # fresh batch; both momentum refresh gradients use this same batch, and
-    # the old-point one is taken before c is overwritten below
+    # the old point's c is gathered before c is overwritten below
     batch = stratified_sample(ds, min(cfg.batch_pos, ds.n_pos),
                               min(cfg.batch_neg, ds.n_neg), state.rng)
-    lg_old = evaluate(obj_cfg, tau_old, max_old, batch, ds)
+    ids = hinged_ids(obj_cfg, batch)
+    c, c_old = state.c, state.c[ids]
 
     # ascent block: gamma always moves; c coordinates move only when they
     # were sampled in the batch behind the current momenta (the surrogate
@@ -156,31 +161,32 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
     # factor, so the step is rescaled by the batch size to recover the
     # per-instance magnitude.
     lo, hi = obj_cfg.boxes["gamma"]
-    g_cand = min(max(max_old.gamma + cfg.lam * state.w_gamma, lo), hi)
-    gamma_new = min(max((1.0 - eta) * max_old.gamma + eta * g_cand, lo), hi)
-    c, ids = max_old.c, state.active_c
-    if len(ids):
+    g_cand = min(max(state.gamma + cfg.lam * state.w_gamma, lo), hi)
+    gamma_new = min(max((1.0 - eta) * state.gamma + eta * g_cand, lo), hi)
+    act = state.active_c
+    if len(act):
         lo, hi = obj_cfg.boxes["c"]
         lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
-        c_act = c[ids]
-        c_cand = np.clip(c_act + lam_c * state.w_c[ids], lo, hi)
-        c[ids] = np.clip((1.0 - eta) * c_act + eta * c_cand, lo, hi)
-    max_new = MaxVars(gamma_new, c)
-    lg_new = evaluate(obj_cfg, tau_new, max_new, batch, ds)
+        c_act = c[act]
+        c_cand = np.clip(c_act + lam_c * state.w_c[act], lo, hi)
+        c[act] = np.clip((1.0 - eta) * c_act + eta * c_cand, lo, hi)
+    lg = evaluate(obj_cfg, np.array([state.tau, tau_new]),
+                  np.array([state.gamma, gamma_new]), batch, ds,
+                  np.array([c_old, c[ids]]), dims=state.scorer.layer_dims)
 
     rho = cfg.iota1 * eta ** 2
     xi = cfg.iota2 * eta ** 2
-    v_next = lg_new.grad_min + (1.0 - rho) * (state.v - lg_old.grad_min)
+    v_next = lg.grad_min[1] + (1.0 - rho) * (state.v - lg.grad_min[0])
     if cfg.freeze_theta:
         v_next = _zero_theta(v_next, n_theta)
-    w_gamma_next = (lg_new.grad_max_gamma
-                    + (1.0 - xi) * (state.w_gamma - lg_old.grad_max_gamma))
-    w_c, ids = state.w_c, lg_new.c_ids
+    g_old, g_new = lg.grad_max_gamma.tolist()
+    w_gamma_next = g_new + (1.0 - xi) * (state.w_gamma - g_old)
+    w_c = state.w_c
     if len(ids):
-        w_c[ids] = lg_new.grad_max_c + (1.0 - xi) * (w_c[ids] - lg_old.grad_max_c)
+        w_c[ids] = lg.grad_max_c[1] + (1.0 - xi) * (w_c[ids] - lg.grad_max_c[0])
 
-    return SolverState(tau=tau_new, gamma_block=max_new, v=v_next,
-                       w_gamma=w_gamma_next, w_c=w_c, active_c=ids,
+    return SolverState(scorer=state.scorer, tau=tau_new, gamma=gamma_new, c=c,
+                       v=v_next, w_gamma=w_gamma_next, w_c=w_c, active_c=ids,
                        t=state.t + 1, rng=state.rng)
 
 
@@ -204,18 +210,17 @@ def grad_mapping_proxy(tau: MinVars, grad_min: np.ndarray, cfg: SolverConfig,
     return float(np.linalg.norm(flat - moved) / cfg.nu)
 
 
-def _box_violation(tau: MinVars, gamma: float, c: np.ndarray,
+def _box_violation(tau: np.ndarray, gamma: float, c: np.ndarray,
                    cfg: ObjectiveConfig) -> float:
-    """Largest distance from its box of any scalar, gamma or the given c
-    values; 0 when all are feasible."""
-    dev = 0.0
-    for name, (lo, hi) in cfg.boxes.items():
-        if name == "c":
-            values = (float(c.min()), float(c.max())) if len(c) else ()
-        else:
-            values = (gamma if name == "gamma" else getattr(tau, name),)
-        for val in values:
-            dev = max(dev, lo - val, val - hi)
+    """Largest distance from its box of any scalar of the flat tau, gamma or
+    the given c values; 0 when all are feasible."""
+    lo, hi = cfg.flat_box
+    scalars = tau[-len(FLAT_SCALARS):]
+    dev = max(0.0, float((lo - scalars).max()), float((scalars - hi).max()))
+    (g_lo, g_hi), (c_lo, c_hi) = cfg.boxes["gamma"], cfg.boxes["c"]
+    dev = max(dev, g_lo - gamma, gamma - g_hi)
+    if len(c):
+        dev = max(dev, c_lo - float(c.min()), float(c.max()) - c_hi)
     return dev
 
 
@@ -240,31 +245,38 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
     """
     scorer = warmup_logistic(scorer_init, ds_train, cfg.warmup_epochs,
                              cfg.nu, seed=cfg.seed)
-    state = init_state(ds_train, scorer, cfg)
+    state = init_state(ds_train, scorer, cfg, obj_cfg)
     trace = TrainTrace()
+    full = full_batch(ds_train)
+    full_c_ids = hinged_ids(obj_cfg, full)
     t0 = time.perf_counter()
 
     def record(st: SolverState):
         eta = eta_schedule(cfg, max(st.t - 1, 0))
-        lg = evaluate(obj_cfg, st.tau, st.gamma_block, full_batch(ds_train), ds_train)
-        proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj_cfg)
-        val = (_val_pauc(st.tau, ds_val, obj_cfg).value if ds_val is not None
+        lg = evaluate(obj_cfg, st.tau[None], np.array([st.gamma]), full, ds_train,
+                      st.c[full_c_ids][None], dims=st.scorer.layer_dims)
+        value, grad_min = float(lg.value[0]), lg.grad_min[0]
+        for name, x in (("objective", value), ("descent gradient", grad_min)):
+            if not np.isfinite(x).all():
+                raise SolverError(f"non-finite {name} at t={st.t}")
+        tau = st.min_vars()
+        proxy = grad_mapping_proxy(tau, grad_min, cfg, obj_cfg)
+        val = (_val_pauc(tau, ds_val, obj_cfg).value if ds_val is not None
                else float("nan"))
         elapsed = (time.perf_counter() - t0) * 1000.0
-        trace.records.append(TraceRecord(st.t, eta, lg.value, proxy, val, elapsed))
+        trace.records.append(TraceRecord(st.t, eta, value, proxy, val, elapsed))
         if ds_val is not None and not (val <= trace.best_val_pauc):
             trace.best_val_pauc = val
-            trace.best_tau = st.tau
+            trace.best_tau = tau
 
     for _ in range(cfg.T):
         # a step writes c only at the ids active when it starts, and every
         # other c entry was checked when last written
         touched = state.active_c
         state = asgda_step(state, cfg, obj_cfg, ds_train)
-        xv = state.gamma_block
-        if _box_violation(state.tau, xv.gamma, xv.c[touched], obj_cfg) > 0.0:
+        if _box_violation(state.tau, state.gamma, state.c[touched], obj_cfg) > 0.0:
             trace.box_violations += 1
         if state.t % cfg.eval_every == 0 and state.t < cfg.T:
             record(state)
     record(state)
-    return state.tau, state.gamma_block, trace
+    return state.min_vars(), state.max_vars(), trace

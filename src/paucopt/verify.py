@@ -17,10 +17,10 @@ from scipy.special import expit
 from .data import Dataset, Minibatch
 from .metrics import closed_form_optimum, pairwise_surrogate_risk
 from .objectives import (
-    MaxVars,
     MinVars,
     ObjectiveConfig,
     evaluate,
+    hinged_ids,
     neg_branch_N,
     pos_branch_P,
     softplus,
@@ -213,8 +213,10 @@ def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> Verificati
             hinge += np.sum((cfg.alpha * mv.s + np.maximum(P - mv.s, 0.0)) / (cfg.alpha * p))
         else:
             hinge += np.sum(P / p)
-        lg = evaluate(cfg, mv, MaxVars(gamma, c_star), Minibatch(ds.pos_ids, ds.neg_ids), ds)
-        worst = max(worst, abs(lg.value - (hinge / ds.n - gamma ** 2)))
+        batch = Minibatch(ds.pos_ids, ds.neg_ids)
+        lg = evaluate(cfg, mv.flat()[None], np.array([gamma]), batch, ds,
+                      c_star[hinged_ids(cfg, batch)][None], dims=theta.layer_dims)
+        worst = max(worst, abs(float(lg.value[0]) - (hinge / ds.n - gamma ** 2)))
     return _report("hinge_weight_identity", trials, worst, 0.0)
 
 

@@ -23,7 +23,6 @@ from paucopt.objectives import (
     MaxVars,
     MinVars,
     ObjectiveConfig,
-    evaluate,
     pos_branch_P,
 )
 from paucopt.data import Dataset, Minibatch, stratified_sample
@@ -36,6 +35,8 @@ from paucopt.verify import (
     run_bias_sweep,
     topk_threshold_min,
 )
+
+from points import evaluate_at
 
 
 def report(name, ok):
@@ -127,7 +128,7 @@ def test_4_gradient_fidelity():
                      theta_b=float(rng.uniform(0, 2)))
         xv = MaxVars(float(rng.uniform(-1, 1)), rng.uniform(0, 1, ds.n))
         batch = stratified_sample(ds, 5, 9, rng)
-        lg = evaluate(cfg, mv, xv, batch, ds)
+        lg = evaluate_at(cfg, mv, xv, batch, ds)
         h = 1e-6
         flat = mv.flat()
         frozen = ({len(flat) - 4, len(flat) - 2} if metric == "OPAUC"
@@ -138,22 +139,22 @@ def test_4_gradient_fidelity():
             fp, fm = flat.copy(), flat.copy()
             fp[i] += h
             fm[i] -= h
-            num = (evaluate(cfg, mv.with_flat(fp), xv, batch, ds).value
-                   - evaluate(cfg, mv.with_flat(fm), xv, batch, ds).value
+            num = (evaluate_at(cfg, mv.with_flat(fp), xv, batch, ds).value
+                   - evaluate_at(cfg, mv.with_flat(fm), xv, batch, ds).value
                    ) / (2 * h)
             worst = max(worst, abs(num - lg.grad_min[i])
                         / max(abs(num), abs(lg.grad_min[i]), 1e-3))
-        num = (evaluate(cfg, mv, MaxVars(xv.gamma + h, xv.c), batch, ds).value
-               - evaluate(cfg, mv, MaxVars(xv.gamma - h, xv.c), batch,
-                          ds).value) / (2 * h)
+        num = (evaluate_at(cfg, mv, MaxVars(xv.gamma + h, xv.c), batch, ds).value
+               - evaluate_at(cfg, mv, MaxVars(xv.gamma - h, xv.c), batch,
+                             ds).value) / (2 * h)
         worst = max(worst, abs(num - lg.grad_max_gamma) / max(abs(num), 1e-3))
         for idx, g in zip(lg.c_ids, lg.grad_max_c):
             cp, cm = xv.c.copy(), xv.c.copy()
             cp[idx] += h
             cm[idx] -= h
-            num = (evaluate(cfg, mv, MaxVars(xv.gamma, cp), batch, ds).value
-                   - evaluate(cfg, mv, MaxVars(xv.gamma, cm), batch,
-                              ds).value) / (2 * h)
+            num = (evaluate_at(cfg, mv, MaxVars(xv.gamma, cp), batch, ds).value
+                   - evaluate_at(cfg, mv, MaxVars(xv.gamma, cm), batch,
+                                 ds).value) / (2 * h)
             worst = max(worst, abs(num - g) / max(abs(num), abs(g), 1e-3))
         configs += 1
     elapsed = time.perf_counter() - t0
@@ -167,11 +168,11 @@ def test_5_feasibility_invariant():
                           prior_p=ds.prior_p)
     cfg = SolverConfig(nu=1.5, lam=1.0, T=2000, batch_pos=16, batch_neg=48,
                        seed=13)
-    st = init_state(ds, scorer, cfg)
+    st = init_state(ds, scorer, cfg, obj)
     violations = 0
     for _ in range(2000):
         st = asgda_step(st, cfg, obj, ds)
-        if _box_violation(st.tau, st.gamma_block.gamma, st.gamma_block.c, obj) > 0.0:
+        if _box_violation(st.tau, st.gamma, st.c, obj) > 0.0:
             violations += 1
     report("feasibility_invariant", violations == 0)
 
@@ -259,9 +260,9 @@ def test_9_degenerations():
                   lagrange_cap=1e9, prior_p=ds.prior_p)
         tp = ObjectiveConfig("TPAUC", "unbiased", **kw)
         op = ObjectiveConfig("OPAUC", "unbiased", **kw)
-        v_tp = evaluate(tp, MinVars(theta, a=a, b=b, s=s, s_prime=sp),
-                        MaxVars(gamma, c), batch, ds).value
-        v_op = evaluate(op, MinVars(theta, a=a, b=b, s_prime=sp),
-                        MaxVars(gamma, c), batch, ds).value
+        v_tp = evaluate_at(tp, MinVars(theta, a=a, b=b, s=s, s_prime=sp),
+                           MaxVars(gamma, c), batch, ds).value
+        v_op = evaluate_at(op, MinVars(theta, a=a, b=b, s_prime=sp),
+                           MaxVars(gamma, c), batch, ds).value
         ok &= abs(v_tp - v_op) <= 1e-12
     report("degenerations", ok)

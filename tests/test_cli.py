@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paucopt.cli
 from paucopt.cli import _load_run_config, main
 from paucopt.data import SplitSpec, generate_synthetic, load_csv, split
 from paucopt.objectives import ObjectiveConfig
@@ -141,6 +142,35 @@ class TestTrain:
         assert f"config {name} must be" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("dataset,name", [
+        ({"label_col": "y"}, "dataset.label_col"),
+        ({"label_col": "y", "synthetic": {"n": 400}}, "dataset.label_col"),
+        ({"csv": "data.csv", "synthetic": {"n": 400}}, "dataset.synthetic"),
+    ])
+    def test_key_without_effect_usage_error(self, tmp_path, capsys, dataset, name):
+        # label_col is read only from a CSV, synthetic only without one
+        cfg = self.write_config(tmp_path, dataset=dataset)
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert f"config {name} has no effect" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_objective_stops_the_run(self, tmp_path, capsys):
+        # steps of 1e308 overflow the scorer weights to inf at the second
+        # step, and the iterate is nan from the third on
+        big = {"nu": 1e308, "lambda": 1e308, "T": 50, "batch_pos": 8,
+               "batch_neg": 32, "eval_every": 25}
+        cfg = self.write_config(
+            tmp_path, solver=big,
+            objective={"metric": "TPAUC", "alpha": 0.5, "beta": 0.3,
+                       "formulation": "unbiased", "lagrange_cap": 1e308})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = run_cli("train", "--config", str(cfg), "--out", str(out))
+        assert rc == 2
+        assert "non-finite objective at t=25" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_invalid_formulation_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path,
                                 objective={"formulation": "bogus"})
@@ -198,7 +228,7 @@ class TestRunConfigSchema:
 
     def test_every_key_non_default(self, tmp_path):
         doc = {
-            "dataset": {"label_col": "y", "synthetic": {
+            "dataset": {"synthetic": {
                 "n": 600, "imbalance": 0.25, "dim": 3, "separation": 3, "seed": 4}},
             "split": {"train_frac": 0.5, "val_frac": 0.3, "test_frac": 0.2, "seed": 9},
             "scorer": {"kind": "mlp", "hidden": [4, 3]},
@@ -325,3 +355,22 @@ class TestBench:
         med = {(r[4], int(r[0])): float(r[2]) for r in rows[1:]}
         assert med[("instance_wise", 64)] / med[("instance_wise", 32)] <= 2.6
         assert med[("pairwise", 64)] / med[("pairwise", 32)] >= 3.0
+
+    def test_label_writes_bench_json(self, tmp_path):
+        out = tmp_path / "b"
+        rc = run_cli("bench", "--batch-sizes", "64", "128", "--reps", "3",
+                     "--steps", "5", "--label", "t1", "--out", str(out))
+        assert rc == 0
+        doc = json.loads((out / "BENCH_t1.json").read_text())
+        assert (doc["label"], doc["seed"], doc["reps"], doc["steps"]) == ("t1", 0, 3, 5)
+        assert doc["versions"]["numpy"] == np.__version__
+        src = Path(paucopt.cli.__file__).parent
+        assert doc["src_paucopt_lines"] == sum(
+            p.read_text().count("\n") for p in src.glob("*.py"))
+        with open(out / "timings.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [{k: str(v) for k, v in r.items()} for r in doc["instance_vs_pairwise"]] == rows
+        assert [(r["formulation"], r["n"]) for r in doc["step_sweep"]] == [
+            (form, n) for n in (2_000, 200_000, 2_000_000)
+            for form in ("surrogate", "unbiased")]
+        assert all(0 < r["median_ms"] <= r["p90_ms"] for r in doc["step_sweep"])

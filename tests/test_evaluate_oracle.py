@@ -1,5 +1,7 @@
-"""The one evaluator and the array c-momentum against the two-evaluator,
-per-id-loop forms they replaced, kept here unchanged as oracles.
+"""The stacked one-pass evaluator and the two-point solver step against the
+forms they replaced, kept here unchanged as oracles: two evaluators over a
+one-point, one-row-per-class scorer, and a step that evaluates the old and
+the new point in two calls and keeps the c-momentum in a per-id dict.
 
 Both sides do the same float operations in the same order, so every value,
 gradient and solver variable must match exactly (==), not to a tolerance;
@@ -9,11 +11,13 @@ oracle's one-row forward passes may round differently from the stacked one
 """
 
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import paucopt.solver
 from paucopt.data import Dataset, Minibatch, generate_synthetic, stratified_sample
 from paucopt.objectives import (
     MaxVars,
@@ -25,21 +29,69 @@ from paucopt.objectives import (
     pos_branch_P,
     softplus,
 )
-from paucopt.scorer import _forward, backprop_logit, init_scorer, score_batch
+from paucopt.scorer import init_scorer
 from paucopt.solver import (
     SolverConfig,
-    SolverState,
     _zero_theta,
     asgda_step,
     eta_schedule,
     init_state,
+    train,
 )
+
+from points import evaluate_at
 
 S_BOX = (-4.0, 1.0)
 S_PRIME_BOX = (0.0, 5.0)
 
 # grad_max_c is a dict id -> partial, batch members only
 LossGrad = namedtuple("LossGrad", "value grad_min grad_max_gamma grad_max_c")
+
+
+def _layers(params):
+    """Yield (W: dout x din, b: dout) views into the flat weight vector."""
+    dims = params.layer_dims
+    off = 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        w = params.weights[off:off + din * dout].reshape(dout, din)
+        off += din * dout
+        b = params.weights[off:off + dout]
+        off += dout
+        yield w, b
+
+
+def _forward(params, x: np.ndarray):
+    """One-point batch forward pass. Returns (scores, activations, pre_logits)."""
+    acts = [x]
+    layers = list(_layers(params))
+    h = x
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w.T + b)
+        acts.append(h)
+    w, b = layers[-1]
+    z = (h @ w.T + b)[:, 0]
+    f = np.clip(expit(z), 1e-300, np.nextafter(1.0, 0.0))
+    return f, acts, z
+
+
+def score_batch(params, x: np.ndarray) -> np.ndarray:
+    return _forward(params, x)[0]
+
+
+def backprop_logit(params, acts: list, dz: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i dz_i * z_i w.r.t. the flat weights."""
+    layers = list(_layers(params))
+    grads = [None] * len(layers)
+    delta = dz[:, None]
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        a_in = acts[li]
+        gw = delta.T @ a_in
+        gb = delta.sum(axis=0)
+        grads[li] = np.concatenate([gw.ravel(), gb])
+        if li > 0:
+            delta = (delta @ w) * (1.0 - acts[li] ** 2)
+    return np.concatenate(grads)
 
 
 def weighted_score_grad(params, x: np.ndarray, weights: np.ndarray):
@@ -214,9 +266,22 @@ def evaluate_oracle(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
     return eval_unbiased(cfg, mv, xv, batch, ds)
 
 
-def asgda_step_oracle(state: SolverState, cfg: SolverConfig,
-                      obj_cfg: ObjectiveConfig, ds: Dataset) -> SolverState:
-    """asgda_step with w_c an id -> momentum dict and active_c a tuple."""
+@dataclass
+class OracleState:
+    tau: MinVars
+    gamma_block: MaxVars
+    v: np.ndarray
+    w_gamma: float
+    w_c: dict                  # id -> momentum
+    active_c: tuple
+    t: int
+    rng: np.random.Generator
+
+
+def asgda_step_oracle(state: OracleState, cfg: SolverConfig,
+                      obj_cfg: ObjectiveConfig, ds: Dataset) -> OracleState:
+    """asgda_step with two evaluations, w_c an id -> momentum dict and
+    active_c a tuple."""
     eta = eta_schedule(cfg, state.t)
     n_theta = state.tau.theta.n_params
     tau_old = state.tau
@@ -255,7 +320,7 @@ def asgda_step_oracle(state: SolverState, cfg: SolverConfig,
         g_old = lg_old.grad_max_c[idx]
         w_c_next[idx] = g_new + (1.0 - xi) * (w_c_next.get(idx, 0.0) - g_old)
 
-    return SolverState(tau=tau_new, gamma_block=max_new, v=v_next,
+    return OracleState(tau=tau_new, gamma_block=max_new, v=v_next,
                        w_gamma=w_gamma_next, w_c=w_c_next,
                        active_c=tuple(lg_new.grad_max_c),
                        t=state.t + 1, rng=state.rng)
@@ -286,7 +351,7 @@ def test_evaluate_matches_two_evaluator_oracle(metric, formulation, kind):
         n_pos, n_neg = ((6, 12), (1, 1), (6, 0), (0, 12))[seed % 4]
         batch = stratified_sample(ds, max(n_pos, 1), max(n_neg, 1), rng)
         batch = Minibatch(batch.pos_ids[:n_pos], batch.neg_ids[:n_neg])
-        got = evaluate(cfg, mv, xv, batch, ds)
+        got = evaluate_at(cfg, mv, xv, batch, ds)
         want = evaluate_oracle(cfg, mv, xv, batch, ds)
         assert list(got.c_ids) == list(want.grad_max_c)
         got_all = [got.value, *got.grad_min, got.grad_max_gamma, *got.grad_max_c]
@@ -301,6 +366,23 @@ def test_evaluate_matches_two_evaluator_oracle(metric, formulation, kind):
             assert got_all == want_all
 
 
+@pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+def test_gamma_square_rounds_as_python_float_pow(formulation):
+    # Python's float ** 2 is libm pow, which differs in the last bit from
+    # numpy's square for some gammas; the value must follow the former
+    rng = np.random.default_rng(3)
+    gammas = [g for g in rng.uniform(-1, 1, 20_000).tolist() if g ** 2 != np.square(g)]
+    assert len(gammas) >= 5
+    ds = generate_synthetic(60, 0.3, 2, 1.0, seed=3)
+    cfg = ObjectiveConfig("TPAUC", formulation, 0.5, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    mv = MinVars(init_scorer("linear", 2, seed=3), 0.6, 0.3, -0.5, 0.8, 0.4, 0.7)
+    batch = Minibatch(ds.pos_ids, ds.neg_ids)
+    for gamma in gammas[:5]:
+        xv = MaxVars(gamma, rng.uniform(0, 1, ds.n))
+        assert evaluate_at(cfg, mv, xv, batch, ds).value == evaluate_oracle(
+            cfg, mv, xv, batch, ds).value
+
+
 @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
 @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
 def test_asgda_step_matches_per_id_loop_oracle(metric, formulation):
@@ -310,21 +392,51 @@ def test_asgda_step_matches_per_id_loop_oracle(metric, formulation):
                           prior_p=ds.prior_p)
     cfg = SolverConfig(nu=1.0, lam=20.0, T=60, batch_pos=8, batch_neg=24, seed=4)
     scorer = init_scorer("mlp", 3, (4,), seed=4)
-    st = init_state(ds, scorer, cfg)
-    ref = init_state(ds, scorer, cfg)
-    ref.w_c, ref.active_c = {}, ()
+    st = init_state(ds, scorer, cfg, obj)
+    ref = OracleState(MinVars(scorer), MaxVars(0.0, np.ones(ds.n)), np.zeros_like(st.v),
+                      0.0, {}, (), 0, np.random.default_rng(cfg.seed))
+    # the surrogate keeps no c at all; the oracle's c stays at 1, unread
+    n_c = ds.n if formulation == "unbiased" else 0
     for _ in range(cfg.T):
         st = asgda_step(st, cfg, obj, ds)
         ref = asgda_step_oracle(ref, cfg, obj, ds)
-        assert np.array_equal(st.tau.flat(), ref.tau.flat())
-        assert st.gamma_block.gamma == ref.gamma_block.gamma
-        assert np.array_equal(st.gamma_block.c, ref.gamma_block.c)
+        assert np.array_equal(st.tau, ref.tau.flat())
+        assert st.gamma == ref.gamma_block.gamma
+        assert np.array_equal(st.c, ref.gamma_block.c[:n_c])
         assert np.array_equal(st.v, ref.v)
         assert st.w_gamma == ref.w_gamma
-        w_c = np.zeros(ds.n)
+        w_c = np.zeros(n_c)
         w_c[list(ref.w_c)] = list(ref.w_c.values())
         assert np.array_equal(st.w_c, w_c)
         assert list(st.active_c) == list(ref.active_c)
     # the c block moved off its start at 1, down near the end of its box
     if formulation == "unbiased":
-        assert (st.gamma_block.c < 1e-3).any() and (st.gamma_block.c < 1.0).mean() > 0.1
+        assert (st.c < 1e-3).any() and (st.c < 1.0).mean() > 0.1
+
+
+@pytest.mark.parametrize("metric,formulation,kind", CASES)
+def test_stacked_points_equal_one_point_calls(metric, formulation, kind, monkeypatch):
+    # every evaluate train makes, K = 2 in a step and K = 1 in a record, must
+    # give row k equal to a K = 1 call at point k alone; the step's two c
+    # rows differ where the ids it wrote (the last batch's) meet this batch
+    c_moved = []
+
+    def checked(cfg, tau, gamma, batch, ds, c=None, *, dims):
+        both = evaluate(cfg, tau, gamma, batch, ds, c, dims=dims)
+        for k in range(len(tau)):
+            one = evaluate(cfg, tau[k:k + 1], gamma[k:k + 1], batch, ds,
+                           None if c is None else c[k:k + 1], dims=dims)
+            for name in ("value", "grad_min", "grad_max_gamma", "grad_max_c"):
+                assert np.array_equal(getattr(one, name)[0], getattr(both, name)[k])
+        c_moved.append(len(tau) == 2 and bool((c[0] != c[1]).any()))
+        return both
+
+    monkeypatch.setattr(paucopt.solver, "evaluate", checked)
+    ds = generate_synthetic(300, 0.3, 3, 1.0, seed=4)
+    obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2, prior_p=ds.prior_p)
+    cfg = SolverConfig(nu=1.0, lam=20.0, T=40, batch_pos=8, batch_neg=24, seed=4,
+                       eval_every=20)
+    train(ds, None, init_scorer(kind, 3, (8,), seed=4), cfg, obj)
+    assert len(c_moved) == cfg.T + 2
+    if formulation == "unbiased":
+        assert sum(c_moved) >= cfg.T // 2

@@ -18,6 +18,8 @@ from paucopt.objectives import (
 from paucopt.scorer import ScorerParams, init_scorer
 from paucopt.solver import SolverConfig, asgda_step, init_state
 
+from points import evaluate_at
+
 
 def project_min(mv, cfg):
     """project_min_flat on a MinVars."""
@@ -110,12 +112,12 @@ class TestProjection:
         ds = generate_synthetic(40, 0.3, 2, 1.0, seed=0)
         cfg = ObjectiveConfig("OPAUC", "unbiased", prior_p=ds.prior_p)
         scfg = SolverConfig(k_coef=2.0, m_coef=8.0, batch_pos=2, batch_neg=4)
-        st = init_state(ds, init_scorer("linear", 2, seed=0), scfg)
-        st.gamma_block = MaxVars(0.5, np.full(ds.n, 0.3))
+        st = init_state(ds, init_scorer("linear", 2, seed=0), scfg, cfg)
+        st.gamma, st.c = 0.5, np.full(ds.n, 0.3)
         st.w_gamma = -100.0
         st.active_c = np.array([0, 1, 2])
         st.w_c[:2] = [100.0, -100.0]
-        out = asgda_step(st, scfg, cfg, ds).gamma_block
+        out = asgda_step(st, scfg, cfg, ds)
         assert out.gamma == -1.0
         np.testing.assert_array_equal(out.c[:4], [1.0, 0.0, 0.3, 0.3])
 
@@ -130,16 +132,16 @@ class TestSurrogateValues:
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         mv = MinVars(theta, a=1.0, b=0.5, s_prime=1.0)
-        lg = evaluate(cfg, mv, MaxVars(0.0, np.ones(2)),
-                      Minibatch(np.array([], int), np.array([1])), ds)
+        lg = evaluate_at(cfg, mv, MaxVars(0.0, np.ones(2)),
+                         Minibatch(np.array([], int), np.array([1])), ds)
         assert lg.value == pytest.approx((0.5 + math.log(2) / 2) / 0.25)
 
     def test_positive_a_gradient(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         mv = MinVars(theta, a=0.65)
-        lg = evaluate(cfg, mv, MaxVars(0.0, np.ones(2)),
-                      Minibatch(np.array([0]), np.array([], int)), ds)
+        lg = evaluate_at(cfg, mv, MaxVars(0.0, np.ones(2)),
+                         Minibatch(np.array([0]), np.array([], int)), ds)
         assert lg.grad_min[theta.n_params] == pytest.approx(0.6)
 
     def test_omega_adds_gamma_penalty(self):
@@ -149,15 +151,15 @@ class TestSurrogateValues:
         mv = MinVars(theta)
         base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         reg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 1.5, 1e9, 0.5)
-        g0 = evaluate(base, mv, xv, batch, ds).grad_max_gamma
-        g1 = evaluate(reg, mv, xv, batch, ds).grad_max_gamma
+        g0 = evaluate_at(base, mv, xv, batch, ds).grad_max_gamma
+        g1 = evaluate_at(reg, mv, xv, batch, ds).grad_max_gamma
         assert g1 - g0 == pytest.approx(-2 * 1.5 * 0.3)
 
     def test_grad_max_c_empty(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "surrogate", prior_p=0.5)
-        lg = evaluate(cfg, MinVars(theta), MaxVars(0.0, np.ones(2)),
-                      Minibatch(np.array([0]), np.array([1])), ds)
+        lg = evaluate_at(cfg, MinVars(theta), MaxVars(0.0, np.ones(2)),
+                         Minibatch(np.array([0]), np.array([1])), ds)
         assert dict(zip(lg.c_ids, lg.grad_max_c)) == {}
 
     def test_batch_mean_linearity(self):
@@ -169,7 +171,7 @@ class TestSurrogateValues:
                      theta_b=0.7)
         xv = MaxVars(0.2, np.ones(ds.n))
         full = Minibatch(ds.pos_ids, ds.neg_ids)
-        whole = evaluate(cfg, mv, xv, full, ds)
+        whole = evaluate_at(cfg, mv, xv, full, ds)
         # strip constants shared by every evaluation (Lagrangian + gamma term)
         const = (-(1 + cfg.omega) * xv.gamma ** 2
                  - mv.theta_b * (mv.b - 1 - xv.gamma)
@@ -177,10 +179,10 @@ class TestSurrogateValues:
         per_instance = []
         for i in ds.pos_ids:
             b1 = Minibatch(np.array([i]), np.array([], int))
-            per_instance.append(evaluate(cfg, mv, xv, b1, ds).value - const)
+            per_instance.append(evaluate_at(cfg, mv, xv, b1, ds).value - const)
         for j in ds.neg_ids:
             b1 = Minibatch(np.array([], int), np.array([j]))
-            per_instance.append(evaluate(cfg, mv, xv, b1, ds).value - const)
+            per_instance.append(evaluate_at(cfg, mv, xv, b1, ds).value - const)
         assert whole.value == pytest.approx(np.mean(per_instance) + const,
                                             abs=1e-12)
 
@@ -190,8 +192,8 @@ class TestUnbiasedValues:
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
         mv = MinVars(theta, b=0.5, s_prime=0.5)
-        lg = evaluate(cfg, mv, MaxVars(0.0, np.ones(2)),
-                      Minibatch(np.array([], int), np.array([1])), ds)
+        lg = evaluate_at(cfg, mv, MaxVars(0.0, np.ones(2)),
+                         Minibatch(np.array([], int), np.array([1])), ds)
         assert lg.value == pytest.approx(3.0)
 
     def test_c_grad_at_zero_multiplicand(self):
@@ -200,8 +202,8 @@ class TestUnbiasedValues:
         cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.8, 1e9, 0.5)
         mv = MinVars(theta, b=0.5, s_prime=1.0)  # N = 1.0 exactly
         c = np.full(2, 0.6)
-        lg = evaluate(cfg, mv, MaxVars(0.0, c),
-                      Minibatch(np.array([], int), np.array([1])), ds)
+        lg = evaluate_at(cfg, mv, MaxVars(0.0, c),
+                         Minibatch(np.array([], int), np.array([1])), ds)
         assert dict(zip(lg.c_ids, lg.grad_max_c))[1] == pytest.approx(-2 * 0.8 * 0.6 / 1)
 
     def test_c_maximization_recovers_hinge(self):
@@ -222,8 +224,8 @@ class TestUnbiasedValues:
             N = neg_branch_N(f_neg, mv.b, gamma)
             c = np.zeros(n)
             c[ds.neg_ids] = (N - mv.s_prime > 0).astype(float)
-            lg = evaluate(cfg, mv, MaxVars(gamma, c),
-                          Minibatch(ds.pos_ids, ds.neg_ids), ds)
+            lg = evaluate_at(cfg, mv, MaxVars(gamma, c),
+                             Minibatch(ds.pos_ids, ds.neg_ids), ds)
             # hinge counterpart computed directly
             from paucopt.objectives import pos_branch_P
             f_pos = score_batch(theta, ds.features[ds.pos_ids])
@@ -238,9 +240,12 @@ class TestUnbiasedValues:
     def test_missing_c_rejected(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
         cfg = ObjectiveConfig("OPAUC", "unbiased", prior_p=0.5)
-        with pytest.raises(ObjectiveError, match="c must"):
-            evaluate(cfg, MinVars(theta), MaxVars(0.0, np.ones(1)),
-                     Minibatch(np.array([0]), np.array([1])), ds)
+        batch = Minibatch(np.array([0]), np.array([1]))
+        tau, gamma = MinVars(theta).flat()[None], np.zeros(1)
+        # OPAUC hinges the one negative: c needs shape (1, 1)
+        for c in (None, np.ones((1, 2)), np.ones(1)):
+            with pytest.raises(ObjectiveError, match="c must"):
+                evaluate(cfg, tau, gamma, batch, ds, c, dims=theta.layer_dims)
 
 
 class TestDegeneration:
@@ -267,8 +272,8 @@ class TestDegeneration:
             op = ObjectiveConfig("OPAUC", "unbiased", **kw)
             mv_tp = MinVars(theta, a=a, b=b, s=s, s_prime=sp)
             mv_op = MinVars(theta, a=a, b=b, s_prime=sp)
-            v_tp = evaluate(tp, mv_tp, MaxVars(gamma, c), batch, ds).value
-            v_op = evaluate(op, mv_op, MaxVars(gamma, c), batch, ds).value
+            v_tp = evaluate_at(tp, mv_tp, MaxVars(gamma, c), batch, ds).value
+            v_op = evaluate_at(op, mv_op, MaxVars(gamma, c), batch, ds).value
             assert v_tp == pytest.approx(v_op, abs=1e-12)
 
 
@@ -297,7 +302,7 @@ class TestGradientFidelity:
                          theta_b=float(rng.uniform(0, 2)))
             xv = MaxVars(float(rng.uniform(-1, 1)), rng.uniform(0, 1, ds.n))
             batch = stratified_sample(ds, 6, 10, rng)
-            lg = evaluate(cfg, mv, xv, batch, ds)
+            lg = evaluate_at(cfg, mv, xv, batch, ds)
             h = 1e-6
             flat = mv.flat()
             frozen = ({len(flat) - 4, len(flat) - 2} if metric == "OPAUC"
@@ -308,21 +313,21 @@ class TestGradientFidelity:
                 fp, fm = flat.copy(), flat.copy()
                 fp[i] += h
                 fm[i] -= h
-                num = (evaluate(cfg, mv.with_flat(fp), xv, batch, ds).value
-                       - evaluate(cfg, mv.with_flat(fm), xv, batch, ds).value
+                num = (evaluate_at(cfg, mv.with_flat(fp), xv, batch, ds).value
+                       - evaluate_at(cfg, mv.with_flat(fm), xv, batch, ds).value
                        ) / (2 * h)
                 worst = max(worst, abs(num - lg.grad_min[i])
                             / max(abs(num), abs(lg.grad_min[i]), 1e-3))
-            num = (evaluate(cfg, mv, MaxVars(xv.gamma + h, xv.c), batch, ds).value
-                   - evaluate(cfg, mv, MaxVars(xv.gamma - h, xv.c), batch,
-                              ds).value) / (2 * h)
+            num = (evaluate_at(cfg, mv, MaxVars(xv.gamma + h, xv.c), batch, ds).value
+                   - evaluate_at(cfg, mv, MaxVars(xv.gamma - h, xv.c), batch,
+                                 ds).value) / (2 * h)
             worst = max(worst, abs(num - lg.grad_max_gamma) / max(abs(num), 1e-3))
             for idx, g in zip(lg.c_ids, lg.grad_max_c):
                 cp, cm = xv.c.copy(), xv.c.copy()
                 cp[idx] += h
                 cm[idx] -= h
-                num = (evaluate(cfg, mv, MaxVars(xv.gamma, cp), batch, ds).value
-                       - evaluate(cfg, mv, MaxVars(xv.gamma, cm), batch,
-                                  ds).value) / (2 * h)
+                num = (evaluate_at(cfg, mv, MaxVars(xv.gamma, cp), batch, ds).value
+                       - evaluate_at(cfg, mv, MaxVars(xv.gamma, cm), batch,
+                                     ds).value) / (2 * h)
                 worst = max(worst, abs(num - g) / max(abs(num), abs(g), 1e-3))
         assert worst <= 1e-5

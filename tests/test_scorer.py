@@ -7,6 +7,7 @@ from paucopt.data import Dataset
 from paucopt.scorer import (
     ScorerParams,
     _forward,
+    _layers,
     backprop_logit,
     init_scorer,
     param_count,
@@ -24,9 +25,9 @@ def score(params: ScorerParams, x: np.ndarray) -> float:
 def score_grad(params: ScorerParams, x: np.ndarray):
     """Score and the flat gradient d f / d weights for a single row."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    f, pullback = score_with_pullback(params, x)
+    f, pullback = score_with_pullback(params.layer_dims, params.weights[None], x)
     dz = f * (1.0 - f)  # sigmoid'
-    return float(f[0]), pullback(dz)
+    return float(f[0, 0]), pullback(dz)[0]
 
 
 def weighted_score_grad(params: ScorerParams, x: np.ndarray,
@@ -35,7 +36,8 @@ def weighted_score_grad(params: ScorerParams, x: np.ndarray,
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     f = score_batch(params, x)
     dz = weights * f * (1.0 - f)
-    return f, backprop_logit(params, _forward(params, x)[1], dz)
+    layers = _layers(params.layer_dims, params.weights[None])
+    return f, backprop_logit(layers, _forward(layers, x)[1], dz[None])[0]
 
 
 def cross_entropy(params: ScorerParams, ds) -> float:

@@ -6,7 +6,7 @@ import pytest
 import paucopt.scorer
 import paucopt.solver
 from paucopt.data import generate_synthetic, split, SplitSpec
-from paucopt.objectives import MaxVars, MinVars, ObjectiveConfig, evaluate
+from paucopt.objectives import ObjectiveConfig
 from paucopt.scorer import init_scorer, score_batch, warmup_logistic
 from paucopt.solver import (
     SolverConfig,
@@ -19,6 +19,8 @@ from paucopt.solver import (
     init_state,
     train,
 )
+
+from points import evaluate_at
 
 
 @pytest.fixture(scope="module")
@@ -54,22 +56,22 @@ class TestAsgdaStep:
         ds, scorer, obj = small_setup
         cfg = SolverConfig(k_coef=2.0, m_coef=8.0, T=1, batch_pos=4,
                            batch_neg=8, seed=0)
-        st = init_state(ds, scorer, cfg)
+        st = init_state(ds, scorer, cfg, obj)
         st.v = np.full_like(st.v, 0.7)  # nonzero so the step actually moves
         from paucopt.objectives import project_min_flat
-        expected = project_min_flat(st.tau.flat() - cfg.nu * st.v,
+        expected = project_min_flat(st.tau - cfg.nu * st.v,
                                     scorer.n_params, obj)
         new = asgda_step(st, cfg, obj, ds)
-        np.testing.assert_allclose(new.tau.flat(), expected, atol=1e-12)
+        np.testing.assert_allclose(new.tau, expected, atol=1e-12)
 
     def test_zero_steps_keep_variables(self, small_setup):
         ds, scorer, obj = small_setup
         cfg = SolverConfig(nu=0.0, lam=0.0, T=1, batch_pos=4, batch_neg=8,
                            seed=0)
-        st = init_state(ds, scorer, cfg)
+        st = init_state(ds, scorer, cfg, obj)
         new = asgda_step(st, cfg, obj, ds)
-        np.testing.assert_array_equal(new.tau.flat(), st.tau.flat())
-        assert new.gamma_block.gamma == st.gamma_block.gamma
+        np.testing.assert_array_equal(new.tau, st.tau)
+        assert new.gamma == st.gamma
         assert np.linalg.norm(new.v) > 0  # momenta still refresh
 
     def test_deterministic_traces(self, small_setup):
@@ -86,10 +88,10 @@ class TestAsgdaStep:
         ds, scorer, obj = small_setup
         cfg = SolverConfig(nu=2.0, lam=2.0, T=100, batch_pos=4, batch_neg=8,
                            seed=1)
-        st = init_state(ds, scorer, cfg)
+        st = init_state(ds, scorer, cfg, obj)
         for _ in range(100):
             st = asgda_step(st, cfg, obj, ds)
-            assert _box_violation(st.tau, st.gamma_block.gamma, st.gamma_block.c, obj) == 0.0
+            assert _box_violation(st.tau, st.gamma, st.c, obj) == 0.0
 
 
     def test_no_box_violation_at_the_bound(self):
@@ -157,21 +159,20 @@ class TestGradMappingProxy:
     def test_nonnegative_finite(self, small_setup):
         ds, scorer, obj = small_setup
         cfg = SolverConfig(T=1, batch_pos=4, batch_neg=8, seed=0)
-        st = init_state(ds, scorer, cfg)
-        lg = evaluate(obj, st.tau, st.gamma_block, full_batch(ds), ds)
-        p = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj)
+        st = init_state(ds, scorer, cfg, obj)
+        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
+        p = grad_mapping_proxy(st.min_vars(), lg.grad_min, cfg, obj)
         assert p >= 0.0 and np.isfinite(p)
 
     def test_small_nu_approximates_grad_norm(self, small_setup):
         ds, scorer, obj = small_setup
         cfg = SolverConfig(nu=1e-7, T=1, batch_pos=4, batch_neg=8, seed=0)
-        st = init_state(ds, scorer, cfg)
+        st = init_state(ds, scorer, cfg, obj)
         # move interior so no box face is active (theta_a stays pinned at 0)
-        flat = st.tau.flat() * 0 + 0.5
-        flat[-2] = 0.0
-        st.tau = st.tau.with_flat(flat)
-        lg = evaluate(obj, st.tau, st.gamma_block, full_batch(ds), ds)
-        proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj)
+        st.tau = st.tau * 0 + 0.5
+        st.tau[-2] = 0.0
+        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
+        proxy = grad_mapping_proxy(st.min_vars(), lg.grad_min, cfg, obj)
         assert proxy == pytest.approx(np.linalg.norm(lg.grad_min), rel=1e-6)
 
     def test_convex_toy_proxy_decreases(self):
@@ -183,9 +184,9 @@ class TestGradMappingProxy:
         cfg = SolverConfig(nu=0.1, lam=0.3, T=2000, batch_pos=16,
                            batch_neg=48, seed=11, freeze_theta=True,
                            eval_every=100)
-        st = init_state(ds, scorer, cfg)
-        lg = evaluate(obj, st.tau, st.gamma_block, full_batch(ds), ds)
-        first = grad_mapping_proxy(st.tau, lg.grad_min, cfg, obj)
+        st = init_state(ds, scorer, cfg, obj)
+        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
+        first = grad_mapping_proxy(st.min_vars(), lg.grad_min, cfg, obj)
         _, _, trace = train(ds, None, scorer, cfg, obj)
         tail = [r.grad_map_proxy for r in trace.records
                 if r.t > 0.9 * 2000]
@@ -202,7 +203,7 @@ class TestStepIsBatchSized:
                               prior_p=ds.prior_p)
         cfg = SolverConfig(nu=0.5, lam=0.5, T=10, batch_pos=32,
                            batch_neg=224, seed=7)
-        return ds, obj, cfg, init_state(ds, init_scorer("linear", 5, seed=7), cfg)
+        return ds, obj, cfg, init_state(ds, init_scorer("linear", 5, seed=7), cfg, obj)
 
     def test_step_peak_allocation_does_not_grow_with_n(self):
         peaks = []
@@ -220,22 +221,22 @@ class TestStepIsBatchSized:
         assert abs(peaks[1] - peaks[0]) <= 4096, peaks
 
     def test_forward_passes_per_step_and_warmup_batch(self, monkeypatch):
-        calls = []
+        calls = []   # (points, rows) of each forward pass
         forward = paucopt.scorer._forward
 
-        def counting(params, x):
-            calls.append(len(x))
-            return forward(params, x)
+        def counting(layers, x):
+            calls.append((len(layers[0][0]), len(x)))
+            return forward(layers, x)
 
         monkeypatch.setattr(paucopt.scorer, "_forward", counting)
         ds, obj, cfg, st = self.unbiased_setup(2_000)
         for _ in range(5):
             calls.clear()
             st = asgda_step(st, cfg, obj, ds)
-            assert calls == [256, 256]
+            assert calls == [(2, 256)]   # the old and new point, stacked
         calls.clear()
-        warmup_logistic(st.tau.theta, ds, 1, 0.1, batch_size=256)
-        assert calls == [256] * (ds.n // 256) + [ds.n % 256]
+        warmup_logistic(st.min_vars().theta, ds, 1, 0.1, batch_size=256)
+        assert calls == [(1, 256)] * (ds.n // 256) + [(1, ds.n % 256)]
 
     def test_touched_box_count_equals_full_count(self):
         # acceptance test 5's problem, through train, against a replay of
@@ -247,11 +248,10 @@ class TestStepIsBatchSized:
         cfg = SolverConfig(nu=1.5, lam=1.0, T=2000, batch_pos=16,
                            batch_neg=48, seed=13, eval_every=2000)
         full = 0
-        st = init_state(ds, scorer, cfg)
+        st = init_state(ds, scorer, cfg, obj)
         for _ in range(cfg.T):
             st = asgda_step(st, cfg, obj, ds)
-            xv = st.gamma_block
-            full += _box_violation(st.tau, xv.gamma, xv.c, obj) > 0.0
+            full += _box_violation(st.tau, st.gamma, st.c, obj) > 0.0
         assert train(ds, None, scorer, cfg, obj)[2].box_violations == full
 
     def test_touched_box_check_sees_a_written_c_past_its_box(self, monkeypatch):
@@ -261,7 +261,7 @@ class TestStepIsBatchSized:
         def leaky(state, *args):
             ids = state.active_c
             out = step(state, *args)
-            out.gamma_block.c[ids[:1]] = 1.5
+            out.c[ids[:1]] = 1.5
             return out
 
         monkeypatch.setattr(paucopt.solver, "asgda_step", leaky)
