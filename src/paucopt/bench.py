@@ -2,12 +2,17 @@
 
 bench_rows times the instance-wise objective against a pair-enumerating
 loop across batch sizes (acceptance test 8 reads its ratios); step_sweep
-times one solver step at growing dataset sizes for both formulations.
+times one solver step at growing dataset sizes for both formulations;
+end_to_end times whole commands.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import platform
+import tempfile
 import time
 from pathlib import Path
 
@@ -91,16 +96,62 @@ def step_sweep(sizes=(2_000, 200_000, 2_000_000), steps: int = 200, seed: int = 
             for (form, n), (median, p90) in zip(runs, _round_robin_ms(calls, steps))]
 
 
+# The README's minimal train config.
+README_CONFIG = {
+    "dataset": {"synthetic": {"n": 2000, "imbalance": 0.1, "dim": 5,
+                              "separation": 4.0, "seed": 7}},
+    "scorer": {"kind": "linear"},
+    "objective": {"metric": "OPAUC", "formulation": "unbiased", "beta": 0.3, "omega": 0.1},
+    "solver": {"nu": 0.5, "lambda": 0.5, "T": 300, "warmup_epochs": 2},
+    "seed": 7,
+}
+# CSV sizes that `paucopt evaluate` is timed on.
+EVALUATE_ROWS = (10_000, 1_000_000)
+
+
+def end_to_end(seed: int) -> list:
+    """Wall seconds of whole commands, each run once in this process with its
+    printed lines discarded: ``train`` on README_CONFIG, then for each n in
+    EVALUATE_ROWS ``generate`` of an n-row CSV and ``evaluate --out`` of the
+    trained checkpoint on it."""
+    from .cli import main       # cli imports this module
+
+    def seconds(*argv) -> float:
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(a) for a in argv])
+        if code != 0:
+            raise RuntimeError(f"paucopt {argv[0]} exited {code}")
+        return time.perf_counter() - t0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.json").write_text(json.dumps(README_CONFIG), encoding="utf-8")
+        rows = [{"command": "train", "rows": README_CONFIG["dataset"]["synthetic"]["n"],
+                 "seconds": seconds("train", "--config", tmp / "run.json", "--out", tmp / "train")}]
+        for n in EVALUATE_ROWS:
+            data = tmp / f"data{n}.csv"
+            rows.append({"command": "generate", "rows": n, "seconds": seconds(
+                "generate", "--n", n, "--imbalance", 0.1, "--separation", 4.0,
+                "--seed", seed, "--output", data)})
+            rows.append({"command": "evaluate", "rows": n, "seconds": seconds(
+                "evaluate", "--data", data, "--checkpoint", tmp / "train" / "checkpoint.json",
+                "--at", "1,1", "1,0.3", "0.5,0.3", "--out", tmp / "evaluate")})
+    return rows
+
+
 BENCH_COLUMNS = ["batch_pos", "batch_neg", "median_ms", "p90_ms", "kind"]
 
 
 def bench_document(label: str, rows: list, seed: int, reps: int, steps: int) -> dict:
-    """The BENCH_<label>.json record: bench_rows' rows, the step n-sweep,
-    the seed, the library versions and the src/paucopt line count."""
+    """The BENCH_<label>.json record: bench_rows' rows, the step n-sweep, the
+    end-to-end command times, the seed, the library versions and the
+    src/paucopt line count."""
     return {"label": label, "seed": seed, "reps": reps, "steps": steps,
             "versions": {"python": platform.python_version(), "numpy": np.__version__,
                          "scipy": scipy.__version__},
             "src_paucopt_lines": sum(p.read_text(encoding="utf-8").count("\n")
                                      for p in Path(__file__).parent.glob("*.py")),
             "instance_vs_pairwise": [dict(zip(BENCH_COLUMNS, row)) for row in rows],
-            "step_sweep": step_sweep(steps=steps, seed=seed)}
+            "step_sweep": step_sweep(steps=steps, seed=seed),
+            "end_to_end": end_to_end(seed)}

@@ -15,6 +15,8 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .bench import BENCH_COLUMNS, bench_document, bench_rows
 from .data import SplitSpec, generate_synthetic, load_csv, save_csv, split
 from .metrics import empirical_auc, empirical_opauc, empirical_tpauc, roc_curve
@@ -185,8 +187,7 @@ def cmd_evaluate(args) -> int:
     scores = score_batch(scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
 
-    for pair in args.at:
-        alpha, beta = (float(v) for v in pair.split(","))
+    for alpha, beta in args.at:
         if alpha >= 1.0 and beta >= 1.0:
             rep = empirical_auc(pos, neg)
         elif alpha >= 1.0:
@@ -198,21 +199,36 @@ def cmd_evaluate(args) -> int:
     if args.out:
         out = _out_dir(args)
         rows = roc_curve(pos, neg)
-        with open(out / "roc.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["fpr", "tpr"])
-            w.writerows(rows)
+        # the bytes csv.writer writes: a float cell is its repr, CRLF ends a row
+        (out / "roc.csv").write_text(
+            "fpr,tpr\r\n" + "".join([f"{fpr!r},{tpr!r}\r\n" for fpr, tpr in rows]),
+            encoding="utf-8", newline="")
         (out / "roc.svg").write_text(_roc_svg(rows), encoding="utf-8")
     return 0
 
 
+def _metric_point(text: str) -> tuple[float, float]:
+    """An --at value: ALPHA,BETA, two numbers in (0, 1]."""
+    try:
+        alpha, beta = (float(v) for v in text.split(","))
+    except ValueError:
+        alpha = beta = float("nan")
+    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not ALPHA,BETA with both in (0, 1]")
+    return alpha, beta
+
+
 def _roc_svg(rows, size: int = 400, margin: int = 20) -> str:
-    """Minimal hand-rolled polyline rendering of an ROC curve."""
+    """Minimal hand-rolled polyline rendering of an ROC curve. A point whose
+    printed coordinates repeat the previous point's is left out: it would
+    draw nothing."""
     span = size - 2 * margin
-    pts = " ".join(
-        f"{margin + fpr * span:.2f},{margin + (1.0 - tpr) * span:.2f}"
-        for fpr, tpr in rows
-    )
+    fpr, tpr = np.array(rows).T
+    x, y = margin + fpr * span, margin + (1.0 - tpr) * span
+    cx, cy = _hundredths(x), _hundredths(y)
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x[keep].tolist(), y[keep].tolist()))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
         f'  <rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
@@ -223,6 +239,17 @@ def _roc_svg(rows, size: int = 400, margin: int = 20) -> str:
         f'stroke-width="1.5"/>\n'
         f"</svg>\n"
     )
+
+
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """The integer number of hundredths f"{v:.2f}" prints, for each v >= 0."""
+    h = v * 100.0
+    count = np.rint(h)
+    # h is v * 100 rounded once, so it lies within 1e-9 of a half only near a
+    # rounding boundary; there rint can round otherwise than f"{v:.2f}" does
+    near = np.abs(h - np.floor(h) - 0.5) < 1e-9
+    count[near] = [int(f"{t:.2f}".replace(".", "")) for t in v[near].tolist()]
+    return count
 
 
 def cmd_verify(args) -> int:
@@ -307,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--label-col", default="label")
-    e.add_argument("--at", nargs="+", default=["1,1"],
-                   metavar="ALPHA,BETA", help="metric points, e.g. 1,0.3 0.5,0.5")
+    e.add_argument("--at", nargs="+", type=_metric_point, default=[(1.0, 1.0)],
+                   metavar="ALPHA,BETA", help="metric points in (0, 1], e.g. 1,0.3 0.5,0.5")
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_evaluate)
 
@@ -326,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="out")
     b.add_argument("--label", default=None,
-                   help="also time solver steps at n = 2e3, 2e5, 2e6; write BENCH_<label>.json")
+                   help="also time solver steps at n = 2e3, 2e5, 2e6 and whole train, "
+                        "generate and evaluate commands; write BENCH_<label>.json")
     b.add_argument("--steps", type=int, default=200, help="timed steps per size and formulation")
     b.set_defaults(fn=cmd_bench)
 

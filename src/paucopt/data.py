@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,8 +101,84 @@ class SplitSpec:
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a UTF-8 comma-separated file with a header row into a Dataset.
 
-    Row order is preserved; ids are assigned 0..n-1 in file order.
+    Row order is preserved; ids are assigned 0..n-1 in file order. The file
+    is parsed by np.loadtxt when it provably reads the same as the per-row
+    parser _load_csv_rows; otherwise, or if that parse fails, _load_csv_rows
+    reads it and raises its error naming the row and the column.
     """
+    try:
+        parsed = _load_csv_numpy(path, label_column)
+    except ValueError:
+        parsed = None
+    if parsed is None:
+        return _load_csv_rows(path, label_column)
+    return Dataset(*parsed)
+
+
+_LABELS = {"0": 0.0, "1": 1.0}
+
+
+def _load_csv_numpy(path, label_column: str):
+    """(features, labels) by np.loadtxt, or None where its parse could differ
+    from _load_csv_rows': np.loadtxt skips blank lines and accepts non-finite
+    values, so a file with a blank line or a non-finite feature is left to the
+    per-row parser. Raises ValueError where np.loadtxt cannot read a cell,
+    which includes every cell holding a csv quote."""
+    lines = _count_lines(path)
+    if lines is None or lines < 2:
+        return None
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    if label_column not in header:
+        return None
+    label_idx = header.index(label_column)
+    # An open file, not the path: given a path, np.loadtxt would unpack a .gz
+    # file. A label cell must read exactly 0 or 1; a padded one such as " 0",
+    # which _load_csv_rows strips, fails here and is left to it.
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        # only blank lines after the header: the row count below rejects it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                           converters={label_idx: _LABELS.__getitem__})
+    # a blank line that loadtxt skipped leaves the table a row short
+    if table.shape != (lines - 1, len(header)):
+        return None
+    feats = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(feats).all():
+        return None
+    return feats, table[:, label_idx].astype(np.int64)
+
+
+def _count_lines(path) -> int | None:
+    """Number of lines of the file, or None where csv and np.loadtxt may split
+    it apart: a CR that does not end a CRLF, or a line longer than csv's
+    field size limit (csv raises on it, np.loadtxt does not)."""
+    limit = csv.field_size_limit()
+    lines, pos, last_lf = 0, 0, -1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if chunk.endswith(b"\r"):          # keep a CRLF in one chunk
+                chunk += fh.read(1)
+            a = np.frombuffer(chunk, np.uint8)
+            lf = np.flatnonzero(a == 10)
+            # every CR sits right before an LF; an LF at offset 0 follows no CR
+            # of this chunk, and a[0] is that LF itself
+            if b"\r" in chunk and (np.count_nonzero(a == 13)
+                                    != np.count_nonzero(a[np.maximum(lf - 1, 0)] == 13)):
+                return None
+            if np.diff(pos + lf, prepend=last_lf).max(initial=0) > limit:
+                return None
+            lines += len(lf)
+            last_lf = pos + int(lf[-1]) if len(lf) else last_lf
+            pos += len(a)
+    if pos - 1 - last_lf > limit:
+        return None
+    return lines + (last_lf < pos - 1)
+
+
+def _load_csv_rows(path, label_column: str = "label") -> Dataset:
+    """load_csv one row at a time with csv.reader and float(): the parser of
+    record, which names the row and the column of the first bad cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -144,13 +221,18 @@ def _is_float(s: str) -> bool:
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    """Write a Dataset back to CSV (inverse of load_csv up to float formatting)."""
+    """Write a Dataset back to CSV (inverse of load_csv up to float formatting).
+
+    The bytes are csv.writer's: a feature is its repr, which csv never
+    quotes, and CRLF ends a row.
+    """
+    row = ",".join(["%r"] * ds.dim + ["%d"]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(ds.dim)] + [label_column])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.features[i]]
-                            + [int(ds.labels[i])])
+        csv.writer(fh).writerow([f"x{j}" for j in range(ds.dim)] + [label_column])
+        for start in range(0, ds.n, 1 << 16):       # bounded memory for any n
+            block = slice(start, start + (1 << 16))
+            fh.write("".join([row % (*feats, label) for feats, label in
+                              zip(ds.features[block].tolist(), ds.labels[block].tolist())]))
 
 
 def generate_synthetic(n: int, imbalance: float, d: int = 5,

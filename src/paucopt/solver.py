@@ -256,11 +256,12 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
         lg = evaluate(obj_cfg, st.tau[None], np.array([st.gamma]), full, ds_train,
                       st.c[full_c_ids][None], dims=st.scorer.layer_dims)
         value, grad_min = float(lg.value[0]), lg.grad_min[0]
-        for name, x in (("objective", value), ("descent gradient", grad_min)):
-            if not np.isfinite(x).all():
-                raise SolverError(f"non-finite {name} at t={st.t}")
         tau = st.min_vars()
         proxy = grad_mapping_proxy(tau, grad_min, cfg, obj_cfg)
+        for name, x in (("objective", value), ("descent gradient", grad_min),
+                        ("grad_map_proxy", proxy)):
+            if not np.isfinite(x).all():
+                raise SolverError(f"non-finite {name} at t={st.t}")
         val = (_val_pauc(tau, ds_val, obj_cfg).value if ds_val is not None
                else float("nan"))
         elapsed = (time.perf_counter() - t0) * 1000.0

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paucopt.bench
 import paucopt.cli
 from paucopt.cli import _load_run_config, main
 from paucopt.data import SplitSpec, generate_synthetic, load_csv, split
+from paucopt.metrics import roc_curve
 from paucopt.objectives import ObjectiveConfig
-from paucopt.scorer import init_scorer
+from paucopt.scorer import ScorerParams, init_scorer, score_batch
 from paucopt.solver import SolverConfig
 
 
@@ -171,6 +173,18 @@ class TestTrain:
         assert "non-finite objective at t=25" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    def test_non_finite_proxy_stops_the_run(self, tmp_path, capsys):
+        # the objective and the descent gradient stay finite, but the iterate
+        # moved by nu * gradient overflows in the proxy's norm
+        cfg = self.write_config(tmp_path, solver={"nu": 1e308, "T": 50, "batch_pos": 8,
+                                                  "batch_neg": 32, "eval_every": 25})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = run_cli("train", "--config", str(cfg), "--out", str(out))
+        assert rc == 2
+        assert "non-finite grad_map_proxy at t=25" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_invalid_formulation_usage_error(self, tmp_path):
         cfg = self.write_config(tmp_path,
                                 objective={"formulation": "bogus"})
@@ -216,6 +230,7 @@ class TestRunConfigSchema:
     def test_readme_sample(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        assert doc == paucopt.bench.README_CONFIG     # what `paucopt bench` trains on
         self.check(
             load_config(tmp_path, doc),
             generate_synthetic(2000, 0.1, 5, 4.0, 7), SplitSpec(0.7, 0.15, 0.15, 7),
@@ -314,6 +329,32 @@ class TestEvaluate:
         svg = (out / "roc.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_roc_csv_bytes_match_csv_writer(self, tmp_path, synth_csv):
+        ckpt = self.make_checkpoint(tmp_path, synth_csv)
+        out = tmp_path / "eval"
+        assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt),
+                       "--out", str(out)) == 0
+        ds = load_csv(synth_csv)
+        scores = score_batch(ScorerParams.from_dict(
+            json.loads(ckpt.read_text())["scorer"]), ds.features)
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["fpr", "tpr"])
+            w.writerows(roc_curve(scores[ds.pos_ids], scores[ds.neg_ids]))
+        assert (out / "roc.csv").read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize("at", ["2,0.3", "0.5", "0,0.3", "0.5,1.5", "a,b", "nan,0.3",
+                                    "0.5,0.3,1", "1,-0.3"])
+    def test_bad_at_usage_error_before_reading_data(self, tmp_path, capsys, at):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--data", str(tmp_path / "absent.csv"), "--checkpoint",
+                    str(tmp_path / "absent.json"), "--at", "1,0.3", at)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --at: {at!r} is not ALPHA,BETA" in err
+        assert "absent" not in err
+
     def test_alpha_beta_one_equals_auc(self, tmp_path, synth_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, synth_csv)
         run_cli("evaluate", "--data", str(synth_csv), "--checkpoint",
@@ -356,7 +397,8 @@ class TestBench:
         assert med[("instance_wise", 64)] / med[("instance_wise", 32)] <= 2.6
         assert med[("pairwise", 64)] / med[("pairwise", 32)] >= 3.0
 
-    def test_label_writes_bench_json(self, tmp_path):
+    def test_label_writes_bench_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paucopt.bench, "EVALUATE_ROWS", (300, 600))
         out = tmp_path / "b"
         rc = run_cli("bench", "--batch-sizes", "64", "128", "--reps", "3",
                      "--steps", "5", "--label", "t1", "--out", str(out))
@@ -374,3 +416,45 @@ class TestBench:
             (form, n) for n in (2_000, 200_000, 2_000_000)
             for form in ("surrogate", "unbiased")]
         assert all(0 < r["median_ms"] <= r["p90_ms"] for r in doc["step_sweep"])
+        assert [(r["command"], r["rows"]) for r in doc["end_to_end"]] == [
+            ("train", 2000), ("generate", 300), ("evaluate", 300),
+            ("generate", 600), ("evaluate", 600)]
+        assert all(r["seconds"] > 0 for r in doc["end_to_end"])
+
+
+def roc_svg_points_oracle(rows, size=400, margin=20):
+    """The polyline points the SVG used to print: one per ROC row."""
+    span = size - 2 * margin
+    return [f"{margin + fpr * span:.2f},{margin + (1.0 - tpr) * span:.2f}"
+            for fpr, tpr in rows]
+
+
+class TestRocSvg:
+    @staticmethod
+    def points(svg):
+        return re.search(r'<polyline points="([^"]*)"', svg).group(1).split(" ")
+
+    def check(self, rows):
+        old = roc_svg_points_oracle(rows)
+        want = [p for i, p in enumerate(old) if i == 0 or p != old[i - 1]]
+        assert self.points(paucopt.cli._roc_svg(rows)) == want
+
+    def test_tied_scores(self):
+        rng = np.random.default_rng(0)
+        scores = np.round(rng.standard_normal(5000), 1)
+        self.check(roc_curve(scores[:700] + 0.5, scores[700:]))
+
+    def test_coordinates_on_rounding_boundaries(self):
+        # x = 20 + fpr * 360 at, or one ulp beside, values halfway between
+        # hundredths: 20.055 is stored a little below the half and prints
+        # 20.05, but 20.055 * 100 rounds to 2005.5, which rint takes to 2006
+        halves = [20.055, 20.075, 21.005, 100.005, 379.995, 200.125]
+        x = np.array([np.nextafter(h, d) for h in halves for d in (-np.inf, 0, np.inf)]
+                     + halves)
+        fpr = np.sort((x - 20.0) / 360.0)
+        rows = [(0.0, 0.0)] + [(f, t) for f in fpr.tolist() for t in (f, f + 1e-14)]
+        self.check(rows)
+
+    def test_one_point_per_row_when_none_repeat(self):
+        rows = [(i / 10, i / 10) for i in range(11)]
+        assert len(self.points(paucopt.cli._roc_svg(rows))) == 11

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,8 @@ from paucopt.data import (
     DataError,
     Dataset,
     SplitSpec,
+    _load_csv_numpy,
+    _load_csv_rows,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -57,6 +61,124 @@ class TestLoadCsv:
         back = load_csv(f)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def parse_outcome(load, path):
+    """What a CSV loader makes of a file: the exact feature bits and the labels,
+    or the type and message of what it raised."""
+    try:
+        ds = load(path)
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tolist()
+
+
+def served_by_numpy(path) -> bool:
+    try:
+        return _load_csv_numpy(path, "label") is not None
+    except ValueError:
+        return False
+
+
+H = "x0,x1,label"
+# name: (file text, whether np.loadtxt reads it; _load_csv_rows reads the rest)
+EDGE_CASES = {
+    "lf": (f"{H}\n1.5,-2,1\n0.25,3e-3,0\n", True),
+    "crlf": (f"{H}\r\n1.5,-2,1\r\n0.25,3e-3,0\r\n", True),
+    "no final newline": (f"{H}\n1.5,-2,1\n0.25,3e-3,0", True),
+    "label first": ("label,x0\n1,1.5\n0,-0.0\n", True),
+    "padded features": (f"{H}\n 1.5 ,\t-2\xa0,1\n0.25,3e-3,0\n", True),
+    "bom": (f"\ufeff{H}\n1.5,-2,1\n0.25,3e-3,0\n", True),
+    "single data row": (f"{H}\n1.5,-2,1\n", True),
+    "blank line in the middle": (f"{H}\n1.5,-2,1\n\n0.25,3e-3,0\n", False),
+    "blank line at the end": (f"{H}\n1.5,-2,1\n0.25,3e-3,0\n\n", False),
+    "blank crlf line": (f"{H}\r\n1.5,-2,1\r\n\r\n0.25,3e-3,0\r\n", False),
+    "whitespace line": (f"{H}\n1.5,-2,1\n \n0.25,3e-3,0\n", False),
+    "cr only": (f"{H}\r1.5,-2,1\r0.25,3e-3,0\r", False),
+    "cr inside crlf": (f"{H}\r\n1.5,-2,1\r0.25,3e-3,0\r\n", False),
+    # one LF per line overall, but csv reads a blank row where loadtxt reads none
+    "blank line and a lone cr": (f"{H}\r\n\n1.5,-2,1\r0.25,3e-3,0\n", False),
+    "nan": (f"{H}\nnan,-2,1\n0.25,3e-3,0\n", False),
+    "inf": (f"{H}\n1.5,-Infinity,1\n0.25,3e-3,0\n", False),
+    "label 1.0": (f"{H}\n1.5,-2,1.0\n0.25,3e-3,0\n", False),
+    "label +1": (f"{H}\n1.5,-2,+1\n0.25,3e-3,0\n", False),
+    "label padded": (f"{H}\n1.5,-2, 0\n0.25,3e-3,1\t\n", False),
+    "quoted cell": (f'{H}\n"1.5",-2,1\n0.25,3e-3,"0"\n', False),
+    "quoted newline": (f'{H}\n"1.5\n",-2,1\n0.25,3e-3,0\n', False),
+    "quoted header": (f'"x,0\n",x1,label\n1.5,-2,1\n0.25,3e-3,0\n', False),
+    "hash": (f"{H}\n1.5,-2,1\n#0.25,3e-3,0\n", False),
+    "underscore": (f"{H}\n1_5,-2,1\n0.25,3e-3,0\n", False),
+    "non-ascii digit": (f"{H}\n\u0661,-2,1\n0.25,3e-3,0\n", False),
+    "nul": (f"{H}\n1.5\x00,-2,1\n0.25,3e-3,0\n", False),
+    "ragged row": (f"{H}\n1.5,1\n0.25,3e-3,0\n", False),
+    "extra field": (f"{H}\n1.5,-2,1,\n0.25,3e-3,0\n", False),
+    "empty field": (f"{H}\n1.5,,1\n0.25,3e-3,0\n", False),
+    "header only": (f"{H}\n", False),
+    "only blank lines": (f"{H}\n\n\n", False),
+    "empty file": ("", False),
+    "missing label column": ("x0,x1,y\n1.5,-2,1\n0.25,3e-3,0\n", False),
+    "bom on the label column": ("\ufefflabel,x0\n1,1.5\n0,2.5\n", False),
+    "field over the csv size limit": (
+        f"{H}\n0.{'0' * csv.field_size_limit()}1,-2,1\n0.25,3e-3,0\n", False),
+}
+
+
+class TestLoadCsvNumpyPath:
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_matches_per_row_parser(self, tmp_path, name):
+        text, numpy_reads = EDGE_CASES[name]
+        f = tmp_path / "d.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        assert parse_outcome(load_csv, f) == parse_outcome(_load_csv_rows, f)
+        assert served_by_numpy(f) == numpy_reads
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_features_bit_identical_to_float(self, tmp_path_factory, data):
+        n, d = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n * d, max_size=n * d))
+        forms = [repr, "{:.3f}".format, "{:.6e}".format, "{:.17g}".format,
+                 lambda v: f" {v!r}\t"]
+        cells = [data.draw(st.sampled_from(forms))(v) for v in values]
+        labels = ["1", "0"] + data.draw(st.lists(st.sampled_from("01"),
+                                                 min_size=n - 2, max_size=n - 2))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        lines = [",".join([f"x{j}" for j in range(d)] + ["label"])]
+        lines += [",".join(cells[i * d:(i + 1) * d] + [labels[i]]) for i in range(n)]
+        f = tmp_path_factory.mktemp("csv") / "d.csv"
+        f.write_text(end.join(lines) + end, encoding="utf-8", newline="")
+        assert served_by_numpy(f)
+        assert parse_outcome(load_csv, f) == parse_outcome(_load_csv_rows, f)
+
+
+def save_csv_oracle(ds, path, label_column="label"):
+    """save_csv through csv.writer, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(ds.dim)] + [label_column])
+        for i in range(ds.n):
+            writer.writerow([repr(float(v)) for v in ds.features[i]]
+                            + [int(ds.labels[i])])
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize("label_column", ["label", 'la,"bel"'])
+    def test_bytes_match_csv_writer(self, tmp_path, label_column):
+        ds = generate_synthetic(50, 0.3, 3, 1.0, seed=1)
+        odd = np.array([[-0.0, 5e-324, 1e300], [1 / 3, -2.5e-8, 123456789.0]])
+        ds = Dataset(np.vstack([ds.features, odd]), np.concatenate([ds.labels, [1, 0]]))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_csv(ds, a, label_column)
+        save_csv_oracle(ds, b, label_column)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_match_csv_writer_across_blocks(self, tmp_path):
+        ds = generate_synthetic(70_000, 0.5, 1, 1.0, seed=2)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_csv(ds, a)
+        save_csv_oracle(ds, b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestDataset:
