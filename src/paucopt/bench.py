@@ -9,6 +9,7 @@ end_to_end times whole commands.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import platform
@@ -87,11 +88,9 @@ def step_sweep(sizes=(2_000, 200_000, 2_000_000), steps: int = 200, seed: int = 
         ds = generate_synthetic(n, 0.1, 5, 4.0, seed)
         for form in ("surrogate", "unbiased"):
             obj = ObjectiveConfig("OPAUC", form, 1.0, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
-            # the list holds the run's current state
-            state = [init_state(ds, init_scorer("linear", 5, seed=seed), cfg, obj)]
+            state = init_state(ds, init_scorer("linear", 5, seed=seed), cfg, obj)
             runs.append((form, n))
-            calls.append(lambda st=state, ds=ds, obj=obj:
-                         st.append(asgda_step(st.pop(), cfg, obj, ds)))
+            calls.append(functools.partial(asgda_step, state, cfg, obj, ds))
     return [{"formulation": form, "n": n, "median_ms": median, "p90_ms": p90}
             for (form, n), (median, p90) in zip(runs, _round_robin_ms(calls, steps))]
 

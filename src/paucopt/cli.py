@@ -128,6 +128,8 @@ def _load_run_config(args):
         raise ValueError("config dataset.synthetic has no effect beside dataset.csv")
     if "csv" not in given and "label_col" in given:
         raise ValueError("config dataset.label_col has no effect without dataset.csv")
+    if sections["scorer"]["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
+        raise ValueError("config scorer.hidden has no effect beside scorer.kind linear")
     if dsrc["csv"] is not None:
         ds = load_csv(dsrc["csv"], dsrc["label_col"])
     else:

@@ -179,34 +179,41 @@ def _count_lines(path) -> int | None:
 def _load_csv_rows(path, label_column: str = "label") -> Dataset:
     """load_csv one row at a time with csv.reader and float(): the parser of
     record, which names the row and the column of the first bad cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise DataError(f"{path}: missing label column {label_column!r}")
-        label_idx = header.index(label_column)
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        rows, labels = [], []
-        for r, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{r}: expected {len(header)} fields, got {len(row)}")
-            lab = row[label_idx].strip()
-            if lab not in ("0", "1"):
-                raise DataError(f"{path}:{r}: label out of {{0,1}}: {lab!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                feats = [float(row[i]) for i in feat_idx]
-            except ValueError:
-                bad = next(i for i in feat_idx if not _is_float(row[i]))
-                raise DataError(
-                    f"{path}:{r}: unparseable value in column {header[bad]!r}: {row[bad]!r}"
-                ) from None
-            if not all(np.isfinite(feats)):
-                raise DataError(f"{path}:{r}: non-finite feature value")
-            rows.append(feats)
-            labels.append(int(lab))
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if label_column not in header:
+                raise DataError(f"{path}: missing label column {label_column!r}")
+            label_idx = header.index(label_column)
+            feat_idx = [i for i in range(len(header)) if i != label_idx]
+            rows, labels = [], []
+            for r, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{r}: expected {len(header)} fields, got {len(row)}")
+                lab = row[label_idx].strip()
+                if lab not in ("0", "1"):
+                    raise DataError(f"{path}:{r}: label out of {{0,1}}: {lab!r}")
+                try:
+                    feats = [float(row[i]) for i in feat_idx]
+                except ValueError:
+                    bad = next(i for i in feat_idx if not _is_float(row[i]))
+                    raise DataError(
+                        f"{path}:{r}: unparseable value in column {header[bad]!r}: {row[bad]!r}"
+                    ) from None
+                if not all(np.isfinite(feats)):
+                    raise DataError(f"{path}:{r}: non-finite feature value")
+                rows.append(feats)
+                labels.append(int(lab))
+    except csv.Error as exc:
+        # e.g. a cell longer than csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text, byte 0x{exc.object[exc.start]:02x} "
+                        "cannot be decoded") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64))

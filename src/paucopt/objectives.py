@@ -74,12 +74,12 @@ class ObjectiveConfig:
                 "theta_a": (0.0, 0.0 if self.metric_kind == "OPAUC" else cap),
                 "theta_b": (0.0, cap), "gamma": (-1.0, 1.0), "c": (0.0, 1.0)}
 
-    @cached_property
-    def flat_box(self) -> tuple:
-        """Read-only (lo, hi) arrays over FLAT_SCALARS, built once per config."""
-        bounds = np.array([self.boxes[name] for name in FLAT_SCALARS]).T
-        bounds.setflags(write=False)
-        return bounds[0], bounds[1]
+    def tau_box(self, n_theta: int) -> tuple:
+        """(lo, hi) arrays over the MinVars.flat layout with n_theta weights:
+        theta is free (+-inf), each scalar takes its box from boxes."""
+        bounds = [(-np.inf, np.inf)] * n_theta + [self.boxes[name] for name in FLAT_SCALARS]
+        lo, hi = np.array(bounds).T.copy()
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,6 @@ def pos_branch_P(f_x, a: float, gamma: float):
 def neg_branch_N(f_x, b: float, gamma: float):
     """Per-negative squared-center loss (f-b)^2 + 2(1+gamma)f."""
     return (f_x - b) ** 2 + 2.0 * (1.0 + gamma) * f_x
-
-
-def project_min_flat(vec: np.ndarray, n_theta: int, cfg: ObjectiveConfig) -> np.ndarray:
-    """Clamp the flat descent layout onto its boxes, on a copy; theta is free."""
-    out = vec.copy()
-    out[n_theta:] = np.clip(out[n_theta:], *cfg.flat_box)
-    return out
 
 
 def hinged_ids(cfg: ObjectiveConfig, batch: Minibatch) -> np.ndarray:

@@ -5,8 +5,8 @@ by a convex combination with a projected gradient step, samples a fresh
 stratified minibatch, and refreshes the gradient momenta v (for tau) and w
 (for gamma/c) with STORM-style corrections, which take the gradients at
 the old and the new variables on the same batch from one stacked
-evaluation. The state keeps tau flat; MinVars and MaxVars are built only
-for the trace and the return value.
+evaluation. A step updates the state in place. The state keeps tau flat;
+MinVars and MaxVars are built only for the trace and the return value.
 """
 
 from __future__ import annotations
@@ -18,15 +18,7 @@ import numpy as np
 
 from .data import Dataset, Minibatch, stratified_sample
 from .metrics import PaucReport, empirical_opauc, empirical_tpauc
-from .objectives import (
-    FLAT_SCALARS,
-    MaxVars,
-    MinVars,
-    ObjectiveConfig,
-    evaluate,
-    hinged_ids,
-    project_min_flat,
-)
+from .objectives import FLAT_SCALARS, MaxVars, MinVars, ObjectiveConfig, evaluate, hinged_ids
 from .scorer import ScorerParams, score_batch, warmup_logistic
 
 
@@ -61,12 +53,15 @@ class SolverConfig:
             raise SolverError("correction coefficients must be positive")
         if self.T < 0 or self.batch_pos < 1 or self.batch_neg < 1:
             raise SolverError("bad iteration count or batch sizes")
+        if self.eval_every < 1:
+            raise SolverError("eval_every must be at least 1")
 
 
 @dataclass
 class SolverState:
     scorer: ScorerParams       # theta's kind and layer shape (weights: the start's)
     tau: np.ndarray            # descent block in the MinVars.flat layout
+    box: tuple                 # (lo, hi) arrays over tau, fixed for the run
     gamma: float
     c: np.ndarray              # one entry per instance; empty for the surrogate
     v: np.ndarray              # momentum for grad wrt tau (flat layout)
@@ -115,9 +110,9 @@ def init_state(ds: Dataset, scorer_init: ScorerParams, cfg: SolverConfig,
     at 1 with one entry per instance; the surrogate reads no c."""
     n_c = ds.n if obj_cfg.formulation == "unbiased" else 0
     tau = MinVars(scorer_init).flat()
-    return SolverState(scorer=scorer_init, tau=tau, gamma=0.0, c=np.ones(n_c),
-                       v=np.zeros_like(tau), w_gamma=0.0, w_c=np.zeros(n_c),
-                       active_c=np.zeros(0, dtype=np.intp), t=0,
+    return SolverState(scorer=scorer_init, tau=tau, box=obj_cfg.tau_box(scorer_init.n_params),
+                       gamma=0.0, c=np.ones(n_c), v=np.zeros_like(tau), w_gamma=0.0,
+                       w_c=np.zeros(n_c), active_c=np.zeros(0, dtype=np.intp), t=0,
                        rng=np.random.default_rng(cfg.seed))
 
 
@@ -127,101 +122,97 @@ def _zero_theta(g: np.ndarray, n_theta: int) -> np.ndarray:
     return out
 
 
-def asgda_step(state: SolverState, cfg: SolverConfig,
-               obj_cfg: ObjectiveConfig, ds: Dataset) -> SolverState:
-    """One full iteration in O(batch) time and memory; returns the new state.
+def _clamp(x, lo, hi):
+    """x clamped onto [lo, hi]: an array by numpy, a float by min and max,
+    which take a fraction of numpy's time on a scalar."""
+    return x.clip(lo, hi) if isinstance(x, np.ndarray) else min(max(x, lo), hi)
 
-    Both momentum gradients come from one evaluate call over the old and
-    the new point. c and w_c are written in place, at the active ids only,
-    so the returned state shares those two arrays (and the generator
-    ``state.rng``, whose minibatch draw it advances) with its input: the
-    input's c and w_c hold the new values afterwards. Its tau, gamma, v and
-    w_gamma are left as they were.
+
+def _projected_mix(x, step, eta: float, lo, hi):
+    """Pi((1-eta)*x + eta*Pi(x + step)) with Pi the clamp onto [lo, hi].
+
+    The combination is clamped again because rounding can carry it past a
+    bound both endpoints sit on, e.g. (1-eta)*5 + eta*5 > 5.
+    """
+    cand = _clamp(x + step, lo, hi)
+    return _clamp((1.0 - eta) * x + eta * cand, lo, hi)
+
+
+def _storm(m, g_old, g_new, decay: float):
+    """The STORM momentum refresh g_new + (1 - decay)*(m - g_old), from the
+    gradients at the old and the new point on the same batch."""
+    return g_new + (1.0 - decay) * (m - g_old)
+
+
+def asgda_step(state: SolverState, cfg: SolverConfig,
+               obj_cfg: ObjectiveConfig, ds: Dataset) -> None:
+    """One full iteration in O(batch) time and memory, updating state in place.
+
+    Every block moves by _projected_mix and refreshes its momentum by
+    _storm. Both momentum gradients come from one evaluate call over the
+    old and the new point. c and w_c are written at the active ids only.
     """
     eta = eta_schedule(cfg, state.t)
-    n_theta = state.scorer.n_params
-
-    # descent block: convex combination with the projected gradient point.
-    # Each combination is clamped again because rounding can carry it past
-    # a bound both endpoints sit on, e.g. (1-eta)*5 + eta*5 > 5.
-    v = _zero_theta(state.v, n_theta) if cfg.freeze_theta else state.v
-    cand = project_min_flat(state.tau - cfg.nu * v, n_theta, obj_cfg)
-    tau_new = project_min_flat((1.0 - eta) * state.tau + eta * cand, n_theta, obj_cfg)
 
     # fresh batch; both momentum refresh gradients use this same batch, and
     # the old point's c is gathered before c is overwritten below
     batch = stratified_sample(ds, min(cfg.batch_pos, ds.n_pos),
                               min(cfg.batch_neg, ds.n_neg), state.rng)
     ids = hinged_ids(obj_cfg, batch)
-    c, c_old = state.c, state.c[ids]
+    tau, gamma, c_old = state.tau, state.gamma, state.c[ids]
 
-    # ascent block: gamma always moves; c coordinates move only when they
-    # were sampled in the batch behind the current momenta (the surrogate
-    # samples none). Their partial gradients carry the 1/B batch-mean
-    # factor, so the step is rescaled by the batch size to recover the
-    # per-instance magnitude.
-    lo, hi = obj_cfg.boxes["gamma"]
-    g_cand = min(max(state.gamma + cfg.lam * state.w_gamma, lo), hi)
-    gamma_new = min(max((1.0 - eta) * state.gamma + eta * g_cand, lo), hi)
+    # tau descends, gamma ascends. c coordinates move only when they were
+    # sampled in the batch behind the current momenta (the surrogate samples
+    # none). Their partial gradients carry the 1/B batch-mean factor, so the
+    # step is rescaled by the batch size to recover the per-instance magnitude.
+    state.tau = _projected_mix(tau, -cfg.nu * state.v, eta, *state.box)
+    state.gamma = _projected_mix(gamma, cfg.lam * state.w_gamma, eta, *obj_cfg.boxes["gamma"])
     act = state.active_c
     if len(act):
-        lo, hi = obj_cfg.boxes["c"]
         lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
-        c_act = c[act]
-        c_cand = np.clip(c_act + lam_c * state.w_c[act], lo, hi)
-        c[act] = np.clip((1.0 - eta) * c_act + eta * c_cand, lo, hi)
-    lg = evaluate(obj_cfg, np.array([state.tau, tau_new]),
-                  np.array([state.gamma, gamma_new]), batch, ds,
-                  np.array([c_old, c[ids]]), dims=state.scorer.layer_dims)
+        state.c[act] = _projected_mix(state.c[act], lam_c * state.w_c[act], eta,
+                                      *obj_cfg.boxes["c"])
+    lg = evaluate(obj_cfg, np.array([tau, state.tau]), np.array([gamma, state.gamma]),
+                  batch, ds, np.array([c_old, state.c[ids]]), dims=state.scorer.layer_dims)
 
     rho = cfg.iota1 * eta ** 2
     xi = cfg.iota2 * eta ** 2
-    v_next = lg.grad_min[1] + (1.0 - rho) * (state.v - lg.grad_min[0])
+    state.v = _storm(state.v, *lg.grad_min, rho)
     if cfg.freeze_theta:
-        v_next = _zero_theta(v_next, n_theta)
-    g_old, g_new = lg.grad_max_gamma.tolist()
-    w_gamma_next = g_new + (1.0 - xi) * (state.w_gamma - g_old)
-    w_c = state.w_c
+        # a frozen theta keeps a zero momentum, so its descent step is 0
+        state.v[:state.scorer.n_params] = 0.0
+    state.w_gamma = _storm(state.w_gamma, *lg.grad_max_gamma.tolist(), xi)
     if len(ids):
-        w_c[ids] = lg.grad_max_c[1] + (1.0 - xi) * (w_c[ids] - lg.grad_max_c[0])
-
-    return SolverState(scorer=state.scorer, tau=tau_new, gamma=gamma_new, c=c,
-                       v=v_next, w_gamma=w_gamma_next, w_c=w_c, active_c=ids,
-                       t=state.t + 1, rng=state.rng)
+        state.w_c[ids] = _storm(state.w_c[ids], *lg.grad_max_c, xi)
+    state.active_c = ids
+    state.t += 1
 
 
 def full_batch(ds: Dataset) -> Minibatch:
     return Minibatch(ds.pos_ids, ds.neg_ids)
 
 
-def grad_mapping_proxy(tau: MinVars, grad_min: np.ndarray, cfg: SolverConfig,
-                       obj_cfg: ObjectiveConfig) -> float:
-    """Projected-stationarity proxy (1/nu)*||tau - P(tau - nu*g)||_2.
+def grad_mapping_proxy(tau: np.ndarray, grad_min: np.ndarray, cfg: SolverConfig,
+                       box: tuple) -> float:
+    """Projected-stationarity proxy (1/nu)*||tau - P(tau - nu*g)||_2 of the
+    flat tau, with P the clamp onto box (SolverState.box).
 
     g is grad_min, the full-data descent gradient at tau and the current
     ascent block; the exact metric would maximize over the ascent block first.
     """
     if cfg.nu == 0:
         return 0.0
-    n_theta = tau.theta.n_params
-    g = _zero_theta(grad_min, n_theta) if cfg.freeze_theta else grad_min
-    flat = tau.flat()
-    moved = project_min_flat(flat - cfg.nu * g, n_theta, obj_cfg)
-    return float(np.linalg.norm(flat - moved) / cfg.nu)
+    g = _zero_theta(grad_min, len(tau) - len(FLAT_SCALARS)) if cfg.freeze_theta else grad_min
+    moved = _clamp(tau - cfg.nu * g, *box)
+    return float(np.linalg.norm(tau - moved) / cfg.nu)
 
 
-def _box_violation(tau: np.ndarray, gamma: float, c: np.ndarray,
-                   cfg: ObjectiveConfig) -> float:
-    """Largest distance from its box of any scalar of the flat tau, gamma or
-    the given c values; 0 when all are feasible."""
-    lo, hi = cfg.flat_box
-    scalars = tau[-len(FLAT_SCALARS):]
-    dev = max(0.0, float((lo - scalars).max()), float((scalars - hi).max()))
-    (g_lo, g_hi), (c_lo, c_hi) = cfg.boxes["gamma"], cfg.boxes["c"]
-    dev = max(dev, g_lo - gamma, gamma - g_hi)
-    if len(c):
-        dev = max(dev, c_lo - float(c.min()), float(c.max()) - c_hi)
-    return dev
+def _box_violation(state: SolverState, c: np.ndarray, cfg: ObjectiveConfig) -> float:
+    """Largest distance from its box of any entry of tau, of gamma or of the
+    given c values; 0 when all are feasible."""
+    # fmax, as a free weight at +-inf is in its box though inf - inf is nan
+    return max(float(np.fmax(lo - x, x - hi).max(initial=0.0)) for x, (lo, hi) in
+               ((state.tau, state.box), (state.gamma, cfg.boxes["gamma"]), (c, cfg.boxes["c"])))
 
 
 def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> PaucReport:
@@ -256,12 +247,12 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
         lg = evaluate(obj_cfg, st.tau[None], np.array([st.gamma]), full, ds_train,
                       st.c[full_c_ids][None], dims=st.scorer.layer_dims)
         value, grad_min = float(lg.value[0]), lg.grad_min[0]
-        tau = st.min_vars()
-        proxy = grad_mapping_proxy(tau, grad_min, cfg, obj_cfg)
+        proxy = grad_mapping_proxy(st.tau, grad_min, cfg, st.box)
         for name, x in (("objective", value), ("descent gradient", grad_min),
                         ("grad_map_proxy", proxy)):
             if not np.isfinite(x).all():
                 raise SolverError(f"non-finite {name} at t={st.t}")
+        tau = st.min_vars()
         val = (_val_pauc(tau, ds_val, obj_cfg).value if ds_val is not None
                else float("nan"))
         elapsed = (time.perf_counter() - t0) * 1000.0
@@ -274,8 +265,8 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
         # a step writes c only at the ids active when it starts, and every
         # other c entry was checked when last written
         touched = state.active_c
-        state = asgda_step(state, cfg, obj_cfg, ds_train)
-        if _box_violation(state.tau, state.gamma, state.c[touched], obj_cfg) > 0.0:
+        asgda_step(state, cfg, obj_cfg, ds_train)
+        if _box_violation(state, state.c[touched], obj_cfg) > 0.0:
             trace.box_violations += 1
         if state.t % cfg.eval_every == 0 and state.t < cfg.T:
             record(state)

@@ -148,13 +148,23 @@ class TestTrain:
         ({"label_col": "y"}, "dataset.label_col"),
         ({"label_col": "y", "synthetic": {"n": 400}}, "dataset.label_col"),
         ({"csv": "data.csv", "synthetic": {"n": 400}}, "dataset.synthetic"),
+        # not a dataset entry: the section is the first part of name
+        pytest.param({"kind": "linear", "hidden": [4]}, "scorer.hidden", id="scorer-linear"),
     ])
     def test_key_without_effect_usage_error(self, tmp_path, capsys, dataset, name):
-        # label_col is read only from a CSV, synthetic only without one
-        cfg = self.write_config(tmp_path, dataset=dataset)
+        # label_col is read only from a CSV, synthetic only without one, and
+        # hidden only for an mlp
+        cfg = self.write_config(tmp_path, **{name.partition(".")[0]: dataset})
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
         assert f"config {name} has no effect" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_eval_every_below_one_usage_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, solver={"T": 5, "eval_every": 0})
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert "eval_every must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_non_finite_objective_stops_the_run(self, tmp_path, capsys):
@@ -355,6 +365,16 @@ class TestEvaluate:
         assert f"argument --at: {at!r} is not ALPHA,BETA" in err
         assert "absent" not in err
 
+    @pytest.mark.parametrize("row", [
+        pytest.param(f"0.{'0' * csv.field_size_limit()}1,-2,1\n".encode(), id="long cell"),
+        pytest.param(b"\xff.25,3e-3,0\n", id="undecodable byte")])
+    def test_unreadable_csv_usage_error_names_the_file(self, tmp_path, capsys, row):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"x0,x1,label\n1.5,-2,1\n" + row)
+        assert run_cli("evaluate", "--data", str(data), "--checkpoint",
+                       str(tmp_path / "absent.json")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}")
+
     def test_alpha_beta_one_equals_auc(self, tmp_path, synth_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, synth_csv)
         run_cli("evaluate", "--data", str(synth_csv), "--checkpoint",
@@ -380,6 +400,24 @@ class TestVerifyCmd:
 
     def test_zero_trials_usage_error(self):
         assert run_cli("verify", "--trials", "0") == 2
+
+
+class TestSweep:
+    def test_rows_per_kappa_and_unbiased(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = run_cli("sweep", "--kappas", "2", "16", "--n", "300", "--T", "40",
+                     "--out", str(out))
+        assert rc == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert json.dumps(printed) == json.dumps(rows)
+        assert [(r["kind"], r["kappa"]) for r in rows[:2]] == [("surrogate", 2.0),
+                                                                ("surrogate", 16.0)]
+        assert rows[2]["kind"] == "unbiased" and np.isnan(rows[2]["kappa"])
+        for r in rows:
+            assert 0.0 <= r["beta_eff"] <= 1.0
+            assert r["beta_dev"] == abs(r["beta_eff"] - 0.3)
+            assert 0.0 <= r["val_pauc"] <= 1.0
 
 
 @pytest.mark.slow

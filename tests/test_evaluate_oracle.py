@@ -384,13 +384,17 @@ def test_gamma_square_rounds_as_python_float_pow(formulation):
 
 
 @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
-@pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
-def test_asgda_step_matches_per_id_loop_oracle(metric, formulation):
-    # large steps so that gamma and c run into their boxes
+@pytest.mark.parametrize("formulation,freeze_theta", [
+    pytest.param(form, frozen, id=form + "-frozen" * frozen)
+    for frozen in (False, True) for form in ("surrogate", "unbiased")])
+def test_asgda_step_matches_per_id_loop_oracle(metric, formulation, freeze_theta):
+    # large steps so that gamma and c run into their boxes; a frozen theta
+    # is sweep's path
     ds = generate_synthetic(300, 0.3, 3, 1.0, seed=4)
     obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2,
                           prior_p=ds.prior_p)
-    cfg = SolverConfig(nu=1.0, lam=20.0, T=60, batch_pos=8, batch_neg=24, seed=4)
+    cfg = SolverConfig(nu=1.0, lam=20.0, T=60, batch_pos=8, batch_neg=24, seed=4,
+                       freeze_theta=freeze_theta)
     scorer = init_scorer("mlp", 3, (4,), seed=4)
     st = init_state(ds, scorer, cfg, obj)
     ref = OracleState(MinVars(scorer), MaxVars(0.0, np.ones(ds.n)), np.zeros_like(st.v),
@@ -398,7 +402,7 @@ def test_asgda_step_matches_per_id_loop_oracle(metric, formulation):
     # the surrogate keeps no c at all; the oracle's c stays at 1, unread
     n_c = ds.n if formulation == "unbiased" else 0
     for _ in range(cfg.T):
-        st = asgda_step(st, cfg, obj, ds)
+        asgda_step(st, cfg, obj, ds)
         ref = asgda_step_oracle(ref, cfg, obj, ds)
         assert np.array_equal(st.tau, ref.tau.flat())
         assert st.gamma == ref.gamma_block.gamma

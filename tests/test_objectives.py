@@ -12,7 +12,6 @@ from paucopt.objectives import (
     evaluate,
     neg_branch_N,
     pos_branch_P,
-    project_min_flat,
     softplus,
 )
 from paucopt.scorer import ScorerParams, init_scorer
@@ -22,8 +21,8 @@ from points import evaluate_at
 
 
 def project_min(mv, cfg):
-    """project_min_flat on a MinVars."""
-    return mv.with_flat(project_min_flat(mv.flat(), mv.theta.n_params, cfg))
+    """A MinVars clamped onto the box the solver clamps tau onto."""
+    return mv.with_flat(np.clip(mv.flat(), *cfg.tau_box(mv.theta.n_params)))
 
 
 def const_scorer_ds(*scores_and_labels):
@@ -117,14 +116,25 @@ class TestProjection:
         st.w_gamma = -100.0
         st.active_c = np.array([0, 1, 2])
         st.w_c[:2] = [100.0, -100.0]
-        out = asgda_step(st, scfg, cfg, ds)
-        assert out.gamma == -1.0
-        np.testing.assert_array_equal(out.c[:4], [1.0, 0.0, 0.3, 0.3])
+        asgda_step(st, scfg, cfg, ds)
+        assert st.gamma == -1.0
+        np.testing.assert_array_equal(st.c[:4], [1.0, 0.0, 0.3, 0.3])
 
     def test_opauc_pins_theta_a(self):
         cfg = ObjectiveConfig(metric_kind="OPAUC")
         mv = MinVars(init_scorer("linear", 2, seed=0), theta_a=0.7)
         assert project_min(mv, cfg).theta_a == 0.0
+
+    def test_theta_is_free(self):
+        # the box is +-inf on theta: huge weights pass through bit for bit
+        theta = init_scorer("mlp", 2, (3,), seed=0)
+        n = theta.n_params
+        weights = np.where(np.arange(n) % 2, 1e300, -1e300)
+        mv = MinVars(theta.with_weights(weights), a=0.5)
+        lo, hi = ObjectiveConfig().tau_box(n)
+        assert (lo[:n] == -np.inf).all() and (hi[:n] == np.inf).all()
+        out = project_min(mv, ObjectiveConfig())
+        assert out.theta.weights.tobytes() == weights.tobytes()
 
 
 class TestSurrogateValues:

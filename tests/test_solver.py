@@ -58,21 +58,21 @@ class TestAsgdaStep:
                            batch_neg=8, seed=0)
         st = init_state(ds, scorer, cfg, obj)
         st.v = np.full_like(st.v, 0.7)  # nonzero so the step actually moves
-        from paucopt.objectives import project_min_flat
-        expected = project_min_flat(st.tau - cfg.nu * st.v,
-                                    scorer.n_params, obj)
-        new = asgda_step(st, cfg, obj, ds)
-        np.testing.assert_allclose(new.tau, expected, atol=1e-12)
+        expected = np.clip(st.tau - cfg.nu * st.v, *st.box)
+        asgda_step(st, cfg, obj, ds)
+        np.testing.assert_allclose(st.tau, expected, atol=1e-12)
 
     def test_zero_steps_keep_variables(self, small_setup):
         ds, scorer, obj = small_setup
         cfg = SolverConfig(nu=0.0, lam=0.0, T=1, batch_pos=4, batch_neg=8,
                            seed=0)
         st = init_state(ds, scorer, cfg, obj)
-        new = asgda_step(st, cfg, obj, ds)
-        np.testing.assert_array_equal(new.tau, st.tau)
-        assert new.gamma == st.gamma
-        assert np.linalg.norm(new.v) > 0  # momenta still refresh
+        # the step updates st in place, so keep copies of the start
+        tau, gamma = st.tau.copy(), st.gamma
+        asgda_step(st, cfg, obj, ds)
+        np.testing.assert_array_equal(st.tau, tau)
+        assert st.gamma == gamma
+        assert np.linalg.norm(st.v) > 0  # momenta still refresh
 
     def test_deterministic_traces(self, small_setup):
         ds, scorer, obj = small_setup
@@ -90,9 +90,23 @@ class TestAsgdaStep:
                            seed=1)
         st = init_state(ds, scorer, cfg, obj)
         for _ in range(100):
-            st = asgda_step(st, cfg, obj, ds)
-            assert _box_violation(st.tau, st.gamma, st.c, obj) == 0.0
+            asgda_step(st, cfg, obj, ds)
+            assert _box_violation(st, st.c, obj) == 0.0
 
+    def test_box_violation_of_each_block(self, small_setup):
+        ds, scorer, obj = small_setup
+        st = init_state(ds, scorer, SolverConfig(), obj)
+        # free weights, even infinite ones, are inside their box
+        st.tau[:scorer.n_params] = [np.inf, -np.inf, 1e300, -1e300]
+        with np.errstate(invalid="ignore"):     # inf - inf
+            assert _box_violation(st, st.c, obj) == 0.0
+            st.gamma = 1.5
+            assert _box_violation(st, st.c, obj) == 0.5
+            st.tau[-1] = -2.0    # theta_b, boxed at [0, lagrange_cap]
+            assert _box_violation(st, st.c, obj) == 2.0
+        st.tau[:scorer.n_params] = 0.0
+        assert _box_violation(st, np.array([0.5, 3.0]), obj) == 2.0
+        assert _box_violation(st, np.array([0.5, 4.5]), obj) == 3.5
 
     def test_no_box_violation_at_the_bound(self):
         # with the ascent frozen every c stays 1 > beta, so the s' gradient
@@ -161,7 +175,7 @@ class TestGradMappingProxy:
         cfg = SolverConfig(T=1, batch_pos=4, batch_neg=8, seed=0)
         st = init_state(ds, scorer, cfg, obj)
         lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
-        p = grad_mapping_proxy(st.min_vars(), lg.grad_min, cfg, obj)
+        p = grad_mapping_proxy(st.tau, lg.grad_min, cfg, st.box)
         assert p >= 0.0 and np.isfinite(p)
 
     def test_small_nu_approximates_grad_norm(self, small_setup):
@@ -172,7 +186,7 @@ class TestGradMappingProxy:
         st.tau = st.tau * 0 + 0.5
         st.tau[-2] = 0.0
         lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
-        proxy = grad_mapping_proxy(st.min_vars(), lg.grad_min, cfg, obj)
+        proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg, st.box)
         assert proxy == pytest.approx(np.linalg.norm(lg.grad_min), rel=1e-6)
 
     def test_convex_toy_proxy_decreases(self):
@@ -186,7 +200,7 @@ class TestGradMappingProxy:
                            eval_every=100)
         st = init_state(ds, scorer, cfg, obj)
         lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
-        first = grad_mapping_proxy(st.min_vars(), lg.grad_min, cfg, obj)
+        first = grad_mapping_proxy(st.tau, lg.grad_min, cfg, st.box)
         _, _, trace = train(ds, None, scorer, cfg, obj)
         tail = [r.grad_map_proxy for r in trace.records
                 if r.t > 0.9 * 2000]
@@ -210,7 +224,7 @@ class TestStepIsBatchSized:
         for n in (2_000, 200_000):
             ds, obj, cfg, st = self.unbiased_setup(n)
             for _ in range(3):   # past the first step, c and w_c move
-                st = asgda_step(st, cfg, obj, ds)
+                asgda_step(st, cfg, obj, ds)
             tracemalloc.start()
             try:
                 asgda_step(st, cfg, obj, ds)
@@ -232,7 +246,7 @@ class TestStepIsBatchSized:
         ds, obj, cfg, st = self.unbiased_setup(2_000)
         for _ in range(5):
             calls.clear()
-            st = asgda_step(st, cfg, obj, ds)
+            asgda_step(st, cfg, obj, ds)
             assert calls == [(2, 256)]   # the old and new point, stacked
         calls.clear()
         warmup_logistic(st.min_vars().theta, ds, 1, 0.1, batch_size=256)
@@ -250,8 +264,8 @@ class TestStepIsBatchSized:
         full = 0
         st = init_state(ds, scorer, cfg, obj)
         for _ in range(cfg.T):
-            st = asgda_step(st, cfg, obj, ds)
-            full += _box_violation(st.tau, st.gamma, st.c, obj) > 0.0
+            asgda_step(st, cfg, obj, ds)
+            full += _box_violation(st, st.c, obj) > 0.0
         assert train(ds, None, scorer, cfg, obj)[2].box_violations == full
 
     def test_touched_box_check_sees_a_written_c_past_its_box(self, monkeypatch):
@@ -260,9 +274,8 @@ class TestStepIsBatchSized:
 
         def leaky(state, *args):
             ids = state.active_c
-            out = step(state, *args)
-            out.c[ids[:1]] = 1.5
-            return out
+            step(state, *args)
+            state.c[ids[:1]] = 1.5
 
         monkeypatch.setattr(paucopt.solver, "asgda_step", leaky)
         ds, obj, cfg, _ = self.unbiased_setup(2_000)
