@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import typing
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .data import SplitSpec, generate_synthetic, load_csv, save_csv, split
 from .metrics import empirical_auc, empirical_opauc, empirical_tpauc, roc_curve
 from .objectives import FLAT_SCALARS, ObjectiveConfig
 from .scorer import ScorerParams, init_scorer, score_batch, warmup_logistic
-from .solver import SolverConfig, _val_pauc, train
+from .solver import SolverConfig, TraceRecord, _val_pauc, train
 from .verify import reports_to_json, run_all_checks, run_bias_sweep, ALL_CHECKS
 
 
@@ -152,9 +153,8 @@ def _load_run_config(args):
 def _write_trace(trace, path: Path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "eta", "objective", "grad_map_proxy", "val_pauc",
-                    "elapsed_ms"])
-        w.writerows(trace.rows())
+        w.writerow(f.name for f in fields(TraceRecord))
+        w.writerows(astuple(r) for r in trace.records)
 
 
 def cmd_train(args) -> int:
@@ -303,8 +303,9 @@ def cmd_sweep(args) -> int:
                               batch_neg=min(224, ds_train.n_neg),
                               freeze_theta=True, eval_every=max(1, args.T))
     rows = run_bias_sweep(ds_train, ds_val, scorer, args.kappas, obj_cfg, solver_cfg)
-    out = _out_dir(args)
-    (out / "sweep.json").write_text(json.dumps(rows, indent=2), encoding="utf-8")
+    # strict JSON: a non-finite value is a ValueError (exit 2), not a bare NaN
+    text = json.dumps(rows, indent=2, allow_nan=False)
+    (_out_dir(args) / "sweep.json").write_text(text, encoding="utf-8")
     for row in rows:
         print(json.dumps(row))
     return 0

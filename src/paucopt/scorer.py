@@ -92,7 +92,7 @@ def _layers(dims, weights: np.ndarray) -> list:
 def _forward(layers: list, x: np.ndarray):
     """Forward pass of K weight vectors (one _layers list) over one batch of
     rows; each layer is one broadcast matmul over the K points. Returns
-    (scores (K, B), activations, pre_logits (K, B))."""
+    (scores (K, B), activations)."""
     acts = [x]
     h = x
     for w, b in layers[:-1]:
@@ -102,7 +102,7 @@ def _forward(layers: list, x: np.ndarray):
     z = (h @ w.transpose(0, 2, 1) + b)[..., 0]
     # keep scores strictly inside (0,1) even when the sigmoid saturates
     f = np.clip(expit(z), 1e-300, np.nextafter(1.0, 0.0))
-    return f, acts, z
+    return f, acts
 
 
 def score_batch(params: ScorerParams, x: np.ndarray) -> np.ndarray:
@@ -142,7 +142,7 @@ def score_with_pullback(dims, weights: np.ndarray, x: np.ndarray):
     dz -> backprop_logit over the same forward pass, so scoring and backprop
     share one set of layer views and activations."""
     layers = _layers(dims, weights)
-    f, acts, _ = _forward(layers, x)
+    f, acts = _forward(layers, x)
     return f, lambda dz: backprop_logit(layers, acts, dz)
 
 

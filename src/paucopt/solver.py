@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, Minibatch, stratified_sample
 from .metrics import PaucReport, empirical_opauc, empirical_tpauc
-from .objectives import FLAT_SCALARS, MaxVars, MinVars, ObjectiveConfig, evaluate, hinged_ids
+from .objectives import MaxVars, MinVars, ObjectiveConfig, evaluate, hinged_ids
 from .scorer import ScorerParams, score_batch, warmup_logistic
 
 
@@ -95,10 +95,6 @@ class TrainTrace:
     best_val_pauc: float = float("nan")
     best_tau: MinVars | None = None
 
-    def rows(self):
-        return [(r.t, r.eta, r.objective, r.grad_map_proxy, r.val_pauc,
-                 r.elapsed_ms) for r in self.records]
-
 
 def eta_schedule(cfg: SolverConfig, t: int) -> float:
     return cfg.k_coef / (cfg.m_coef + t) ** (1.0 / 3.0)
@@ -107,19 +103,18 @@ def eta_schedule(cfg: SolverConfig, t: int) -> float:
 def init_state(ds: Dataset, scorer_init: ScorerParams, cfg: SolverConfig,
                obj_cfg: ObjectiveConfig) -> SolverState:
     """tau at MinVars' defaults, gamma 0 and, for the unbiased form only, c
-    at 1 with one entry per instance; the surrogate reads no c."""
+    at 1 with one entry per instance; the surrogate reads no c. A frozen
+    theta is boxed at its start, so every projection returns it exactly."""
     n_c = ds.n if obj_cfg.formulation == "unbiased" else 0
+    n = scorer_init.n_params
     tau = MinVars(scorer_init).flat()
-    return SolverState(scorer=scorer_init, tau=tau, box=obj_cfg.tau_box(scorer_init.n_params),
+    lo, hi = obj_cfg.tau_box(n)
+    if cfg.freeze_theta:
+        lo[:n] = hi[:n] = tau[:n]
+    return SolverState(scorer=scorer_init, tau=tau, box=(lo, hi),
                        gamma=0.0, c=np.ones(n_c), v=np.zeros_like(tau), w_gamma=0.0,
                        w_c=np.zeros(n_c), active_c=np.zeros(0, dtype=np.intp), t=0,
                        rng=np.random.default_rng(cfg.seed))
-
-
-def _zero_theta(g: np.ndarray, n_theta: int) -> np.ndarray:
-    out = g.copy()
-    out[:n_theta] = 0.0
-    return out
 
 
 def _clamp(x, lo, hi):
@@ -178,9 +173,6 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
     rho = cfg.iota1 * eta ** 2
     xi = cfg.iota2 * eta ** 2
     state.v = _storm(state.v, *lg.grad_min, rho)
-    if cfg.freeze_theta:
-        # a frozen theta keeps a zero momentum, so its descent step is 0
-        state.v[:state.scorer.n_params] = 0.0
     state.w_gamma = _storm(state.w_gamma, *lg.grad_max_gamma.tolist(), xi)
     if len(ids):
         state.w_c[ids] = _storm(state.w_c[ids], *lg.grad_max_c, xi)
@@ -192,19 +184,19 @@ def full_batch(ds: Dataset) -> Minibatch:
     return Minibatch(ds.pos_ids, ds.neg_ids)
 
 
-def grad_mapping_proxy(tau: np.ndarray, grad_min: np.ndarray, cfg: SolverConfig,
+def grad_mapping_proxy(tau: np.ndarray, grad_min: np.ndarray, nu: float,
                        box: tuple) -> float:
     """Projected-stationarity proxy (1/nu)*||tau - P(tau - nu*g)||_2 of the
-    flat tau, with P the clamp onto box (SolverState.box).
+    flat tau, with P the clamp onto box (SolverState.box). A frozen theta
+    is boxed at its start, so the difference is 0 on theta.
 
     g is grad_min, the full-data descent gradient at tau and the current
     ascent block; the exact metric would maximize over the ascent block first.
     """
-    if cfg.nu == 0:
+    if nu == 0:
         return 0.0
-    g = _zero_theta(grad_min, len(tau) - len(FLAT_SCALARS)) if cfg.freeze_theta else grad_min
-    moved = _clamp(tau - cfg.nu * g, *box)
-    return float(np.linalg.norm(tau - moved) / cfg.nu)
+    moved = _clamp(tau - nu * grad_min, *box)
+    return float(np.linalg.norm(tau - moved) / nu)
 
 
 def _box_violation(state: SolverState, c: np.ndarray, cfg: ObjectiveConfig) -> float:
@@ -247,7 +239,7 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
         lg = evaluate(obj_cfg, st.tau[None], np.array([st.gamma]), full, ds_train,
                       st.c[full_c_ids][None], dims=st.scorer.layer_dims)
         value, grad_min = float(lg.value[0]), lg.grad_min[0]
-        proxy = grad_mapping_proxy(st.tau, grad_min, cfg, st.box)
+        proxy = grad_mapping_proxy(st.tau, grad_min, cfg.nu, st.box)
         for name, x in (("objective", value), ("descent gradient", grad_min),
                         ("grad_map_proxy", proxy)):
             if not np.isfinite(x).all():

@@ -230,14 +230,15 @@ def quantile_deviation(ds: Dataset, tau: MinVars, gamma: float, beta: float) -> 
 def run_bias_sweep(ds_train: Dataset, ds_val: Dataset | None,
                    scorer_init: ScorerParams, kappas,
                    obj_cfg_base: ObjectiveConfig, solver_cfg: SolverConfig):
-    """Train the surrogate at each kappa plus one unbiased run; report beta-tilde.
+    """Train the surrogate at each kappa plus one unbiased run, whose row's
+    kappa is None; report beta-tilde.
 
     All runs share the scorer initialization and solver seed so the only
     moving part is the hinge treatment.
     """
     runs = [(replace(obj_cfg_base, formulation="surrogate", kappa=kappa), kappa)
             for kappa in kappas]
-    runs.append((replace(obj_cfg_base, formulation="unbiased"), float("nan")))
+    runs.append((replace(obj_cfg_base, formulation="unbiased"), None))
     rows = []
     for cfg, kappa in runs:
         tau, xv, trace = train(ds_train, ds_val, scorer_init, solver_cfg, cfg)

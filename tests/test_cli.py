@@ -402,22 +402,38 @@ class TestVerifyCmd:
         assert run_cli("verify", "--trials", "0") == 2
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN and +-Infinity, as strict JSON does."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSweep:
     def test_rows_per_kappa_and_unbiased(self, tmp_path, capsys):
         out = tmp_path / "s"
         rc = run_cli("sweep", "--kappas", "2", "16", "--n", "300", "--T", "40",
                      "--out", str(out))
         assert rc == 0
-        rows = json.loads((out / "sweep.json").read_text())
-        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        rows = strict_json((out / "sweep.json").read_text())
+        printed = [strict_json(line) for line in capsys.readouterr().out.splitlines()]
         assert json.dumps(printed) == json.dumps(rows)
         assert [(r["kind"], r["kappa"]) for r in rows[:2]] == [("surrogate", 2.0),
                                                                 ("surrogate", 16.0)]
-        assert rows[2]["kind"] == "unbiased" and np.isnan(rows[2]["kappa"])
+        assert rows[2]["kind"] == "unbiased" and rows[2]["kappa"] is None
         for r in rows:
             assert 0.0 <= r["beta_eff"] <= 1.0
             assert r["beta_dev"] == abs(r["beta_eff"] - 0.3)
             assert 0.0 <= r["val_pauc"] <= 1.0
+
+    def test_non_finite_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(paucopt.cli, "run_bias_sweep", lambda *args: [
+            {"kind": "unbiased", "kappa": None, "val_pauc": float("nan")}])
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--n", "300", "--T", "1", "--out", str(out)) == 2
+        assert not (out / "sweep.json").exists()
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.slow

@@ -32,7 +32,6 @@ from paucopt.objectives import (
 from paucopt.scorer import init_scorer
 from paucopt.solver import (
     SolverConfig,
-    _zero_theta,
     asgda_step,
     eta_schedule,
     init_state,
@@ -287,11 +286,12 @@ def asgda_step_oracle(state: OracleState, cfg: SolverConfig,
     tau_old = state.tau
     max_old = state.gamma_block
 
-    v = _zero_theta(state.v, n_theta) if cfg.freeze_theta else state.v
     flat_old = tau_old.flat()
-    cand = project_min_flat(flat_old - cfg.nu * v, n_theta, obj_cfg)
-    tau_new = tau_old.with_flat(
-        project_min_flat((1.0 - eta) * flat_old + eta * cand, n_theta, obj_cfg))
+    cand = project_min_flat(flat_old - cfg.nu * state.v, n_theta, obj_cfg)
+    flat_new = project_min_flat((1.0 - eta) * flat_old + eta * cand, n_theta, obj_cfg)
+    if cfg.freeze_theta:
+        flat_new[:n_theta] = flat_old[:n_theta]   # a frozen theta never moves
+    tau_new = tau_old.with_flat(flat_new)
 
     g_cand = min(max(max_old.gamma + cfg.lam * state.w_gamma, -1.0), 1.0)
     gamma_new = min(max((1.0 - eta) * max_old.gamma + eta * g_cand, -1.0), 1.0)
@@ -311,8 +311,6 @@ def asgda_step_oracle(state: OracleState, cfg: SolverConfig,
     rho = cfg.iota1 * eta ** 2
     xi = cfg.iota2 * eta ** 2
     v_next = lg_new.grad_min + (1.0 - rho) * (state.v - lg_old.grad_min)
-    if cfg.freeze_theta:
-        v_next = _zero_theta(v_next, n_theta)
     w_gamma_next = (lg_new.grad_max_gamma
                     + (1.0 - xi) * (state.w_gamma - lg_old.grad_max_gamma))
     w_c_next = dict(state.w_c)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -82,7 +83,23 @@ class TestAsgdaStep:
         b = train(ds, None, scorer, cfg, obj)[2]
         # everything except wall-clock must match bit for bit
         # (val_pauc is nan here, so compare the first four columns)
-        assert [r[:4] for r in a.rows()] == [r[:4] for r in b.rows()]
+        assert ([astuple(r)[:4] for r in a.records]
+                == [astuple(r)[:4] for r in b.records])
+
+    @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+    @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+    def test_frozen_theta_ends_bit_identical(self, metric, formulation):
+        # the step oracle's problem; (1-eta)*theta + eta*theta can round off
+        # theta, so only a box pinned at the start keeps it exact
+        ds = generate_synthetic(300, 0.3, 3, 1.0, seed=4)
+        obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2,
+                              prior_p=ds.prior_p)
+        cfg = SolverConfig(nu=1.0, lam=20.0, T=60, batch_pos=8, batch_neg=24,
+                           seed=4, freeze_theta=True)
+        scorer = init_scorer("mlp", 3, (4,), seed=4)
+        tau, _, trace = train(ds, None, scorer, cfg, obj)
+        assert np.array_equal(tau.theta.weights, scorer.weights)
+        assert trace.box_violations == 0
 
     def test_feasible_after_every_step(self, small_setup):
         ds, scorer, obj = small_setup
@@ -175,7 +192,7 @@ class TestGradMappingProxy:
         cfg = SolverConfig(T=1, batch_pos=4, batch_neg=8, seed=0)
         st = init_state(ds, scorer, cfg, obj)
         lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
-        p = grad_mapping_proxy(st.tau, lg.grad_min, cfg, st.box)
+        p = grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box)
         assert p >= 0.0 and np.isfinite(p)
 
     def test_small_nu_approximates_grad_norm(self, small_setup):
@@ -186,7 +203,7 @@ class TestGradMappingProxy:
         st.tau = st.tau * 0 + 0.5
         st.tau[-2] = 0.0
         lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
-        proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg, st.box)
+        proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box)
         assert proxy == pytest.approx(np.linalg.norm(lg.grad_min), rel=1e-6)
 
     def test_convex_toy_proxy_decreases(self):
@@ -200,7 +217,7 @@ class TestGradMappingProxy:
                            eval_every=100)
         st = init_state(ds, scorer, cfg, obj)
         lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
-        first = grad_mapping_proxy(st.tau, lg.grad_min, cfg, st.box)
+        first = grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box)
         _, _, trace = train(ds, None, scorer, cfg, obj)
         tail = [r.grad_map_proxy for r in trace.records
                 if r.t > 0.9 * 2000]
