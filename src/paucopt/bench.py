@@ -3,7 +3,7 @@
 bench_rows times the instance-wise objective against a pair-enumerating
 loop across batch sizes (acceptance test 8 reads its ratios); step_sweep
 times one solver step at growing dataset sizes for both formulations;
-end_to_end times whole commands.
+end_to_end times a cold import and whole commands.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import functools
 import io
 import json
 import platform
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .data import generate_synthetic, stratified_sample
 from .objectives import MinVars, ObjectiveConfig, evaluate
@@ -106,11 +107,26 @@ README_CONFIG = {
 }
 # CSV sizes that `paucopt evaluate` is timed on.
 EVALUATE_ROWS = (10_000, 1_000_000)
+# Fresh interpreters whose import of paucopt.cli is timed.
+COLD_STARTS = 5
+
+
+def cold_import_seconds() -> float:
+    """Median wall seconds of ``import paucopt.cli`` in a fresh interpreter,
+    over COLD_STARTS interpreters. Each child times its own import, so the
+    interpreter's start-up is left out."""
+    code = (f"import sys, time; sys.path.insert(0, {str(Path(__file__).parent.parent)!r}); "
+            "t = time.perf_counter(); import paucopt.cli; print(time.perf_counter() - t)")
+    return float(np.median([
+        float(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120).stdout)
+        for _ in range(COLD_STARTS)]))
 
 
 def end_to_end(seed: int) -> list:
-    """Wall seconds of whole commands, each run once in this process with its
-    printed lines discarded: ``train`` on README_CONFIG, then for each n in
+    """Wall seconds of a cold ``import paucopt.cli`` (cold_import_seconds),
+    then of whole commands, each run once in this process with its printed
+    lines discarded: ``train`` on README_CONFIG, then for each n in
     EVALUATE_ROWS ``generate`` of an n-row CSV and ``evaluate --out`` of the
     trained checkpoint on it."""
     from .cli import main       # cli imports this module
@@ -126,7 +142,9 @@ def end_to_end(seed: int) -> list:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "run.json").write_text(json.dumps(README_CONFIG), encoding="utf-8")
-        rows = [{"command": "train", "rows": README_CONFIG["dataset"]["synthetic"]["n"],
+        rows = [{"command": "import paucopt.cli", "rows": None,
+                 "seconds": cold_import_seconds()},
+                {"command": "train", "rows": README_CONFIG["dataset"]["synthetic"]["n"],
                  "seconds": seconds("train", "--config", tmp / "run.json", "--out", tmp / "train")}]
         for n in EVALUATE_ROWS:
             data = tmp / f"data{n}.csv"
@@ -147,8 +165,7 @@ def bench_document(label: str, rows: list, seed: int, reps: int, steps: int) -> 
     end-to-end command times, the seed, the library versions and the
     src/paucopt line count."""
     return {"label": label, "seed": seed, "reps": reps, "steps": steps,
-            "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                         "scipy": scipy.__version__},
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
             "src_paucopt_lines": sum(p.read_text(encoding="utf-8").count("\n")
                                      for p in Path(__file__).parent.glob("*.py")),
             "instance_vs_pairwise": [dict(zip(BENCH_COLUMNS, row)) for row in rows],

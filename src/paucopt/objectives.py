@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, Minibatch
-from .scorer import ScorerParams, score_with_pullback
+from .scorer import ScorerParams, expit, score_with_pullback
 
 # The MinVars scalars in flat-layout order, after theta.
 FLAT_SCALARS = ("a", "b", "s", "s_prime", "theta_a", "theta_b")

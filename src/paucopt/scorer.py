@@ -11,7 +11,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+# The largest double below 1, the cap on a score.
+_ONE_BELOW = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,19 @@ class ScorerParams:
         return cls(doc["kind"], doc["layer_dims"], doc["weights"])
 
 
+@np.errstate(over="ignore")
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)) of a float array, elementwise,
+    in a new array.
+
+    exp(-x) overflows to inf below x ~ -709, where the sigmoid is 0, as
+    scipy.special.expit gives; that overflow is expected, not warned about.
+    """
+    out = np.exp(-x)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def param_count(layer_dims) -> int:
     return sum((din + 1) * dout for din, dout in zip(layer_dims[:-1], layer_dims[1:]))
 
@@ -101,7 +116,7 @@ def _forward(layers: list, x: np.ndarray):
     w, b = layers[-1]
     z = (h @ w.transpose(0, 2, 1) + b)[..., 0]
     # keep scores strictly inside (0,1) even when the sigmoid saturates
-    f = np.clip(expit(z), 1e-300, np.nextafter(1.0, 0.0))
+    f = expit(z).clip(1e-300, _ONE_BELOW)
     return f, acts
 
 

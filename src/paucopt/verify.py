@@ -12,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, Minibatch
 from .metrics import closed_form_optimum, pairwise_surrogate_risk
@@ -25,7 +24,7 @@ from .objectives import (
     pos_branch_P,
     softplus,
 )
-from .scorer import ScorerParams, score_batch
+from .scorer import ScorerParams, expit, score_batch
 from .solver import SolverConfig, train
 
 

@@ -1,7 +1,10 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -471,9 +474,17 @@ class TestBench:
             for form in ("surrogate", "unbiased")]
         assert all(0 < r["median_ms"] <= r["p90_ms"] for r in doc["step_sweep"])
         assert [(r["command"], r["rows"]) for r in doc["end_to_end"]] == [
-            ("train", 2000), ("generate", 300), ("evaluate", 300),
+            ("import paucopt.cli", None), ("train", 2000), ("generate", 300), ("evaluate", 300),
             ("generate", 600), ("evaluate", 600)]
         assert all(r["seconds"] > 0 for r in doc["end_to_end"])
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the one runtime dependency; scipy serves the tests only."""
+    src = Path(paucopt.cli.__file__).parent.parent
+    code = "import sys, paucopt.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def roc_svg_points_oracle(rows, size=400, margin=20):

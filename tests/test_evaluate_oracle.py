@@ -7,7 +7,9 @@ Both sides do the same float operations in the same order, so every value,
 gradient and solver variable must match exactly (==), not to a tolerance;
 the one exception is a batch of one positive and one negative, where the
 oracle's one-row forward passes may round differently from the stacked one
-(bound 1e-12).
+(bound 1e-12). The oracles call paucopt's own sigmoid, because they check
+the stacking and the order of operations, not the sigmoid (tests/
+test_scorer.py checks that against scipy).
 """
 
 from collections import namedtuple
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 import paucopt.solver
 from paucopt.data import Dataset, Minibatch, generate_synthetic, stratified_sample
@@ -29,7 +30,7 @@ from paucopt.objectives import (
     pos_branch_P,
     softplus,
 )
-from paucopt.scorer import init_scorer
+from paucopt.scorer import expit, init_scorer
 from paucopt.solver import (
     SolverConfig,
     asgda_step,

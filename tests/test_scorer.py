@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from paucopt.data import Dataset
 from paucopt.scorer import (
@@ -9,6 +11,7 @@ from paucopt.scorer import (
     _forward,
     _layers,
     backprop_logit,
+    expit,
     init_scorer,
     param_count,
     score_batch,
@@ -94,6 +97,35 @@ class TestScore:
         with pytest.raises(ValueError):
             ScorerParams("mlp", (2, 3, 1), np.zeros(5))
         assert param_count((2, 3, 1)) == 13
+
+
+class TestExpit:
+    """The numpy sigmoid against scipy.special.expit as the oracle. The two
+    use different exp implementations, so they agree to a few ulp, not
+    bit for bit."""
+
+    def test_matches_scipy_within_4_ulp(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                            np.random.default_rng(0).normal(0.0, 30.0, 100_000)])
+        np.testing.assert_array_max_ulp(expit(x), scipy.special.expit(x), maxulp=4)
+
+    def test_exact_at_zero_and_infinities(self):
+        got = expit(np.array([0.0, -0.0, np.inf, -np.inf]))
+        np.testing.assert_array_equal(got, [0.5, 0.5, 1.0, 0.0])
+        assert np.isnan(expit(np.array([np.nan]))).all()
+
+    def test_overflow_gives_zero_without_warning(self):
+        x = np.array([-709.0, -710.0, -745.0, -1e4, -np.finfo(np.float64).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x)
+        assert got[0] > 0.0
+        np.testing.assert_array_equal(got[1:], 0.0)
+
+    def test_leaves_its_input_alone(self):
+        x = np.zeros((2, 3))
+        np.testing.assert_array_equal(expit(x), np.full((2, 3), 0.5))
+        np.testing.assert_array_equal(x, 0.0)
 
 
 class TestScoreGrad:
