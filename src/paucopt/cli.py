@@ -131,6 +131,9 @@ def _load_run_config(args):
         raise ValueError("config dataset.label_col has no effect without dataset.csv")
     if sections["scorer"]["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
         raise ValueError("config scorer.hidden has no effect beside scorer.kind linear")
+    if ("alpha" in doc.get("objective", {})
+            and sections["objective"].get("metric_kind", "OPAUC") == "OPAUC"):
+        raise ValueError("config objective.alpha has no effect beside objective.metric OPAUC")
     if dsrc["csv"] is not None:
         ds = load_csv(dsrc["csv"], dsrc["label_col"])
     else:
@@ -185,7 +188,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = load_csv(args.data, args.label_col)
     doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
-    scorer = ScorerParams.from_dict(doc["scorer"] if "scorer" in doc else doc)
+    if not isinstance(doc, dict) or not isinstance(doc.get("scorer"), dict):
+        raise ValueError(f"{args.checkpoint}: no scorer object")
+    scorer = ScorerParams.from_dict(doc["scorer"])
     scores = score_batch(scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
 
@@ -200,12 +205,12 @@ def cmd_evaluate(args) -> int:
 
     if args.out:
         out = _out_dir(args)
-        rows = roc_curve(pos, neg)
+        fpr, tpr = roc_curve(pos, neg)
         # the bytes csv.writer writes: a float cell is its repr, CRLF ends a row
-        (out / "roc.csv").write_text(
-            "fpr,tpr\r\n" + "".join([f"{fpr!r},{tpr!r}\r\n" for fpr, tpr in rows]),
+        (out / "roc.csv").write_text("fpr,tpr\r\n" + "".join(
+            [f"{f!r},{t!r}\r\n" for f, t in zip(fpr.tolist(), tpr.tolist())]),
             encoding="utf-8", newline="")
-        (out / "roc.svg").write_text(_roc_svg(rows), encoding="utf-8")
+        (out / "roc.svg").write_text(_roc_svg(fpr, tpr), encoding="utf-8")
     return 0
 
 
@@ -220,12 +225,11 @@ def _metric_point(text: str) -> tuple[float, float]:
     return alpha, beta
 
 
-def _roc_svg(rows, size: int = 400, margin: int = 20) -> str:
+def _roc_svg(fpr: np.ndarray, tpr: np.ndarray, size: int = 400, margin: int = 20) -> str:
     """Minimal hand-rolled polyline rendering of an ROC curve. A point whose
     printed coordinates repeat the previous point's is left out: it would
     draw nothing."""
     span = size - 2 * margin
-    fpr, tpr = np.array(rows).T
     x, y = margin + fpr * span, margin + (1.0 - tpr) * span
     cx, cy = _hundredths(x), _hundredths(y)
     keep = np.ones(len(x), dtype=bool)

@@ -19,7 +19,7 @@ import numpy as np
 
 
 class MetricError(ValueError):
-    """Raised when a metric precondition fails (empty class, zero floor)."""
+    """Raised when a metric precondition fails (empty class, bad fraction, zero floor)."""
 
 
 @dataclass(frozen=True)
@@ -50,29 +50,22 @@ def _as_scores(scores) -> np.ndarray:
     return out
 
 
-def _floor(x: float) -> int:
+def _count(n: int, frac: float, side: str, name: str) -> int:
+    """floor(n * frac) for frac in (0, 1], which must be at least 1; side and
+    name spell it in errors, as in floor(n_neg*beta)."""
+    if not 0.0 < frac <= 1.0:
+        raise MetricError(f"{name} must lie in (0,1], got {frac!r}")
     # tolerate IEEE round-off in products like 10*0.7 = 6.999...
-    return int(np.floor(x + 1e-9))
-
-
-def _neg_floor(n_neg: int, beta: float) -> int:
-    k = _floor(n_neg * beta)
+    k = int(np.floor(n * frac + 1e-9))
     if k < 1:
-        raise MetricError(f"floor(n_neg*beta) = 0 for n_neg={n_neg}, beta={beta}")
-    return k
-
-
-def _pos_floor(n_pos: int, alpha: float) -> int:
-    k = _floor(n_pos * alpha)
-    if k < 1:
-        raise MetricError(f"floor(n_pos*alpha) = 0 for n_pos={n_pos}, alpha={alpha}")
+        raise MetricError(f"floor(n_{side}*{name}) = 0 for n_{side}={n}, {name}={frac}")
     return k
 
 
 def top_negatives(scores_neg, beta: float) -> np.ndarray:
     """The floor(n_neg*beta) largest negative scores, largest first."""
     neg = _as_scores(scores_neg)
-    k = _neg_floor(len(neg), beta)
+    k = _count(len(neg), beta, "neg", "beta")
     cut = len(neg) - k
     return np.sort(np.partition(neg, cut)[cut:])[::-1]
 
@@ -80,7 +73,7 @@ def top_negatives(scores_neg, beta: float) -> np.ndarray:
 def bottom_positives(scores_pos, alpha: float) -> np.ndarray:
     """The floor(n_pos*alpha) smallest positive scores, smallest first."""
     pos = _as_scores(scores_pos)
-    k = _pos_floor(len(pos), alpha)
+    k = _count(len(pos), alpha, "pos", "alpha")
     return np.sort(np.partition(pos, k - 1)[:k])
 
 
@@ -94,39 +87,39 @@ def _pair_value(pos: np.ndarray, neg: np.ndarray) -> float:
     return float(1.0 - bad)
 
 
+def _selected(scores_pos, scores_neg, alpha, beta, metric_kind,
+              kinds=("OPAUC", "TPAUC")):
+    """The scores metric_kind, one of kinds, ranks over: the bottom-alpha positives
+    for TPAUC (else all) and the top-beta negatives (all for AUC)."""
+    if metric_kind not in kinds:
+        raise MetricError(f"unknown metric kind {metric_kind!r}")
+    pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
+    if metric_kind == "TPAUC":
+        pos = bottom_positives(pos, alpha)
+    if metric_kind != "AUC":
+        neg = top_negatives(neg, beta)
+    return pos, neg
+
+
+def _report(metric_kind, scores_pos, scores_neg, alpha=1.0, beta=1.0) -> PaucReport:
+    pos, neg = _selected(scores_pos, scores_neg, alpha, beta, metric_kind,
+                         ("AUC", "OPAUC", "TPAUC"))
+    return PaucReport(metric_kind, alpha, beta, _pair_value(pos, neg), len(pos), len(neg))
+
+
 def empirical_auc(scores_pos, scores_neg) -> PaucReport:
     """Full AUC with strict-inequality 0-1 loss."""
-    pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
-    return PaucReport("AUC", 1.0, 1.0, _pair_value(pos, neg), len(pos), len(neg))
+    return _report("AUC", scores_pos, scores_neg)
 
 
 def empirical_opauc(scores_pos, scores_neg, beta: float) -> PaucReport:
     """Partial AUC over all positives x the top-beta fraction of negatives."""
-    pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
-    sel_neg = top_negatives(neg, beta)
-    return PaucReport("OPAUC", 1.0, beta, _pair_value(pos, sel_neg),
-                      len(pos), len(sel_neg))
+    return _report("OPAUC", scores_pos, scores_neg, beta=beta)
 
 
 def empirical_tpauc(scores_pos, scores_neg, alpha: float, beta: float) -> PaucReport:
     """Partial AUC over bottom-alpha positives x top-beta negatives."""
-    pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
-    sel_pos = bottom_positives(pos, alpha)
-    sel_neg = top_negatives(neg, beta)
-    return PaucReport("TPAUC", alpha, beta, _pair_value(sel_pos, sel_neg),
-                      len(sel_pos), len(sel_neg))
-
-
-def _selected(scores_pos, scores_neg, alpha, beta, metric_kind):
-    pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
-    sel_neg = top_negatives(neg, beta)
-    if metric_kind == "TPAUC":
-        sel_pos = bottom_positives(pos, alpha)
-    elif metric_kind == "OPAUC":
-        sel_pos = pos
-    else:
-        raise MetricError(f"unknown metric kind {metric_kind!r}")
-    return sel_pos, sel_neg
+    return _report("TPAUC", scores_pos, scores_neg, alpha, beta)
 
 
 def pairwise_surrogate_risk(scores_pos, scores_neg, alpha: float, beta: float,
@@ -161,15 +154,14 @@ def _share_at_or_above(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray
     return at_or_above / len(scores)
 
 
-def roc_curve(scores_pos, scores_neg):
-    """ROC sweep: one (FPR, TPR) row per score threshold plus the (0,0) endpoint.
+def roc_curve(scores_pos, scores_neg) -> tuple[np.ndarray, np.ndarray]:
+    """ROC sweep: (fpr, tpr), one point per score threshold after (0, 0).
 
-    Rows are produced in threshold-descending order, giving exactly
-    n_pos + n_neg + 1 rows; a point at a tied threshold counts every
-    instance with score >= threshold as predicted positive.
+    Thresholds descend, giving exactly n_pos + n_neg + 1 points; a point at
+    a tied threshold counts every instance with score >= threshold as
+    predicted positive.
     """
     pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
     thresholds = -np.sort(-np.concatenate([pos, neg]))
-    fpr = _share_at_or_above(neg, thresholds)
-    tpr = _share_at_or_above(pos, thresholds)
-    return [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]
+    return tuple(np.concatenate([[0.0], _share_at_or_above(scores, thresholds)])
+                 for scores in (neg, pos))

@@ -54,14 +54,16 @@ class ObjectiveConfig:
             raise ObjectiveError(f"unknown metric kind {self.metric_kind!r}")
         if self.formulation not in ("surrogate", "unbiased"):
             raise ObjectiveError(f"unknown formulation {self.formulation!r}")
-        if not 0.0 < self.alpha <= 1.0 or not 0.0 < self.beta <= 1.0:
-            raise ObjectiveError("alpha and beta must lie in (0,1]")
-        if self.formulation == "surrogate" and self.kappa <= 0:
-            raise ObjectiveError("surrogate formulation requires kappa > 0")
-        if self.omega < 0:
-            raise ObjectiveError("omega must be nonnegative")
-        if not 0.0 < self.prior_p < 1.0:
-            raise ObjectiveError("prior_p must lie in (0,1)")
+        # each condition is False for NaN, so NaN fails every check
+        for name, ok, rule in (
+                ("alpha", 0.0 < self.alpha <= 1.0, "lie in (0,1]"),
+                ("beta", 0.0 < self.beta <= 1.0, "lie in (0,1]"),
+                ("kappa", self.kappa > 0 or self.formulation == "unbiased", "be positive"),
+                ("omega", self.omega >= 0, "be nonnegative"),
+                ("lagrange_cap", self.lagrange_cap >= 0, "be nonnegative"),
+                ("prior_p", 0.0 < self.prior_p < 1.0, "lie in (0,1)")):
+            if not ok:
+                raise ObjectiveError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
     @cached_property
     def boxes(self) -> dict:
@@ -171,8 +173,9 @@ def _hinge_branch(cfg: ObjectiveConfig, x, thr, frac: float,
     """
     scale, gap = frac * prior, x - thr
     if c is None:
-        w = expit(cfg.kappa * gap)
-        hinge = softplus(gap, cfg.kappa)
+        z = cfg.kappa * gap
+        w = expit(z)
+        hinge = np.logaddexp(0.0, z) / cfg.kappa  # softplus(gap, kappa)
         d_c = None
     else:
         w = c

@@ -43,18 +43,18 @@ class SolverConfig:
     freeze_theta: bool = False  # keep scorer weights fixed (convex-toy mode)
 
     def __post_init__(self):
-        if self.nu < 0 or self.lam < 0:
-            raise SolverError("step sizes must be nonnegative")
-        if self.k_coef <= 0 or self.m_coef < 2:
-            raise SolverError("require k > 0 and m >= 2")
+        # (field, bound, strict): each must be > bound when strict, else >=
+        # bound; written so that NaN, which compares False, fails
+        for name, bound, strict in (
+                ("nu", 0, False), ("lam", 0, False), ("k_coef", 0, True), ("m_coef", 2, False),
+                ("iota1", 0, True), ("iota2", 0, True), ("T", 0, False), ("batch_pos", 1, False),
+                ("batch_neg", 1, False), ("eval_every", 1, False)):
+            value = getattr(self, name)
+            if not (value > bound if strict else value >= bound):
+                raise SolverError(f"{name} must be {'above' if strict else 'at least'} "
+                                  f"{bound}, got {value!r}")
         if self.k_coef / self.m_coef ** (1.0 / 3.0) > 1.0 + 1e-12:
             raise SolverError("eta_0 = k/m^(1/3) must not exceed 1 (need m >= k^3)")
-        if self.iota1 <= 0 or self.iota2 <= 0:
-            raise SolverError("correction coefficients must be positive")
-        if self.T < 0 or self.batch_pos < 1 or self.batch_neg < 1:
-            raise SolverError("bad iteration count or batch sizes")
-        if self.eval_every < 1:
-            raise SolverError("eval_every must be at least 1")
 
 
 @dataclass

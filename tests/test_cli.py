@@ -153,14 +153,32 @@ class TestTrain:
         ({"csv": "data.csv", "synthetic": {"n": 400}}, "dataset.synthetic"),
         # not a dataset entry: the section is the first part of name
         pytest.param({"kind": "linear", "hidden": [4]}, "scorer.hidden", id="scorer-linear"),
+        pytest.param({"metric": "OPAUC", "alpha": 0.5}, "objective.alpha", id="objective-opauc"),
     ])
     def test_key_without_effect_usage_error(self, tmp_path, capsys, dataset, name):
-        # label_col is read only from a CSV, synthetic only without one, and
-        # hidden only for an mlp
+        # label_col is read only from a CSV, synthetic only without one,
+        # hidden only for an mlp and alpha only for TPAUC
         cfg = self.write_config(tmp_path, **{name.partition(".")[0]: dataset})
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
         assert f"config {name} has no effect" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,entry,name", [
+        ("objective", {"omega": float("nan")}, "omega"),
+        ("objective", {"kappa": float("nan")}, "kappa"),
+        ("objective", {"lagrange_cap": float("nan")}, "lagrange_cap"),
+        ("objective", {"lagrange_cap": -1}, "lagrange_cap"),
+        ("solver", {"nu": float("nan")}, "nu"),
+        ("solver", {"iota2": float("nan")}, "iota2"),
+    ])
+    def test_out_of_range_value_usage_error(self, tmp_path, capsys, section, entry, name):
+        # json reads NaN; a range check must reject it rather than let the
+        # run stop later at a non-finite objective that names no key
+        cfg = self.write_config(tmp_path, **{section: entry})
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
         assert not (tmp_path / "x").exists()
 
     def test_eval_every_below_one_usage_error(self, tmp_path, capsys):
@@ -354,7 +372,8 @@ class TestEvaluate:
         with open(oracle, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["fpr", "tpr"])
-            w.writerows(roc_curve(scores[ds.pos_ids], scores[ds.neg_ids]))
+            fpr, tpr = roc_curve(scores[ds.pos_ids], scores[ds.neg_ids])
+            w.writerows(zip(fpr.tolist(), tpr.tolist()))
         assert (out / "roc.csv").read_bytes() == oracle.read_bytes()
 
     @pytest.mark.parametrize("at", ["2,0.3", "0.5", "0,0.3", "0.5,1.5", "a,b", "nan,0.3",
@@ -377,6 +396,20 @@ class TestEvaluate:
         assert run_cli("evaluate", "--data", str(data), "--checkpoint",
                        str(tmp_path / "absent.json")) == 2
         assert capsys.readouterr().err.startswith(f"error: {data}")
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"min_vars": {"a": 1.0}},
+        {"scorer": [1.0, 2.0]},
+        # a bare scorer is not a checkpoint
+        {"kind": "linear", "layer_dims": [5, 1], "weights": [0.0] * 6},
+    ], ids=["list", "no-scorer", "scorer-not-object", "bare-scorer"])
+    def test_checkpoint_without_scorer_object_usage_error(self, tmp_path, synth_csv, capsys,
+                                                          doc):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: no scorer object\n"
 
     def test_alpha_beta_one_equals_auc(self, tmp_path, synth_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, synth_csv)
@@ -487,11 +520,11 @@ def test_cli_import_loads_no_scipy():
                    env={**os.environ, "PYTHONPATH": str(src)})
 
 
-def roc_svg_points_oracle(rows, size=400, margin=20):
-    """The polyline points the SVG used to print: one per ROC row."""
+def roc_svg_points_oracle(fpr, tpr, size=400, margin=20):
+    """The polyline points the SVG used to print: one per ROC point."""
     span = size - 2 * margin
-    return [f"{margin + fpr * span:.2f},{margin + (1.0 - tpr) * span:.2f}"
-            for fpr, tpr in rows]
+    return [f"{margin + f * span:.2f},{margin + (1.0 - t) * span:.2f}"
+            for f, t in zip(fpr.tolist(), tpr.tolist())]
 
 
 class TestRocSvg:
@@ -499,15 +532,15 @@ class TestRocSvg:
     def points(svg):
         return re.search(r'<polyline points="([^"]*)"', svg).group(1).split(" ")
 
-    def check(self, rows):
-        old = roc_svg_points_oracle(rows)
+    def check(self, fpr, tpr):
+        old = roc_svg_points_oracle(fpr, tpr)
         want = [p for i, p in enumerate(old) if i == 0 or p != old[i - 1]]
-        assert self.points(paucopt.cli._roc_svg(rows)) == want
+        assert self.points(paucopt.cli._roc_svg(fpr, tpr)) == want
 
     def test_tied_scores(self):
         rng = np.random.default_rng(0)
         scores = np.round(rng.standard_normal(5000), 1)
-        self.check(roc_curve(scores[:700] + 0.5, scores[700:]))
+        self.check(*roc_curve(scores[:700] + 0.5, scores[700:]))
 
     def test_coordinates_on_rounding_boundaries(self):
         # x = 20 + fpr * 360 at, or one ulp beside, values halfway between
@@ -517,9 +550,9 @@ class TestRocSvg:
         x = np.array([np.nextafter(h, d) for h in halves for d in (-np.inf, 0, np.inf)]
                      + halves)
         fpr = np.sort((x - 20.0) / 360.0)
-        rows = [(0.0, 0.0)] + [(f, t) for f in fpr.tolist() for t in (f, f + 1e-14)]
-        self.check(rows)
+        self.check(np.concatenate([[0.0], np.repeat(fpr, 2)]),
+                   np.concatenate([[0.0], np.stack([fpr, fpr + 1e-14], axis=1).ravel()]))
 
     def test_one_point_per_row_when_none_repeat(self):
-        rows = [(i / 10, i / 10) for i in range(11)]
-        assert len(self.points(paucopt.cli._roc_svg(rows))) == 11
+        rate = np.arange(11) / 10
+        assert len(self.points(paucopt.cli._roc_svg(rate, rate))) == 11

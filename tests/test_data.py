@@ -195,6 +195,23 @@ class TestSaveCsv:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Dataset(np.zeros(4), np.array([0, 1, 0, 1])), "2-D"),
+    (lambda: Dataset(np.zeros((4, 1)), np.array([0, 1, 0])), "labels length"),
+    (lambda: Dataset(np.zeros((2, 1)), np.array([0, 2])), "label out of"),
+    (lambda: Dataset(np.array([[0.0], [np.nan]]), np.array([0, 1])), "non-finite"),
+    (lambda: SplitSpec(0.7, 0.2, 0.2), "split fractions"),
+    (lambda: SplitSpec(1.2, -0.1, -0.1), "split fractions"),
+    (lambda: generate_synthetic(100, 0.5, 0, 1.0, seed=0), "d must be positive"),
+    (lambda: stratified_sample(generate_synthetic(20, 0.5, 1, 1.0, seed=0), 0, 2,
+                               np.random.default_rng(0)), "at least 1 per class"),
+], ids=["1-D", "label-length", "label-value", "nan-feature", "split-sum",
+        "split-negative", "d", "sample-size"])
+def test_invalid_input_raises(make, message):
+    with pytest.raises(DataError, match=message):
+        make()
+
+
 class TestDataset:
     def test_requires_both_classes(self):
         with pytest.raises(DataError):

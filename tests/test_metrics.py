@@ -52,12 +52,18 @@ def oracle_bottom_positives(pos: np.ndarray, k: int) -> np.ndarray:
 def oracle_roc_curve(pos: np.ndarray, neg: np.ndarray):
     allscores = np.concatenate([pos, neg])
     order = np.argsort(-allscores, kind="stable")
-    rows = [(0.0, 0.0)]
+    fprs, tprs = [0.0], [0.0]
     for t in allscores[order]:
-        tpr = float((pos >= t).mean())
-        fpr = float((neg >= t).mean())
-        rows.append((fpr, tpr))
-    return rows
+        tprs.append(float((pos >= t).mean()))
+        fprs.append(float((neg >= t).mean()))
+    return fprs, tprs
+
+
+def roc_lists(pos, neg):
+    """roc_curve's (fpr, tpr) as two lists of Python floats."""
+    fpr, tpr = roc_curve(pos, neg)
+    assert fpr.dtype == tpr.dtype == np.float64
+    return fpr.tolist(), tpr.tolist()
 
 
 def oracle_reports(pos: np.ndarray, neg: np.ndarray, k_pos: int, k_neg: int,
@@ -102,13 +108,13 @@ class TestAgainstOracles:
                 == float(oracle_top_negatives(neg, k_neg)[-1]))
         assert (pos_quantile_threshold(pos, alpha)
                 == float(oracle_bottom_positives(pos, k_pos)[-1]))
-        assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
+        assert roc_lists(pos, neg) == oracle_roc_curve(pos, neg)
 
     def test_nan_and_infinite_scores(self):
         pos = np.array([np.nan, 0.5, -np.inf, 0.5, np.inf])
         neg = np.array([0.5, np.nan, np.inf, -1.0, np.nan, -np.inf])
         assert empirical_auc(pos, neg).value == oracle_pair_value(pos, neg)
-        assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
+        assert roc_lists(pos, neg) == oracle_roc_curve(pos, neg)
         for k in range(1, len(neg) + 1):
             np.testing.assert_array_equal(top_negatives(neg, k / len(neg)),
                                           oracle_top_negatives(neg, k))
@@ -154,6 +160,25 @@ class TestQuantiles:
             beta = rng.uniform(1 / 17, 1.0)
             thr = neg_quantile_threshold(neg, beta)
             assert (neg >= thr).sum() == int(17 * beta + 1e-9)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: empirical_auc([], NEG), "empty class"),
+    (lambda: empirical_opauc(POS, [], 0.5), "empty class"),
+    (lambda: empirical_tpauc(POS, NEG, 0.4, 0.4),
+     r"floor\(n_pos\*alpha\) = 0 for n_pos=2, alpha=0.4"),
+    (lambda: empirical_opauc(POS, NEG, 0.3),
+     r"floor\(n_neg\*beta\) = 0 for n_neg=3, beta=0.3"),
+    (lambda: empirical_opauc(POS, NEG, 1.5), r"beta must lie in \(0,1\], got 1.5"),
+    (lambda: empirical_tpauc(POS, NEG, float("nan"), 0.5), "alpha must lie in"),
+    (lambda: pairwise_surrogate_risk(POS, NEG, 1.0, 1.0, "AUC"), "unknown metric kind 'AUC'"),
+    (lambda: closed_form_optimum(POS, NEG, 1.0, 1.0, "AUC"), "unknown metric kind 'AUC'"),
+    (lambda: closed_form_optimum(POS, NEG, 1.0, 1.0, "opauc"), "unknown metric kind 'opauc'"),
+], ids=["auc-empty", "opauc-empty", "alpha-floor", "beta-floor", "beta-above-one",
+        "alpha-nan", "risk-auc", "optimum-auc", "optimum-lowercase"])
+def test_invalid_input_raises(make, message):
+    with pytest.raises(MetricError, match=message):
+        make()
 
 
 class TestPartialAuc:
@@ -250,18 +275,16 @@ class TestClosedFormOptimum:
 
 class TestRocCurve:
     def test_row_count(self):
-        rows = roc_curve(POS, NEG)
-        assert len(rows) == len(POS) + len(NEG) + 1
+        fpr, tpr = roc_curve(POS, NEG)
+        assert len(fpr) == len(tpr) == len(POS) + len(NEG) + 1
 
     def test_endpoints(self):
-        rows = roc_curve(POS, NEG)
-        assert rows[0] == (0.0, 0.0)
-        assert rows[-1] == (1.0, 1.0)
+        fprs, tprs = roc_lists(POS, NEG)
+        assert (fprs[0], tprs[0]) == (0.0, 0.0)
+        assert (fprs[-1], tprs[-1]) == (1.0, 1.0)
 
     def test_monotone(self):
         rng = np.random.default_rng(3)
-        rows = roc_curve(rng.uniform(0, 1, 10), rng.uniform(0, 1, 15))
-        fprs = [r[0] for r in rows]
-        tprs = [r[1] for r in rows]
+        fprs, tprs = roc_lists(rng.uniform(0, 1, 10), rng.uniform(0, 1, 15))
         assert fprs == sorted(fprs)
         assert tprs == sorted(tprs)

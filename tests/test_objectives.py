@@ -88,6 +88,38 @@ class TestConfig:
         ObjectiveConfig(formulation="unbiased", kappa=0.0)
 
 
+def _empty_batch_evaluate():
+    scorer = init_scorer("linear", 2, seed=0)
+    empty = np.zeros(0, dtype=np.intp)
+    evaluate(ObjectiveConfig(), MinVars(scorer).flat()[None], np.zeros(1),
+             Minibatch(empty, empty), generate_synthetic(20, 0.5, 2, 1.0, seed=0),
+             dims=scorer.layer_dims)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ObjectiveConfig(metric_kind="AUC"), "unknown metric kind 'AUC'"),
+    (lambda: ObjectiveConfig(alpha=0.0), "alpha must lie in"),
+    (lambda: ObjectiveConfig(beta=1.5), "beta must lie in"),
+    (lambda: ObjectiveConfig(beta=NAN), "beta must lie in"),
+    (lambda: ObjectiveConfig(kappa=NAN), "kappa must be positive"),
+    (lambda: ObjectiveConfig(omega=-0.1), "omega must be nonnegative"),
+    (lambda: ObjectiveConfig(omega=NAN), "omega must be nonnegative, got nan"),
+    (lambda: ObjectiveConfig(lagrange_cap=-1.0), "lagrange_cap must be nonnegative"),
+    (lambda: ObjectiveConfig(lagrange_cap=NAN), "lagrange_cap must be nonnegative"),
+    (lambda: ObjectiveConfig(prior_p=1.0), "prior_p must lie in"),
+    (lambda: MinVars(init_scorer("linear", 2, seed=0)).with_flat(np.zeros(8)),
+     "flat vector length"),
+    (_empty_batch_evaluate, "empty batch"),
+], ids=["metric", "alpha", "beta", "beta-nan", "kappa-nan", "omega", "omega-nan",
+        "lagrange_cap", "lagrange_cap-nan", "prior_p", "with_flat", "evaluate-empty"])
+def test_invalid_input_raises(make, message):
+    with pytest.raises(ObjectiveError, match=message):
+        make()
+
+
 class TestProjection:
     def test_clamps(self):
         cfg = ObjectiveConfig(metric_kind="TPAUC", alpha=0.5)

@@ -99,6 +99,20 @@ class TestScore:
         assert param_count((2, 3, 1)) == 13
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: ScorerParams("tree", (2, 1), np.zeros(3)), "unknown scorer kind 'tree'"),
+    (lambda: ScorerParams("mlp", (2, 3), np.zeros(9)), "bad layer_dims"),
+    (lambda: ScorerParams("mlp", (2, 0, 1), np.zeros(1)), "bad layer_dims"),
+    (lambda: ScorerParams("linear", (2, 3, 1), np.zeros(13)), "linear scorer takes"),
+    (lambda: warmup_logistic(init_scorer("linear", 1, seed=0),
+                             Dataset(np.zeros((2, 1)), np.array([0, 1])), -1, 0.1),
+     "epochs must be nonnegative"),
+], ids=["kind", "last-width", "zero-width", "linear-shape", "warmup-epochs"])
+def test_invalid_input_raises(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestExpit:
     """The numpy sigmoid against scipy.special.expit as the oracle. The two
     use different exp implementations, so they agree to a few ulp, not

@@ -52,6 +52,20 @@ class TestEtaSchedule:
             SolverConfig(k_coef=3.0, m_coef=10.0)
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("nu", -0.1, "at least 0"), ("nu", float("nan"), "at least 0"),
+    ("lam", -0.1, "at least 0"), ("lam", float("nan"), "at least 0"),
+    ("k_coef", 0.0, "above 0"), ("k_coef", float("nan"), "above 0"),
+    ("m_coef", 1.5, "at least 2"), ("m_coef", float("nan"), "at least 2"),
+    ("iota1", 0.0, "above 0"), ("iota1", float("nan"), "above 0"),
+    ("iota2", -1.0, "above 0"), ("iota2", float("nan"), "above 0"),
+    ("T", -1, "at least 0"), ("batch_pos", 0, "at least 1"), ("batch_neg", 0, "at least 1"),
+])
+def test_config_check_names_the_field(name, value, message):
+    with pytest.raises(SolverError, match=f"^{name} must be {message}, got {value!r}$"):
+        SolverConfig(**{name: value})
+
+
 class TestAsgdaStep:
     def test_eta_one_collapses_convex_combination(self, small_setup):
         ds, scorer, obj = small_setup
