@@ -132,7 +132,7 @@ def _load_run_config(args):
     if sections["scorer"]["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
         raise ValueError("config scorer.hidden has no effect beside scorer.kind linear")
     if ("alpha" in doc.get("objective", {})
-            and sections["objective"].get("metric_kind", "OPAUC") == "OPAUC"):
+            and sections["objective"].get("metric_kind", ObjectiveConfig.metric_kind) == "OPAUC"):
         raise ValueError("config objective.alpha has no effect beside objective.metric OPAUC")
     if dsrc["csv"] is not None:
         ds = load_csv(dsrc["csv"], dsrc["label_col"])
@@ -205,12 +205,12 @@ def cmd_evaluate(args) -> int:
 
     if args.out:
         out = _out_dir(args)
-        fpr, tpr = roc_curve(pos, neg)
+        rows = roc_curve(pos, neg)
         # the bytes csv.writer writes: a float cell is its repr, CRLF ends a row
-        (out / "roc.csv").write_text("fpr,tpr\r\n" + "".join(
-            [f"{f!r},{t!r}\r\n" for f, t in zip(fpr.tolist(), tpr.tolist())]),
+        (out / "roc.csv").write_text(
+            "fpr,tpr\r\n" + "".join([f"{fpr!r},{tpr!r}\r\n" for fpr, tpr in rows]),
             encoding="utf-8", newline="")
-        (out / "roc.svg").write_text(_roc_svg(fpr, tpr), encoding="utf-8")
+        (out / "roc.svg").write_text(_roc_svg(rows), encoding="utf-8")
     return 0
 
 
@@ -225,11 +225,12 @@ def _metric_point(text: str) -> tuple[float, float]:
     return alpha, beta
 
 
-def _roc_svg(fpr: np.ndarray, tpr: np.ndarray, size: int = 400, margin: int = 20) -> str:
+def _roc_svg(rows, size: int = 400, margin: int = 20) -> str:
     """Minimal hand-rolled polyline rendering of an ROC curve. A point whose
     printed coordinates repeat the previous point's is left out: it would
     draw nothing."""
     span = size - 2 * margin
+    fpr, tpr = np.array(rows).T
     x, y = margin + fpr * span, margin + (1.0 - tpr) * span
     cx, cy = _hundredths(x), _hundredths(y)
     keep = np.ones(len(x), dtype=bool)

@@ -138,8 +138,7 @@ def closed_form_optimum(scores_pos, scores_neg, alpha: float, beta: float,
     satisfies pairwise_surrogate_risk = 1 + min_value.
     """
     sel_pos, sel_neg = _selected(scores_pos, scores_neg, alpha, beta, metric_kind)
-    a_star = float(sel_pos.mean())
-    b_star = float(sel_neg.mean())
+    a_star, b_star = float(sel_pos.mean()), float(sel_neg.mean())
     delta = b_star - a_star
     e_a = float(np.mean((sel_pos - a_star) ** 2))
     e_b = float(np.mean((sel_neg - b_star) ** 2))
@@ -154,14 +153,15 @@ def _share_at_or_above(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray
     return at_or_above / len(scores)
 
 
-def roc_curve(scores_pos, scores_neg) -> tuple[np.ndarray, np.ndarray]:
-    """ROC sweep: (fpr, tpr), one point per score threshold after (0, 0).
+def roc_curve(scores_pos, scores_neg):
+    """ROC sweep: one (FPR, TPR) row per score threshold plus the (0,0) endpoint.
 
-    Thresholds descend, giving exactly n_pos + n_neg + 1 points; a point at
-    a tied threshold counts every instance with score >= threshold as
-    predicted positive.
+    Rows are produced in threshold-descending order, giving exactly
+    n_pos + n_neg + 1 rows; a point at a tied threshold counts every
+    instance with score >= threshold as predicted positive.
     """
     pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
     thresholds = -np.sort(-np.concatenate([pos, neg]))
-    return tuple(np.concatenate([[0.0], _share_at_or_above(scores, thresholds)])
-                 for scores in (neg, pos))
+    fpr = _share_at_or_above(neg, thresholds)
+    tpr = _share_at_or_above(pos, thresholds)
+    return [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]

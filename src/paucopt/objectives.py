@@ -173,9 +173,8 @@ def _hinge_branch(cfg: ObjectiveConfig, x, thr, frac: float,
     """
     scale, gap = frac * prior, x - thr
     if c is None:
-        z = cfg.kappa * gap
-        w = expit(z)
-        hinge = np.logaddexp(0.0, z) / cfg.kappa  # softplus(gap, kappa)
+        w = expit(cfg.kappa * gap)
+        hinge = softplus(gap, cfg.kappa)
         d_c = None
     else:
         w = c

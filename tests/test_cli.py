@@ -372,8 +372,7 @@ class TestEvaluate:
         with open(oracle, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["fpr", "tpr"])
-            fpr, tpr = roc_curve(scores[ds.pos_ids], scores[ds.neg_ids])
-            w.writerows(zip(fpr.tolist(), tpr.tolist()))
+            w.writerows(roc_curve(scores[ds.pos_ids], scores[ds.neg_ids]))
         assert (out / "roc.csv").read_bytes() == oracle.read_bytes()
 
     @pytest.mark.parametrize("at", ["2,0.3", "0.5", "0,0.3", "0.5,1.5", "a,b", "nan,0.3",
@@ -520,11 +519,11 @@ def test_cli_import_loads_no_scipy():
                    env={**os.environ, "PYTHONPATH": str(src)})
 
 
-def roc_svg_points_oracle(fpr, tpr, size=400, margin=20):
-    """The polyline points the SVG used to print: one per ROC point."""
+def roc_svg_points_oracle(rows, size=400, margin=20):
+    """The polyline points the SVG used to print: one per ROC row."""
     span = size - 2 * margin
-    return [f"{margin + f * span:.2f},{margin + (1.0 - t) * span:.2f}"
-            for f, t in zip(fpr.tolist(), tpr.tolist())]
+    return [f"{margin + fpr * span:.2f},{margin + (1.0 - tpr) * span:.2f}"
+            for fpr, tpr in rows]
 
 
 class TestRocSvg:
@@ -532,15 +531,15 @@ class TestRocSvg:
     def points(svg):
         return re.search(r'<polyline points="([^"]*)"', svg).group(1).split(" ")
 
-    def check(self, fpr, tpr):
-        old = roc_svg_points_oracle(fpr, tpr)
+    def check(self, rows):
+        old = roc_svg_points_oracle(rows)
         want = [p for i, p in enumerate(old) if i == 0 or p != old[i - 1]]
-        assert self.points(paucopt.cli._roc_svg(fpr, tpr)) == want
+        assert self.points(paucopt.cli._roc_svg(rows)) == want
 
     def test_tied_scores(self):
         rng = np.random.default_rng(0)
         scores = np.round(rng.standard_normal(5000), 1)
-        self.check(*roc_curve(scores[:700] + 0.5, scores[700:]))
+        self.check(roc_curve(scores[:700] + 0.5, scores[700:]))
 
     def test_coordinates_on_rounding_boundaries(self):
         # x = 20 + fpr * 360 at, or one ulp beside, values halfway between
@@ -550,9 +549,9 @@ class TestRocSvg:
         x = np.array([np.nextafter(h, d) for h in halves for d in (-np.inf, 0, np.inf)]
                      + halves)
         fpr = np.sort((x - 20.0) / 360.0)
-        self.check(np.concatenate([[0.0], np.repeat(fpr, 2)]),
-                   np.concatenate([[0.0], np.stack([fpr, fpr + 1e-14], axis=1).ravel()]))
+        rows = [(0.0, 0.0)] + [(f, t) for f in fpr.tolist() for t in (f, f + 1e-14)]
+        self.check(rows)
 
     def test_one_point_per_row_when_none_repeat(self):
-        rate = np.arange(11) / 10
-        assert len(self.points(paucopt.cli._roc_svg(rate, rate))) == 11
+        rows = [(i / 10, i / 10) for i in range(11)]
+        assert len(self.points(paucopt.cli._roc_svg(rows))) == 11

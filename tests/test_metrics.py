@@ -52,18 +52,12 @@ def oracle_bottom_positives(pos: np.ndarray, k: int) -> np.ndarray:
 def oracle_roc_curve(pos: np.ndarray, neg: np.ndarray):
     allscores = np.concatenate([pos, neg])
     order = np.argsort(-allscores, kind="stable")
-    fprs, tprs = [0.0], [0.0]
+    rows = [(0.0, 0.0)]
     for t in allscores[order]:
-        tprs.append(float((pos >= t).mean()))
-        fprs.append(float((neg >= t).mean()))
-    return fprs, tprs
-
-
-def roc_lists(pos, neg):
-    """roc_curve's (fpr, tpr) as two lists of Python floats."""
-    fpr, tpr = roc_curve(pos, neg)
-    assert fpr.dtype == tpr.dtype == np.float64
-    return fpr.tolist(), tpr.tolist()
+        tpr = float((pos >= t).mean())
+        fpr = float((neg >= t).mean())
+        rows.append((fpr, tpr))
+    return rows
 
 
 def oracle_reports(pos: np.ndarray, neg: np.ndarray, k_pos: int, k_neg: int,
@@ -108,13 +102,13 @@ class TestAgainstOracles:
                 == float(oracle_top_negatives(neg, k_neg)[-1]))
         assert (pos_quantile_threshold(pos, alpha)
                 == float(oracle_bottom_positives(pos, k_pos)[-1]))
-        assert roc_lists(pos, neg) == oracle_roc_curve(pos, neg)
+        assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
 
     def test_nan_and_infinite_scores(self):
         pos = np.array([np.nan, 0.5, -np.inf, 0.5, np.inf])
         neg = np.array([0.5, np.nan, np.inf, -1.0, np.nan, -np.inf])
         assert empirical_auc(pos, neg).value == oracle_pair_value(pos, neg)
-        assert roc_lists(pos, neg) == oracle_roc_curve(pos, neg)
+        assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
         for k in range(1, len(neg) + 1):
             np.testing.assert_array_equal(top_negatives(neg, k / len(neg)),
                                           oracle_top_negatives(neg, k))
@@ -275,16 +269,18 @@ class TestClosedFormOptimum:
 
 class TestRocCurve:
     def test_row_count(self):
-        fpr, tpr = roc_curve(POS, NEG)
-        assert len(fpr) == len(tpr) == len(POS) + len(NEG) + 1
+        rows = roc_curve(POS, NEG)
+        assert len(rows) == len(POS) + len(NEG) + 1
 
     def test_endpoints(self):
-        fprs, tprs = roc_lists(POS, NEG)
-        assert (fprs[0], tprs[0]) == (0.0, 0.0)
-        assert (fprs[-1], tprs[-1]) == (1.0, 1.0)
+        rows = roc_curve(POS, NEG)
+        assert rows[0] == (0.0, 0.0)
+        assert rows[-1] == (1.0, 1.0)
 
     def test_monotone(self):
         rng = np.random.default_rng(3)
-        fprs, tprs = roc_lists(rng.uniform(0, 1, 10), rng.uniform(0, 1, 15))
+        rows = roc_curve(rng.uniform(0, 1, 10), rng.uniform(0, 1, 15))
+        fprs = [r[0] for r in rows]
+        tprs = [r[1] for r in rows]
         assert fprs == sorted(fprs)
         assert tprs == sorted(tprs)
