@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -38,10 +39,14 @@ class ObjectiveError(ValueError):
     """Raised for invalid objective configuration or evaluation inputs."""
 
 
+MetricKind = Literal["OPAUC", "TPAUC"]
+Formulation = Literal["surrogate", "unbiased"]
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    metric_kind: str = "OPAUC"        # "OPAUC" | "TPAUC"
-    formulation: str = "surrogate"    # "surrogate" | "unbiased"
+    metric_kind: MetricKind = "OPAUC"
+    formulation: Formulation = "surrogate"
     alpha: float = 1.0
     beta: float = 0.3
     kappa: float = 4.0
@@ -50,9 +55,9 @@ class ObjectiveConfig:
     prior_p: float = 0.5
 
     def __post_init__(self):
-        if self.metric_kind not in ("OPAUC", "TPAUC"):
+        if self.metric_kind not in get_args(MetricKind):
             raise ObjectiveError(f"unknown metric kind {self.metric_kind!r}")
-        if self.formulation not in ("surrogate", "unbiased"):
+        if self.formulation not in get_args(Formulation):
             raise ObjectiveError(f"unknown formulation {self.formulation!r}")
         # each condition is False for NaN, so NaN fails every check
         for name, ok, rule in (

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import paucopt.bench
 import paucopt.cli
@@ -175,6 +177,22 @@ class TestTrain:
     def test_out_of_range_value_usage_error(self, tmp_path, capsys, section, entry, name):
         # json reads NaN; a range check must reject it rather than let the
         # run stop later at a non-finite objective that names no key
+        cfg = self.write_config(tmp_path, **{section: entry})
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,entry,name", [
+        ("solver", {"lambda": float("nan")}, "solver.lambda"),
+        ("solver", {"k": float("nan")}, "solver.k"),
+        ("solver", {"m": 1.0}, "solver.m"),
+        ("objective", {"metric": "XPAUC"}, "config objective.metric"),
+    ])
+    def test_out_of_range_value_names_the_config_spelling(self, tmp_path, capsys, section,
+                                                         entry, name):
+        # lambda, k, m and metric are lam, k_coef, m_coef and metric_kind in
+        # the dataclasses; an error names the key the config file holds
         cfg = self.write_config(tmp_path, **{section: entry})
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
@@ -410,6 +428,15 @@ class TestEvaluate:
         assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
         assert capsys.readouterr().err == f"error: {ckpt}: no scorer object\n"
 
+    @pytest.mark.parametrize("key", ["kind", "layer_dims", "weights"])
+    def test_scorer_without_key_usage_error(self, tmp_path, synth_csv, capsys, key):
+        scorer = {"kind": "linear", "layer_dims": [5, 1], "weights": [0.0] * 6}
+        del scorer[key]
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps({"scorer": scorer}))
+        assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: scorer object has no {key!r} key\n"
+
     def test_alpha_beta_one_equals_auc(self, tmp_path, synth_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, synth_csv)
         run_cli("evaluate", "--data", str(synth_csv), "--checkpoint",
@@ -534,7 +561,7 @@ class TestRocSvg:
     def check(self, rows):
         old = roc_svg_points_oracle(rows)
         want = [p for i, p in enumerate(old) if i == 0 or p != old[i - 1]]
-        assert self.points(paucopt.cli._roc_svg(rows)) == want
+        assert self.points(paucopt.cli._roc_svg(*np.array(rows).T)) == want
 
     def test_tied_scores(self):
         rng = np.random.default_rng(0)
@@ -554,4 +581,40 @@ class TestRocSvg:
 
     def test_one_point_per_row_when_none_repeat(self):
         rows = [(i / 10, i / 10) for i in range(11)]
-        assert len(self.points(paucopt.cli._roc_svg(rows))) == 11
+        assert len(self.points(paucopt.cli._roc_svg(*np.array(rows).T))) == 11
+
+    def test_coordinates_where_the_integer_part_gains_a_digit(self):
+        # x, then y, at 99.995 px and 3 ulps of the share either side, and at
+        # 100 px: the printed coordinate goes from 99.99 to 100.00
+        def around(share):
+            return [share + k * np.spacing(share) for k in range(-3, 4)]
+        fpr = sorted(around(79.995 / 360.0) + [80.0 / 360.0])
+        tpr = sorted(around(1.0 - 79.995 / 360.0) + [1.0 - 80.0 / 360.0])
+        rows = [(0.0, 0.0)] + [(f, 0.5) for f in fpr] + [(0.75, t) for t in tpr]
+        self.check(rows)
+        points = self.points(paucopt.cli._roc_svg(*np.array(rows).T))
+        assert {"99.99,200.00", "100.00,200.00", "290.00,100.00", "290.00,99.99"} <= set(points)
+
+    def test_coordinates_at_the_ends(self):
+        rows = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        self.check(rows)
+        assert self.points(paucopt.cli._roc_svg(*np.array(rows).T)) == [
+            "20.00,380.00", "20.00,20.00", "380.00,20.00"]
+
+
+# scores on a coarse grid, so ties are common, and NaN, which ranks below every score
+_GRID_SCORES = st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, float("nan")]),
+                        min_size=1, max_size=60)
+
+
+@given(_GRID_SCORES, _GRID_SCORES)
+@example([0.5], [0.5])
+@example([float("nan")], [0.0, 1.0])
+@settings(max_examples=200, deadline=None)
+def test_roc_csv_bytes_match_csv_writer_on_tied_scores(pos, neg):
+    rows = roc_curve(np.array(pos), np.array(neg))
+    oracle = io.StringIO(newline="")
+    w = csv.writer(oracle)
+    w.writerow(["fpr", "tpr"])
+    w.writerows(rows)
+    assert paucopt.cli._roc_csv(*np.array(rows).T) == oracle.getvalue()
