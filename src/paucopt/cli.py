@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import os
+import reprlib
 import sys
 import typing
 from dataclasses import astuple, fields
@@ -81,8 +82,9 @@ def _key_types() -> dict:
 
 
 _KEY_TYPES = _key_types()
-_TYPE_NAMES = {dict: "an object", list[int]: "a list of integers", str: "a string",
-               int: "an integer", float: "a number"}
+_TYPE_NAMES = {dict: "an object", list[int]: "a list of integers",
+               list[float]: "a list of numbers", str: "a string", int: "an integer",
+               float: "a number"}
 
 
 def _type_name(kind) -> str:
@@ -93,12 +95,13 @@ def _type_name(kind) -> str:
 
 def _has_type(value, kind) -> bool:
     """isinstance over JSON values: an int is also a number, a bool is neither
-    (no run-config key takes a bool), list[int] is a list of integers, and a
+    (no run-config key takes a bool), list[T] is a list of T values, and a
     Literal is one of its values."""
     if typing.get_origin(kind) is typing.Literal:
         return value in typing.get_args(kind)
-    if kind == list[int]:
-        return isinstance(value, list) and all(_has_type(v, int) for v in value)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_has_type(v, *typing.get_args(kind))
+                                               for v in value)
     return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -141,6 +144,10 @@ def _load_run_config(args):
         raise ValueError("config dataset.label_col has no effect without dataset.csv")
     if sections["scorer"]["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
         raise ValueError("config scorer.hidden has no effect beside scorer.kind linear")
+    batch = sections["solver"].get("batch")
+    if batch is not None and batch < 2:
+        # one positive and one negative at the least
+        raise SolverError(f"solver.batch must be at least 2, got {batch}")
     if ("alpha" in doc.get("objective", {})
             and sections["objective"].get("metric_kind", ObjectiveConfig.metric_kind) == "OPAUC"):
         raise ValueError("config objective.alpha has no effect beside objective.metric OPAUC")
@@ -156,7 +163,7 @@ def _load_run_config(args):
 
     so = sections["solver"]
     if "batch" in so:
-        batch = so.pop("batch")
+        del so["batch"]
         so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
     if args.T is not None:
         so["T"] = args.T
@@ -203,15 +210,27 @@ def cmd_train(args) -> int:
     return 0
 
 
+# JSON type of each key of a checkpoint's scorer object
+_SCORER_KEYS = {"kind": str, "layer_dims": list[int], "weights": list[float]}
+
+
 def cmd_evaluate(args) -> int:
     ds = load_csv(args.data, args.label_col)
     doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or not isinstance(doc.get("scorer"), dict):
         raise ValueError(f"{args.checkpoint}: no scorer object")
+    entry = doc["scorer"]
+    for key, kind in _SCORER_KEYS.items():
+        if key not in entry:
+            raise ValueError(f"{args.checkpoint}: scorer object has no {key!r} key")
+        if not _has_type(entry[key], kind):
+            raise ValueError(f"{args.checkpoint}: scorer object: {key} must be "
+                             f"{_type_name(kind)}, got {reprlib.repr(entry[key])}")
     try:
-        scorer = ScorerParams.from_dict(doc["scorer"])
-    except KeyError as exc:
-        raise ValueError(f"{args.checkpoint}: scorer object has no {exc.args[0]!r} key") from None
+        scorer = ScorerParams.from_dict(entry)
+    except ValueError as exc:
+        # an unknown kind, or layer_dims and weights that do not fit
+        raise ValueError(f"{args.checkpoint}: scorer object: {exc}") from None
     scores = score_batch(scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
 

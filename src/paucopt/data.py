@@ -33,12 +33,13 @@ class Dataset:
             raise DataError("features must be a 2-D matrix")
         if labels.shape != (feats.shape[0],):
             raise DataError("labels length must match feature rows")
-        if not np.isin(labels, (0, 1)).all():
+        is_pos, is_neg = labels == 1, labels == 0
+        if np.count_nonzero(is_pos) + np.count_nonzero(is_neg) != len(labels):
             raise DataError("label out of {0,1}")
         if not np.isfinite(feats).all():
             raise DataError("non-finite feature value")
-        pos = np.flatnonzero(labels == 1)
-        neg = np.flatnonzero(labels == 0)
+        pos = np.flatnonzero(is_pos)
+        neg = np.flatnonzero(is_neg)
         if len(pos) == 0 or len(neg) == 0:
             raise DataError("single-class data")
         feats.setflags(write=False)
@@ -246,7 +247,9 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
                        separation: float = 2.0, seed: int = 0) -> Dataset:
     """Two unit-variance Gaussian blobs with means ±separation/2 on every axis.
 
-    `imbalance` is the positive-class fraction; deterministic per seed.
+    `imbalance` is the positive-class fraction; deterministic per seed. Both
+    blobs are drawn into one (n, d) buffer, so besides the result it holds one
+    n×d copy and the n-length permutation at once.
     """
     if n < 4:
         raise DataError("n must be at least 4")
@@ -258,15 +261,17 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
         raise DataError("d must be positive")
     n_pos = int(round(n * imbalance))
     n_pos = min(max(n_pos, 1), n - 1)
-    n_neg = n - n_pos
     rng = np.random.default_rng(seed)
     half = separation / 2.0
-    pos = rng.standard_normal((n_pos, d)) + half
-    neg = rng.standard_normal((n_neg, d)) - half
-    feats = np.vstack([pos, neg])
-    labels = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)])
+    feats = np.empty((n, d))
+    # positives first, then negatives: one draw per blob, as the stream runs
+    rng.standard_normal(out=feats[:n_pos])
+    rng.standard_normal(out=feats[n_pos:])
+    feats[:n_pos] += half
+    feats[n_pos:] -= half
     perm = rng.permutation(n)
-    return Dataset(feats[perm], labels[perm])
+    # row perm[i] of feats is a positive exactly when perm[i] < n_pos
+    return Dataset(feats[perm], (perm < n_pos).astype(np.int64))
 
 
 def stratified_sample(ds: Dataset, n_pos_b: int, n_neg_b: int,
@@ -297,7 +302,12 @@ def _allocate(count: int, fracs) -> list[int]:
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Stratified split into train/val/test with proportional per-class counts."""
+    """Stratified split into train/val/test with proportional per-class counts.
+
+    Each part's ids are its per-class slices of the two shuffled classes,
+    joined and sorted as arrays: besides the parts it holds those n ids and
+    one part's ids at once, and no Python list of ids.
+    """
     fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
     rng = np.random.default_rng(spec.seed)
     buckets = [[], [], []]
@@ -308,10 +318,11 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
         perm = rng.permutation(ids)
         start = 0
         for k, c in enumerate(counts):
-            buckets[k].extend(perm[start:start + c])
+            buckets[k].append(perm[start:start + c])
             start += c
     parts = []
-    for idx in buckets:
-        idx = np.sort(np.asarray(idx, dtype=np.int64))
+    for slices in buckets:
+        idx = np.concatenate(slices)
+        idx.sort()
         parts.append(Dataset(ds.features[idx], ds.labels[idx]))
     return tuple(parts)

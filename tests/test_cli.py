@@ -199,6 +199,19 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("dataset", [
+        None, {"csv": "absent.csv"}], ids=["synthetic", "missing-csv"])
+    def test_batch_below_two_usage_error_before_reading_data(self, tmp_path, capsys,
+                                                             dataset):
+        # the message names the key the config holds, not batch_neg, and a
+        # missing CSV does not hide it
+        cfg = self.write_config(tmp_path, solver={"T": 5, "batch": 1},
+                                **({"dataset": dataset} if dataset else {}))
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == "error: solver.batch must be at least 2, got 1\n"
+        assert not (tmp_path / "x").exists()
+
     def test_eval_every_below_one_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, solver={"T": 5, "eval_every": 0})
         assert run_cli("train", "--config", str(cfg),
@@ -436,6 +449,19 @@ class TestEvaluate:
         ckpt.write_text(json.dumps({"scorer": scorer}))
         assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
         assert capsys.readouterr().err == f"error: {ckpt}: scorer object has no {key!r} key\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("weights", "abc", "weights must be a list of numbers, got 'abc'"),
+        ("layer_dims", "x", "layer_dims must be a list of integers, got 'x'"),
+        ("kind", 3, "kind must be a string, got 3"),
+    ])
+    def test_scorer_value_of_wrong_kind_usage_error(self, tmp_path, synth_csv, capsys,
+                                                   key, value, message):
+        scorer = {"kind": "linear", "layer_dims": [5, 1], "weights": [0.0] * 6, key: value}
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps({"scorer": scorer}))
+        assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: scorer object: {message}\n"
 
     def test_alpha_beta_one_equals_auc(self, tmp_path, synth_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, synth_csv)

@@ -1,4 +1,6 @@
 import csv
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from paucopt.data import (
     DataError,
     Dataset,
     SplitSpec,
+    _allocate,
     _load_csv_numpy,
     _load_csv_rows,
     generate_synthetic,
@@ -317,3 +320,95 @@ class TestSplit:
         b = split(ds, SplitSpec(seed=11))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
+
+
+def generate_synthetic_oracle(n, imbalance, d, separation, seed):
+    """generate_synthetic as two blobs stacked, then rows and labels permuted."""
+    n_pos = min(max(int(round(n * imbalance)), 1), n - 1)
+    rng = np.random.default_rng(seed)
+    half = separation / 2.0
+    pos = rng.standard_normal((n_pos, d)) + half
+    neg = rng.standard_normal((n - n_pos, d)) - half
+    labels = np.concatenate([np.ones(n_pos, dtype=np.int64),
+                             np.zeros(n - n_pos, dtype=np.int64)])
+    perm = rng.permutation(n)
+    return Dataset(np.vstack([pos, neg])[perm], labels[perm])
+
+
+def split_oracle(ds, spec):
+    """split with each part's ids gathered one numpy scalar at a time in a list."""
+    fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
+    rng = np.random.default_rng(spec.seed)
+    buckets = [[], [], []]
+    for ids in (ds.pos_ids, ds.neg_ids):
+        counts = _allocate(len(ids), fracs)
+        if any(c == 0 and f > 0 for c, f in zip(counts, fracs)):
+            raise DataError("split too small to keep both classes in every part")
+        perm = rng.permutation(ids)
+        start = 0
+        for k, c in enumerate(counts):
+            buckets[k].extend(perm[start:start + c])
+            start += c
+    return tuple(Dataset(ds.features[idx], ds.labels[idx])
+                 for idx in (np.sort(np.asarray(b, dtype=np.int64)) for b in buckets))
+
+
+def bits(ds):
+    """The shape, dtypes and exact bytes of a Dataset's arrays."""
+    return ds.features.shape, *((a.dtype.str, a.tobytes())
+                                for a in (ds.features, ds.labels, ds.pos_ids, ds.neg_ids))
+
+
+def split_outcome(split_fn, ds, spec):
+    """bits of each part split_fn makes, or the message of its DataError."""
+    try:
+        return [bits(part) for part in split_fn(ds, spec)]
+    except DataError as exc:
+        return str(exc)
+
+
+# (n, positive fraction, d, separation); 1e-9 rounds to a single positive
+ORACLE_GRID = list(itertools.product((4, 5, 2000, 70_000), (1e-9, 0.1, 0.5), (1, 5), (0.0, 2.0)))
+# a zero fraction leaves a part empty, and both raise on it alike
+SPLIT_FRACS = [(0.7, 0.15, 0.15), (0.8, 0.0, 0.2), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)]
+
+
+class TestDataStageMatchesOracle:
+    @pytest.mark.parametrize("n,imbalance,d,separation", ORACLE_GRID)
+    def test_generate_and_split_bit_identical(self, n, imbalance, d, separation):
+        seed = n + d
+        ds = generate_synthetic(n, imbalance, d, separation, seed=seed)
+        want = generate_synthetic_oracle(n, imbalance, d, separation, seed)
+        assert bits(ds) == bits(want)
+        for fracs in SPLIT_FRACS:
+            spec = SplitSpec(*fracs, seed=seed + 1)
+            assert split_outcome(split, ds, spec) == split_outcome(split_oracle, ds, spec)
+
+
+class TestDataStageMemory:
+    """tracemalloc peak minus what the result retains, at 2e5 x 5."""
+
+    N, D = 200_000, 5
+
+    @staticmethod
+    def transient(make) -> int:
+        tracemalloc.start()
+        try:
+            made = make()   # noqa: F841 -- kept alive while memory is read
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - current
+
+    def test_generate_synthetic_holds_one_copy_of_the_features(self):
+        got = self.transient(lambda: generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0))
+        # the (n, d) buffer besides the result, and the permutation with the labels
+        # made from it; stacking the blobs apart would add two more n x d copies
+        assert got <= self.N * self.D * 8 + 2 * self.N * 8, got
+
+    def test_split_holds_no_list_of_ids(self):
+        ds = generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0)
+        got = self.transient(lambda: split(ds, SplitSpec(seed=0)))
+        # the shuffled ids of both classes and one part's joined ids; a list
+        # of numpy scalars costs about 40 bytes an id
+        assert got <= 2 * self.N * 8, got
