@@ -70,7 +70,7 @@ def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0,
         f_neg = list(score_batch(scorer, ds.features[batch.neg_ids]))
         steps += [(half, "instance_wise"), (half, "pairwise")]
         calls += [lambda b=batch: evaluate(obj_cfg, tau, gamma, b, ds,
-                                           dims=scorer.layer_dims),
+                                           dims=scorer.layer_dims).value,
                   lambda p=f_pos, q=f_neg: _pairwise_reference_step(p, q)]
     return [(half, half, median, p90, kind) for (half, kind), (median, p90)
             in zip(steps, _round_robin_ms(calls, reps))]

@@ -144,6 +144,10 @@ def _load_run_config(args):
         raise ValueError("config dataset.label_col has no effect without dataset.csv")
     if sections["scorer"]["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
         raise ValueError("config scorer.hidden has no effect beside scorer.kind linear")
+    for name, value in sections["split"].items():
+        # split() makes no empty part: its Dataset would fail as single-class
+        if name.endswith("_frac") and not value > 0:
+            raise ValueError(f"config split.{name} must be above 0, got {float(value)!r}")
     batch = sections["solver"].get("batch")
     if batch is not None and batch < 2:
         # one positive and one negative at the least

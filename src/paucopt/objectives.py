@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, get_args
+from typing import Callable, Literal, get_args
 
 import numpy as np
 
@@ -129,12 +129,18 @@ class MaxVars:
 
 @dataclass(frozen=True)
 class LossGrad:
-    """Values and partials at K points, one row (or entry) per point."""
+    """Partials and values at K points, one row (or entry) per point. The
+    values are computed on first read: a solver step reads only partials."""
 
-    value: np.ndarray         # (K,)
     grad_min: np.ndarray      # (K, P), over the MinVars flat layout
     grad_max_gamma: np.ndarray  # (K,)
     grad_max_c: np.ndarray    # (K, len(hinged_ids)), partial wrt c at each hinged id
+    _value: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        """(K,) objective values."""
+        return self._value()
 
 
 def softplus(x, kappa: float):
@@ -166,33 +172,35 @@ def hinged_ids(cfg: ObjectiveConfig, batch: Minibatch) -> np.ndarray:
     return batch.neg_ids
 
 
-def _hinge_branch(cfg: ObjectiveConfig, x, thr, frac: float,
-                  prior: float, B: int, c):
-    """Per-instance (frac*thr + [x - thr]_+) / (frac*prior) and its partials.
+def _hinge_branch(cfg: ObjectiveConfig, gap, frac: float, prior: float, B: int, c):
+    """Partials of the per-instance (frac*thr + [x - thr]_+) / (frac*prior).
 
-    x and c are (K, branch size) and thr is (K, 1). c is None for the
-    surrogate hinge, a softplus with selection weight sigma(kappa*(x - thr));
-    otherwise the hinge is c*(x - thr) with weight c. Returns the terms,
-    d value/d x, d value/d thr and d value/d c (None for the surrogate);
-    the value is a batch mean, so each carries 1/B.
+    gap = x - thr and c are (K, branch size). c is None for the surrogate
+    hinge, a softplus with selection weight sigma(kappa*gap); otherwise the
+    hinge is c*gap with weight c. Returns d value/d x, d value/d thr and
+    d value/d c (None for the surrogate); the value is a batch mean, so
+    each carries 1/B.
     """
-    scale, gap = frac * prior, x - thr
+    scale = frac * prior
     if c is None:
         w = expit(cfg.kappa * gap)
-        hinge = softplus(gap, cfg.kappa)
         d_c = None
     else:
         w = c
-        hinge = c * gap
         d_c = gap / scale / B - 2.0 * cfg.omega * c / B
-    terms = (frac * thr + hinge) / scale
-    return terms, w / scale / B, (frac - w).sum(axis=-1, keepdims=True) / scale / B, d_c
+    return w / scale / B, (frac - w).sum(axis=-1, keepdims=True) / scale / B, d_c
+
+
+def _hinge_terms(cfg: ObjectiveConfig, gap, thr, frac: float, prior: float, c):
+    """The per-instance terms whose partials _hinge_branch gives."""
+    hinge = softplus(gap, cfg.kappa) if c is None else c * gap
+    return (frac * thr + hinge) / (frac * prior)
 
 
 def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
              batch: Minibatch, ds: Dataset, c: np.ndarray | None = None, *,
              dims) -> LossGrad:
-    """Values and exact analytic partials under cfg.formulation at K points.
+    """Exact analytic partials and values under cfg.formulation at K points.
 
     tau stacks K MinVars.flat vectors whose theta has layer shape dims,
     gamma is (K,), and c holds the unbiased form's weights at
@@ -202,7 +210,9 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     TPAUC the positive hinges are taken at s. For the unbiased form the
     concavity regularizer also subtracts omega * the batch mean of the
     participating c_i^2. The forward pass, every (K, B) term and every
-    batch sum run once over the stacked batch for all K points.
+    batch sum run once over the stacked batch for all K points. The values
+    are computed when LossGrad.value is first read, from copies of tau's
+    scalars, gamma and c, so the caller may overwrite its arrays meanwhile.
     """
     if batch.size == 0:
         # single-class batches are legal (the other branch contributes zero
@@ -215,7 +225,8 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     p, q = cfg.prior_p, 1.0 - cfg.prior_p
     omega, B = cfg.omega, batch.size
     # the flat-layout scalars as (K, 1) columns, gamma likewise
-    a, b, s, sp, ta, tb = tau[:, -len(FLAT_SCALARS):, None].transpose(1, 0, 2)
+    a, b, s, sp, ta, tb = tau[:, -len(FLAT_SCALARS):, None].transpose(1, 0, 2).copy()
+    gamma = gamma.copy()
     g = gamma[:, None]
     # one forward pass of the K points over the stacked batch; its
     # activations serve the theta backprop below
@@ -226,35 +237,36 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
 
     # pos_branch_P and neg_branch_N, sharing their differences with the partials
     d_pos, d_neg, g2 = f_pos - a, f_neg - b, 2.0 * (1.0 + g)
-    P = d_pos ** 2 - g2 * f_pos
     N = d_neg ** 2 + g2 * f_neg
     dP_df = 2.0 * d_pos - g2
     dN_df = 2.0 * d_neg + g2
 
-    hinged = []    # (c, d value/d c) of each branch with a hinge
     split = n_pos if tpauc else 0
-    c_pos, c_neg = (c[:, :split], c[:, split:]) if unbiased else (None, None)
+    c_pos, c_neg = np.hsplit(c.copy(), [split]) if unbiased else (None, None)
     if tpauc:
-        pos_terms, wp, gs, gc = _hinge_branch(cfg, P, s, cfg.alpha, p, B, c_pos)
-        hinged.append((c_pos, gc))
+        gap_pos = d_pos ** 2 - g2 * f_pos - s    # P - s
+        wp, gs, gc_pos = _hinge_branch(cfg, gap_pos, cfg.alpha, p, B, c_pos)
     else:
-        pos_terms = P / p
-        wp = np.full_like(P, 1.0 / p / B)
-        gs = np.zeros((K, 1))
-    neg_terms, wn, gsp, gc = _hinge_branch(cfg, N, sp, cfg.beta, q, B, c_neg)
-    hinged.append((c_neg, gc))
+        # no positive hinge: each positive weighs 1/p in the batch mean
+        wp, gs, gc_pos = 1.0 / p / B, np.zeros((K, 1)), np.zeros((K, 0))
+    gap_neg = N - sp
+    wn, gsp, gc_neg = _hinge_branch(cfg, gap_neg, cfg.beta, q, B, c_neg)
 
-    data_value = (pos_terms.sum(axis=-1) + neg_terms.sum(axis=-1)) / B
-    # libm pow, as Python's float ** 2 rounds, not numpy's square
-    gamma_term = -(1.0 + omega) * np.float_power(gamma, 2)
-    if unbiased:
-        gamma_term -= omega * (sum((ci ** 2).sum(axis=-1) for ci, _ in hinged) / B)
-        grad_c = np.concatenate([gci for _, gci in hinged], axis=-1)
-    else:
-        grad_c = np.zeros((K, 0))
+    def value() -> np.ndarray:
+        if tpauc:
+            pos_terms = _hinge_terms(cfg, gap_pos, s, cfg.alpha, p, c_pos)
+        else:
+            pos_terms = (d_pos ** 2 - g2 * f_pos) / p
+        neg_terms = _hinge_terms(cfg, gap_neg, sp, cfg.beta, q, c_neg)
+        data_value = (pos_terms.sum(axis=-1) + neg_terms.sum(axis=-1)) / B
+        # libm pow, as Python's float ** 2 rounds, not numpy's square
+        gamma_term = -(1.0 + omega) * np.float_power(gamma, 2)
+        if unbiased:
+            gamma_term -= omega * (((c_pos ** 2).sum(axis=-1) + (c_neg ** 2).sum(axis=-1)) / B)
+        # Lagrangian terms; theta_a prices the positive side, absent for OPAUC
+        lag = -tb * (b - 1.0 - g) - ta * (-a - g)
+        return data_value + gamma_term + lag[:, 0]
 
-    # Lagrangian terms; theta_a prices the positive side, absent for OPAUC
-    lag = -tb * (b - 1.0 - g) - ta * (-a - g)
     ga = (wp * (-2.0 * d_pos)).sum(axis=-1, keepdims=True) + ta
     gb = (wn * (-2.0 * d_neg)).sum(axis=-1, keepdims=True) - tb
     g_gamma = ((wp * (-2.0 * f_pos)).sum(axis=-1) + (wn * (2.0 * f_neg)).sum(axis=-1)
@@ -262,5 +274,5 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     g_theta_a = a + g if tpauc else np.zeros((K, 1))
     g_theta = pullback(np.concatenate([wp * dP_df, wn * dN_df], axis=-1) * f * (1.0 - f))
     grad_min = np.concatenate([g_theta, ga, gb, gs, gsp, g_theta_a, 1.0 + g - b], axis=-1)
-    return LossGrad(data_value + gamma_term + lag[:, 0], grad_min,
-                    g_gamma + (ta + tb)[:, 0], grad_c)
+    grad_c = np.concatenate([gc_pos, gc_neg], axis=-1) if unbiased else np.zeros((K, 0))
+    return LossGrad(grad_min, g_gamma + (ta + tb)[:, 0], grad_c, value)

@@ -203,8 +203,14 @@ def _box_violation(state: SolverState, c: np.ndarray, cfg: ObjectiveConfig) -> f
     """Largest distance from its box of any entry of tau, of gamma or of the
     given c values; 0 when all are feasible."""
     # fmax, as a free weight at +-inf is in its box though inf - inf is nan
-    return max(float(np.fmax(lo - x, x - hi).max(initial=0.0)) for x, (lo, hi) in
-               ((state.tau, state.box), (state.gamma, cfg.boxes["gamma"]), (c, cfg.boxes["c"])))
+    lo, hi = state.box
+    tau_gap = float(np.fmax(lo - state.tau, state.tau - hi).max(initial=0.0))
+    # a nan gamma gives nan or 0 here; either loses to tau_gap in the max below
+    lo, hi = cfg.boxes["gamma"]
+    gamma_gap = max(lo - state.gamma, state.gamma - hi, 0.0)
+    lo, hi = cfg.boxes["c"]
+    c_gap = float(np.fmax(lo - c, c - hi).max(initial=0.0)) if len(c) else 0.0
+    return max(tau_gap, gamma_gap, c_gap)
 
 
 def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> PaucReport:

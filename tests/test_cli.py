@@ -212,6 +212,25 @@ class TestTrain:
         assert capsys.readouterr().err == "error: solver.batch must be at least 2, got 1\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("fracs,message", [
+        ((0, 0.5, 0.5), "train_frac must be above 0, got 0.0"),
+        ((0.8, 0, 0.2), "val_frac must be above 0, got 0.0"),
+        ((0.8, 0.2, 0.0), "test_frac must be above 0, got 0.0"),
+        ((0.9, -0.1, 0.2), "val_frac must be above 0, got -0.1"),
+    ], ids=["train", "val", "test", "negative"])
+    @pytest.mark.parametrize("dataset", [
+        None, {"csv": "absent.csv"}], ids=["synthetic", "missing-csv"])
+    def test_split_fraction_not_above_zero_usage_error_before_reading_data(
+            self, tmp_path, capsys, fracs, message, dataset):
+        # an empty part would fail later as "single-class data", naming no key
+        split = dict(zip(("train_frac", "val_frac", "test_frac"), fracs))
+        cfg = self.write_config(tmp_path, split=split,
+                                **({"dataset": dataset} if dataset else {}))
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: config split.{message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_eval_every_below_one_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, solver={"T": 5, "eval_every": 0})
         assert run_cli("train", "--config", str(cfg),

@@ -10,6 +10,7 @@ from paucopt.objectives import (
     ObjectiveConfig,
     ObjectiveError,
     evaluate,
+    hinged_ids,
     neg_branch_N,
     pos_branch_P,
     softplus,
@@ -317,6 +318,29 @@ class TestDegeneration:
             v_tp = evaluate_at(tp, mv_tp, MaxVars(gamma, c), batch, ds).value
             v_op = evaluate_at(op, mv_op, MaxVars(gamma, c), batch, ds).value
             assert v_tp == pytest.approx(v_op, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+@pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+def test_value_ignores_later_writes_to_the_inputs(metric, formulation):
+    # the value is computed on first read, so it must not read the caller's
+    # arrays, which the caller may have overwritten by then
+    ds = generate_synthetic(60, 0.3, 3, 1.0, seed=8)
+    rng = np.random.default_rng(8)
+    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    theta = init_scorer("mlp", 3, (4,), seed=8)
+    batch = stratified_sample(ds, 6, 10, rng)
+    tau = np.array([project_min(MinVars(theta, a, 1.0 - a, -0.5, 2 * a, a, 0.2), cfg).flat()
+                    for a in (0.3, 0.7)])
+    gamma = np.array([0.25, -0.5])
+    c = rng.uniform(0, 1, (2, len(hinged_ids(cfg, batch))))
+    want = evaluate(cfg, tau, gamma, batch, ds, c, dims=theta.layer_dims).value
+    lg = evaluate(cfg, tau, gamma, batch, ds, c, dims=theta.layer_dims)
+    for x in (tau, gamma, c):
+        x[...] = 0.9
+    assert lg.value.tobytes() == want.tobytes()
+    assert not np.array_equal(
+        evaluate(cfg, tau, gamma, batch, ds, c, dims=theta.layer_dims).value, want)
 
 
 class TestGradientFidelity:

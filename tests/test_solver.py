@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import paucopt.objectives
 import paucopt.scorer
 import paucopt.solver
 from paucopt.data import generate_synthetic, split, SplitSpec
@@ -138,6 +140,27 @@ class TestAsgdaStep:
         st.tau[:scorer.n_params] = 0.0
         assert _box_violation(st, np.array([0.5, 3.0]), obj) == 2.0
         assert _box_violation(st, np.array([0.5, 4.5]), obj) == 3.5
+
+    def test_box_violation_matches_numpy_oracle(self, small_setup):
+        def oracle(state, c, cfg):
+            # a numpy reduction per block, Python's max over the three
+            return max(float(np.fmax(lo - x, x - hi).max(initial=0.0)) for x, (lo, hi) in
+                       ((state.tau, state.box), (state.gamma, cfg.boxes["gamma"]),
+                        (c, cfg.boxes["c"])))
+
+        ds, scorer, obj = small_setup
+        st = init_state(ds, scorer, SolverConfig(), obj)
+        inf, nan = float("inf"), float("nan")
+        gammas = (0.3, -1.0, 1.0, 1.5, -2.5, nan, inf, -inf)
+        weights = ([0.5, -0.5, 2.0, 0.0], [inf, -inf, 1e300, -1e300], [nan, 0.0, 0.0, 0.0])
+        theta_bs = (0.0, -2.0, nan)
+        cs = ([], [0.0, 1.0], [0.5, 3.0], [-0.5], [1.0 + 1e-16, 1.5], [nan, 0.5])
+        with np.errstate(invalid="ignore"):     # inf - inf
+            for gamma, w, theta_b, c in itertools.product(gammas, weights, theta_bs, cs):
+                st.gamma, st.tau[:scorer.n_params], st.tau[-1] = gamma, w, theta_b
+                c = np.array(c, dtype=np.float64)
+                got, want = _box_violation(st, c, obj), oracle(st, c, obj)
+                assert (type(got), repr(got)) == (float, repr(want)), (gamma, w, theta_b, c)
 
     def test_no_box_violation_at_the_bound(self):
         # with the ascent frozen every c stays 1 > beta, so the s' gradient
@@ -282,6 +305,29 @@ class TestStepIsBatchSized:
         calls.clear()
         warmup_logistic(st.min_vars().theta, ds, 1, 0.1, batch_size=256)
         assert calls == [(1, 256)] * (ds.n // 256) + [(1, ds.n % 256)]
+
+    def test_step_computes_no_value(self, monkeypatch):
+        # a step reads only partials; the surrogate's value calls softplus
+        # once per branch, and train reads it once per trace record
+        calls = []
+        softplus = paucopt.objectives.softplus
+
+        def counting(x, kappa):
+            calls.append(np.shape(x))
+            return softplus(x, kappa)
+
+        monkeypatch.setattr(paucopt.objectives, "softplus", counting)
+        ds = generate_synthetic(400, 0.2, 4, 2.0, seed=5)
+        obj = ObjectiveConfig("TPAUC", "surrogate", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+        cfg = SolverConfig(T=30, batch_pos=8, batch_neg=24, seed=5, eval_every=10)
+        scorer = init_scorer("mlp", 4, (8,), seed=5)
+        st = init_state(ds, scorer, cfg, obj)
+        for _ in range(5):
+            asgda_step(st, cfg, obj, ds)
+        assert calls == []
+        trace = train(ds, None, scorer, cfg, obj)[2]
+        assert len(trace.records) == 3
+        assert calls == [(1, ds.n_pos), (1, ds.n_neg)] * 3
 
     def test_touched_box_count_equals_full_count(self):
         # acceptance test 5's problem, through train, against a replay of
