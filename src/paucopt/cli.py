@@ -15,7 +15,7 @@ import os
 import reprlib
 import sys
 import typing
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,22 @@ from .data import SplitSpec, generate_synthetic, load_csv, save_csv, split
 from .metrics import empirical_auc, empirical_opauc, empirical_tpauc, roc_curve
 from .objectives import FLAT_SCALARS, ObjectiveConfig
 from .scorer import ScorerParams, init_scorer, score_batch, warmup_logistic
-from .solver import SolverConfig, SolverError, TraceRecord, _val_pauc, train
+from .solver import SolverConfig, TraceRecord, _val_pauc, train
 from .verify import reports_to_json, run_all_checks, run_bias_sweep, ALL_CHECKS
 
 
-def _seed_override(seed: int) -> int:
+def _resolve_seed(args) -> None:
+    """Put PAUC_SEED, when set, in place of --seed, and reject a seed numpy
+    would, naming where it came from."""
     env = os.environ.get("PAUC_SEED")
-    return int(env) if env else seed
+    if env:
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ValueError(f"PAUC_SEED must be an integer, got {env!r}") from None
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"{'PAUC_SEED' if env else '--seed'} must be at least 0, "
+                         f"got {args.seed}")
 
 
 def _out_dir(args) -> Path:
@@ -41,8 +50,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    seed = _seed_override(args.seed)
-    ds = generate_synthetic(args.n, args.imbalance, args.dim, args.separation, seed)
+    ds = generate_synthetic(args.n, args.imbalance, args.dim, args.separation, args.seed)
     save_csv(ds, args.output, label_column=args.label_col)
     print(f"wrote {args.output}: n={ds.n} n_pos={ds.n_pos} n_neg={ds.n_neg}")
     return 0
@@ -62,7 +70,7 @@ _PLAIN_SECTIONS = {
     "dataset": {"csv": (str, None), "label_col": (str, "label")},
     "dataset.synthetic": {"n": (int, 2000), "imbalance": (float, 0.1), "dim": (int, 5),
                           "separation": (float, 4.0), "seed": (int, None)},
-    "scorer": {"kind": (str, "linear"), "hidden": (list[int], [8])},
+    "scorer": {"kind": (typing.Literal["linear", "mlp"], "linear"), "hidden": (list[int], [8])},
 }
 
 
@@ -129,11 +137,24 @@ def _read_sections(doc) -> dict:
     return sections
 
 
+def _build(section: str, cls, **values):
+    """cls(**values), with a range error reworded to name the key as the run
+    config spells it: `config <section>.<key> ...`, or `config <section>: ...`
+    where the message opens with no field (a rule over several fields)."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in values:
+            raise type(exc)(f"config {section}.{_CONFIG_KEYS.get(name, name)} {rest}") from None
+        raise type(exc)(f"config {section}: {exc}") from None
+
+
 def _load_run_config(args):
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     sections = _read_sections(doc)
-    seed = _seed_override(args.seed if args.seed is not None else sections[""]["seed"])
+    seed = args.seed if args.seed is not None else sections[""]["seed"]
 
     dsrc, syn = sections["dataset"], sections["dataset.synthetic"]
     # a key that would be read for nothing is an error, not a silent no-op
@@ -142,43 +163,47 @@ def _load_run_config(args):
         raise ValueError("config dataset.synthetic has no effect beside dataset.csv")
     if "csv" not in given and "label_col" in given:
         raise ValueError("config dataset.label_col has no effect without dataset.csv")
-    if sections["scorer"]["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
+    sc = sections["scorer"]
+    if sc["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
         raise ValueError("config scorer.hidden has no effect beside scorer.kind linear")
+    if not all(width >= 1 for width in sc["hidden"]):
+        raise ValueError(f"config scorer.hidden widths must be at least 1, got {sc['hidden']}")
+    # a seed numpy would reject, named by the key it is read from; main has
+    # checked --seed and PAUC_SEED, which stand in for the top-level seed
+    for key, value in (("seed", seed),
+                       ("split.seed", sections["split"].get("seed")),
+                       ("dataset.synthetic.seed", syn["seed"])):
+        if value is not None and value < 0:
+            raise ValueError(f"config {key} must be at least 0, got {value}")
     for name, value in sections["split"].items():
         # split() makes no empty part: its Dataset would fail as single-class
         if name.endswith("_frac") and not value > 0:
             raise ValueError(f"config split.{name} must be above 0, got {float(value)!r}")
-    batch = sections["solver"].get("batch")
-    if batch is not None and batch < 2:
-        # one positive and one negative at the least
-        raise SolverError(f"solver.batch must be at least 2, got {batch}")
-    if ("alpha" in doc.get("objective", {})
-            and sections["objective"].get("metric_kind", ObjectiveConfig.metric_kind) == "OPAUC"):
+    spec = _build("split", SplitSpec, **{"seed": seed, **sections["split"]})
+    obj_cfg = _build("objective", ObjectiveConfig, **sections["objective"])
+    if "alpha" in doc.get("objective", {}) and obj_cfg.metric_kind == "OPAUC":
         raise ValueError("config objective.alpha has no effect beside objective.metric OPAUC")
+    so = sections["solver"]
+    if "batch" in so:
+        batch = so.pop("batch")
+        if batch < 2:
+            # one positive and one negative at the least
+            raise ValueError(f"config solver.batch must be at least 2, got {batch}")
+        so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
+    if args.T is not None:
+        if args.T < 0:
+            raise ValueError(f"--T must be at least 0, got {args.T}")
+        so["T"] = args.T
+    solver_cfg = _build("solver", SolverConfig, **so, seed=seed)
+
     if dsrc["csv"] is not None:
         ds = load_csv(dsrc["csv"], dsrc["label_col"])
     else:
         ds = generate_synthetic(syn["n"], syn["imbalance"], syn["dim"], syn["separation"],
                                 seed if syn["seed"] is None else syn["seed"])
-    ds_train, ds_val, ds_test = split(ds, SplitSpec(**{"seed": seed, **sections["split"]}))
-    sc = sections["scorer"]
+    ds_train, ds_val, ds_test = split(ds, spec)
     scorer = init_scorer(sc["kind"], ds.dim, tuple(sc["hidden"]), seed=seed)
-    obj_cfg = ObjectiveConfig(**sections["objective"], prior_p=ds_train.prior_p)
-
-    so = sections["solver"]
-    if "batch" in so:
-        del so["batch"]
-        so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
-    if args.T is not None:
-        so["T"] = args.T
-    try:
-        solver_cfg = SolverConfig(**so, seed=seed)
-    except SolverError as exc:
-        # a range error opens with the field; name it as the config spells it
-        name, _, rest = str(exc).partition(" ")
-        if name not in _CONFIG_KEYS:
-            raise
-        raise SolverError(f"solver.{_CONFIG_KEYS[name]} {rest}") from None
+    obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
     return ds_train, ds_val, ds_test, scorer, obj_cfg, solver_cfg
 
 
@@ -206,7 +231,7 @@ def cmd_train(args) -> int:
                                          encoding="utf-8")
 
     rep = _val_pauc(tau, ds_val, obj_cfg)
-    report = json.loads(rep.to_json())
+    report = asdict(rep)
     report["last_iterate_val_pauc"] = rep.value
     report["best_iterate_val_pauc"] = trace.best_val_pauc
     (out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
@@ -337,8 +362,7 @@ def cmd_verify(args) -> int:
         print("error: --trials must be positive", file=sys.stderr)
         return 2
     only = set(args.only) if args.only else None
-    seed = _seed_override(args.seed)
-    reports = run_all_checks(seed=seed, only=only, trials=args.trials)
+    reports = run_all_checks(seed=args.seed, only=only, trials=args.trials)
     text = reports_to_json(reports)
     if args.out:
         (_out_dir(args) / "verify.json").write_text(text + "\n", encoding="utf-8")
@@ -347,8 +371,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = _seed_override(args.seed)
-    rows = bench_rows(tuple(args.batch_sizes), args.reps, seed)
+    rows = bench_rows(tuple(args.batch_sizes), args.reps, args.seed)
     out = _out_dir(args)
     with open(out / "timings.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -357,14 +380,14 @@ def cmd_bench(args) -> int:
     for row in rows:
         print(",".join(str(v) for v in row))
     if args.label is not None:
-        doc = bench_document(args.label, rows, seed, args.reps, args.steps)
+        doc = bench_document(args.label, rows, args.seed, args.reps, args.steps)
         (out / f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=2) + "\n",
                                                       encoding="utf-8")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    seed = _seed_override(args.seed)
+    seed = args.seed
     ds = generate_synthetic(args.n, args.imbalance, args.dim, args.separation, seed)
     ds_train, ds_val, _ = split(ds, SplitSpec(seed=seed))
     # warm the scorer once, then freeze it: the sweep isolates how each
@@ -458,6 +481,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "seed" in args:
+            # evaluate takes no seed, and pays nothing for this
+            _resolve_seed(args)
         return args.fn(args)
     except (FileNotFoundError, KeyError, ValueError) as exc:
         # bad configs or inputs; every paucopt error and JSONDecodeError is a ValueError

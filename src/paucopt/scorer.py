@@ -84,6 +84,8 @@ def param_count(layer_dims) -> int:
 def init_scorer(kind: str, dim: int, hidden=(), seed: int = 0) -> ScorerParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     dims = (dim, 1) if kind == "linear" else (dim, *hidden, 1)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"bad layer_dims {dims}")
     rng = np.random.default_rng(seed)
     chunks = []
     for din, dout in zip(dims[:-1], dims[1:]):

@@ -48,7 +48,7 @@ class SolverConfig:
         for name, bound, strict in (
                 ("nu", 0, False), ("lam", 0, False), ("k_coef", 0, True), ("m_coef", 2, False),
                 ("iota1", 0, True), ("iota2", 0, True), ("T", 0, False), ("batch_pos", 1, False),
-                ("batch_neg", 1, False), ("eval_every", 1, False)):
+                ("batch_neg", 1, False), ("warmup_epochs", 0, False), ("eval_every", 1, False)):
             value = getattr(self, name)
             if not (value > bound if strict else value >= bound):
                 raise SolverError(f"{name} must be {'above' if strict else 'at least'} "

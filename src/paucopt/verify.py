@@ -219,7 +219,7 @@ def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> Verificati
     return _report("hinge_weight_identity", trials, worst, 0.0)
 
 
-def quantile_deviation(ds: Dataset, tau: MinVars, gamma: float, beta: float) -> float:
+def quantile_deviation(ds: Dataset, tau: MinVars, gamma: float) -> float:
     """Effective selected-negative fraction: share with N-loss strictly above s'."""
     f_neg = score_batch(tau.theta, ds.features[ds.neg_ids])
     losses = neg_branch_N(f_neg, tau.b, gamma)
@@ -241,7 +241,7 @@ def run_bias_sweep(ds_train: Dataset, ds_val: Dataset | None,
     rows = []
     for cfg, kappa in runs:
         tau, xv, trace = train(ds_train, ds_val, scorer_init, solver_cfg, cfg)
-        beta_eff = quantile_deviation(ds_train, tau, xv.gamma, cfg.beta)
+        beta_eff = quantile_deviation(ds_train, tau, xv.gamma)
         rows.append({"kind": cfg.formulation, "kappa": kappa,
                      "val_pauc": trace.best_val_pauc, "beta_eff": beta_eff,
                      "beta_dev": abs(beta_eff - cfg.beta)})

@@ -180,13 +180,13 @@ class TestTrain:
         cfg = self.write_config(tmp_path, **{section: entry})
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert capsys.readouterr().err.startswith(f"error: config {section}.{name} must be")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("section,entry,name", [
-        ("solver", {"lambda": float("nan")}, "solver.lambda"),
-        ("solver", {"k": float("nan")}, "solver.k"),
-        ("solver", {"m": 1.0}, "solver.m"),
+        ("solver", {"lambda": float("nan")}, "config solver.lambda"),
+        ("solver", {"k": float("nan")}, "config solver.k"),
+        ("solver", {"m": 1.0}, "config solver.m"),
         ("objective", {"metric": "XPAUC"}, "config objective.metric"),
     ])
     def test_out_of_range_value_names_the_config_spelling(self, tmp_path, capsys, section,
@@ -209,7 +209,7 @@ class TestTrain:
                                 **({"dataset": dataset} if dataset else {}))
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err == "error: solver.batch must be at least 2, got 1\n"
+        assert capsys.readouterr().err == "error: config solver.batch must be at least 2, got 1\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("fracs,message", [
@@ -229,6 +229,57 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == f"error: config split.{message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("split", "train_frac", 0), ("split", "val_frac", 0), ("split", "test_frac", 0),
+        ("objective", "alpha", 0), ("objective", "beta", 0), ("objective", "kappa", 0),
+        ("objective", "omega", -1), ("objective", "lagrange_cap", -1),
+        ("solver", "nu", -1), ("solver", "lambda", -1), ("solver", "k", 0), ("solver", "m", 1),
+        ("solver", "iota1", 0), ("solver", "iota2", 0), ("solver", "T", -1),
+        ("solver", "batch_pos", 0), ("solver", "batch_neg", 0), ("solver", "eval_every", 0),
+        ("solver", "warmup_epochs", -1), ("solver", "batch", 1),
+    ])
+    def test_every_range_check_runs_before_the_data_is_read(self, tmp_path, capsys, section,
+                                                           key, value):
+        # the CSV is missing, so an error raised after reading it would name the file
+        entry = {key: value, **({"metric": "TPAUC"} if key == "alpha" else {})}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"dataset": {"csv": "absent.csv"}, section: entry}))
+        assert run_cli("train", "--config", str(path), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {section}.{key} ")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section,entry,message", [
+        ("split", {"train_frac": 0.8, "val_frac": 0.15, "test_frac": 0.15},
+         "config split: split fractions must be nonnegative and sum to 1"),
+        ("solver", {"k": 3.0, "m": 10.0},
+         "config solver: eta_0 = k/m^(1/3) must not exceed 1 (need m >= k^3)"),
+    ])
+    def test_rule_over_several_keys_names_the_section_before_the_data_is_read(
+            self, tmp_path, capsys, section, entry, message):
+        cfg = self.write_config(tmp_path, dataset={"csv": "absent.csv"}, **{section: entry})
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("scorer,message", [
+        ({"kind": "rbf"}, "config scorer.kind must be one of 'linear', 'mlp', got 'rbf'"),
+        ({"kind": "mlp", "hidden": [0]},
+         "config scorer.hidden widths must be at least 1, got [0]"),
+        ({"kind": "mlp", "hidden": [8, 0]},
+         "config scorer.hidden widths must be at least 1, got [8, 0]"),
+        ({"kind": "mlp", "hidden": [-1]},
+         "config scorer.hidden widths must be at least 1, got [-1]"),
+    ], ids=["kind", "zero", "second-zero", "negative"])
+    @pytest.mark.parametrize("dataset", [
+        None, {"csv": "absent.csv"}], ids=["synthetic", "missing-csv"])
+    def test_bad_scorer_usage_error_before_reading_data(self, tmp_path, capsys, scorer,
+                                                        message, dataset):
+        cfg = self.write_config(tmp_path, scorer=scorer,
+                                **({"dataset": dataset} if dataset else {}))
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x").exists()
 
     def test_eval_every_below_one_usage_error(self, tmp_path, capsys):
@@ -375,6 +426,63 @@ class TestRunConfigSchema:
     def test_batch_split(self, tmp_path, solver, sizes):
         solver_cfg = load_config(tmp_path, {"solver": solver})[-1]
         assert (solver_cfg.batch_pos, solver_cfg.batch_neg) == sizes
+
+
+@pytest.mark.parametrize("argv,env,config,message", [
+    (["generate", "--n", "50", "--imbalance", "0.3", "--seed", "-1", "--output", "x"],
+     None, None, "--seed must be at least 0, got -1"),
+    (["train", "--seed", "-1"], None, {}, "--seed must be at least 0, got -1"),
+    (["verify", "--seed", "-1", "--out", "x"], None, None, "--seed must be at least 0, got -1"),
+    (["bench", "--seed", "-1", "--out", "x"], None, None, "--seed must be at least 0, got -1"),
+    (["sweep", "--seed", "-1", "--out", "x"], None, None, "--seed must be at least 0, got -1"),
+    (["verify", "--out", "x"], "-4", None, "PAUC_SEED must be at least 0, got -4"),
+    (["train"], "-4", {}, "PAUC_SEED must be at least 0, got -4"),
+    (["train", "--seed", "3"], "abc", {}, "PAUC_SEED must be an integer, got 'abc'"),
+    (["train"], None, {"seed": -2}, "config seed must be at least 0, got -2"),
+    (["train"], None, {"split": {"seed": -3}}, "config split.seed must be at least 0, got -3"),
+    (["train"], None, {"dataset": {"synthetic": {"seed": -5}}},
+     "config dataset.synthetic.seed must be at least 0, got -5"),
+], ids=["generate", "train", "verify", "bench", "sweep", "env-verify", "env-train",
+        "env-not-integer", "config", "config-split", "config-synthetic"])
+def test_negative_seed_usage_error_names_its_source(tmp_path, capsys, monkeypatch, argv,
+                                                    env, config, message):
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("PAUC_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PAUC_SEED", env)
+    if config is not None:
+        # a missing CSV would name the file: the seed is checked before the data is read
+        (tmp_path / "run.json").write_text(
+            json.dumps({"dataset": {"csv": "absent.csv"}, **config}))
+        argv = [*argv, "--config", "run.json", "--out", "x"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("env,seed", [("5", None), (None, "5")], ids=["env", "flag"])
+def test_config_seed_stood_in_for_is_not_read(tmp_path, monkeypatch, env, seed):
+    # PAUC_SEED or --seed replaces the top-level seed, so a bad one is never read
+    monkeypatch.delenv("PAUC_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("PAUC_SEED", env)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dataset": {"synthetic": {"n": 400}}, "seed": -1,
+                               "solver": {"T": 0}}))
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert run_cli(*argv, *(["--seed", seed] if seed else [])) == 0
+
+
+def test_negative_t_flag_is_named_as_the_flag(tmp_path, capsys):
+    # --T stands in for solver.T, so a bad solver.T beside it is never read
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dataset": {"synthetic": {"n": 400}}, "solver": {"T": -1}}))
+    out = tmp_path / "out"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out), "--T", "-1") == 2
+    assert capsys.readouterr().err == "error: --T must be at least 0, got -1\n"
+    assert not out.exists()
+    assert run_cli("train", "--config", str(cfg), "--out", str(out), "--T", "0") == 0
 
 
 class TestEvaluate:

@@ -113,6 +113,15 @@ def test_invalid_input_raises(make, message):
         make()
 
 
+@pytest.mark.parametrize("hidden", [(0,), (8, 0), (-1,)])
+def test_init_scorer_rejects_a_width_below_one(hidden):
+    # before any weight is drawn: a zero fan-in would give the bound 1/sqrt(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"bad layer_dims \(3, "):
+            init_scorer("mlp", 3, hidden)
+
+
 class TestExpit:
     """The numpy sigmoid against scipy.special.expit as the oracle. The two
     use different exp implementations, so they agree to a few ulp, not
