@@ -184,9 +184,9 @@ class TestTrain:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("section,entry,name", [
-        ("solver", {"lambda": float("nan")}, "config solver.lambda"),
-        ("solver", {"k": float("nan")}, "config solver.k"),
-        ("solver", {"m": 1.0}, "config solver.m"),
+        ("solver", {"lambda": float("nan")}, "solver.lambda"),
+        ("solver", {"k": float("nan")}, "solver.k"),
+        ("solver", {"m": 1.0}, "solver.m"),
         ("objective", {"metric": "XPAUC"}, "config objective.metric"),
     ])
     def test_out_of_range_value_names_the_config_spelling(self, tmp_path, capsys, section,
@@ -196,7 +196,8 @@ class TestTrain:
         cfg = self.write_config(tmp_path, **{section: entry})
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert capsys.readouterr().err.startswith(
+            f"error: config {name.removeprefix('config ')} must be")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("dataset", [
