@@ -66,8 +66,8 @@ def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0,
     for bs in batch_sizes:
         half = bs // 2
         batch = stratified_sample(ds, half, half, np.random.default_rng(seed))
-        f_pos = list(score_batch(scorer, ds.features[batch.pos_ids]))
-        f_neg = list(score_batch(scorer, ds.features[batch.neg_ids]))
+        f_pos = list(score_batch(scorer, ds.features.take(batch.pos_ids, axis=0)))
+        f_neg = list(score_batch(scorer, ds.features.take(batch.neg_ids, axis=0)))
         steps += [(half, "instance_wise"), (half, "pairwise")]
         calls += [lambda b=batch: evaluate(obj_cfg, tau, gamma, b, ds,
                                            dims=scorer.layer_dims).value,

@@ -191,8 +191,6 @@ def _load_run_config(args):
             raise ValueError(f"config solver.batch must be at least 2, got {batch}")
         so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
     if args.T is not None:
-        if args.T < 0:
-            raise ValueError(f"--T must be at least 0, got {args.T}")
         so["T"] = args.T
     solver_cfg = _build("solver", SolverConfig, **so, seed=seed)
 
@@ -298,6 +296,42 @@ def _reprs(v: np.ndarray, end: str) -> np.ndarray:
     return text[inverse]
 
 
+class FlagError(Exception):
+    """A flag value outside its range. argparse handles only the ValueError,
+    TypeError and ArgumentTypeError of a type function, so this one leaves
+    parse_args for main, which names the flag as it names a bad --seed."""
+
+
+def _flag(flag: str, kind, rule: str, ok):
+    """An argparse type for flag: the text read as kind, which must pass ok
+    (NaN passes none of the checks given here). A text kind cannot read
+    stays argparse's `invalid <kind> value` usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise FlagError(f"{flag} must {rule}, got {value!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _at_least(flag: str, low: int):
+    """An argparse type: an integer of at least low."""
+    return _flag(flag, int, f"be at least {low}", lambda v: v >= low)
+
+
+def _synthetic_flags(parser, **defaults):
+    """Add --n, --imbalance, --dim and --separation, checked by
+    generate_synthetic's rules; a flag given no default is required."""
+    for name, kind, rule, ok in (
+            ("n", int, "be at least 4", lambda v: v >= 4),
+            ("imbalance", float, "lie in (0,1)", lambda v: 0.0 < v < 1.0),
+            ("dim", int, "be at least 1", lambda v: v >= 1),
+            ("separation", float, "be nonnegative", lambda v: v >= 0.0)):
+        parser.add_argument(f"--{name}", type=_flag(f"--{name}", kind, rule, ok),
+                            required=name not in defaults, default=defaults.get(name))
+
+
 def _metric_point(text: str) -> tuple[float, float]:
     """An --at value: ALPHA,BETA, two numbers in (0, 1]."""
     try:
@@ -358,9 +392,6 @@ def _hundredths(v: np.ndarray) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
-        return 2
     only = set(args.only) if args.only else None
     reports = run_all_checks(seed=args.seed, only=only, trials=args.trials)
     text = reports_to_json(reports)
@@ -418,10 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic imbalanced CSV")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--imbalance", type=float, required=True)
-    g.add_argument("--dim", type=int, default=5)
-    g.add_argument("--separation", type=float, default=2.0)
+    _synthetic_flags(g, dim=5, separation=2.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--label-col", default="label")
     g.add_argument("--output", default="synthetic.csv")
@@ -429,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run the descent-ascent optimizer")
     t.add_argument("--config", required=True)
-    t.add_argument("--T", type=int, default=None)
+    t.add_argument("--T", type=_at_least("--T", 0), default=None)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", default="out")
     t.set_defaults(fn=cmd_train)
@@ -445,32 +473,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the numerical verification suite")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=None)
+    v.add_argument("--trials", type=_at_least("--trials", 1), default=None)
     v.add_argument("--only", nargs="+", default=None, choices=sorted(ALL_CHECKS))
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="per-step timing across batch sizes")
-    b.add_argument("--batch-sizes", nargs="+", type=int,
+    # each size is split in half, one half per class
+    b.add_argument("--batch-sizes", nargs="+", type=_at_least("--batch-sizes", 2),
                    default=[64, 128, 256, 512])
-    b.add_argument("--reps", type=int, default=15)
+    b.add_argument("--reps", type=_at_least("--reps", 1), default=15)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="out")
     b.add_argument("--label", default=None,
                    help="also time solver steps at n = 2e3, 2e5, 2e6 and whole train, "
                         "generate and evaluate commands; write BENCH_<label>.json")
-    b.add_argument("--steps", type=int, default=200, help="timed steps per size and formulation")
+    b.add_argument("--steps", type=_at_least("--steps", 1), default=200,
+                   help="timed steps per size and formulation")
     b.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("sweep", help="softplus-sharpness sensitivity sweep")
-    s.add_argument("--kappas", nargs="+", type=float, default=[2.0, 32.0])
-    s.add_argument("--n", type=int, default=2000)
-    s.add_argument("--imbalance", type=float, default=0.3)
-    s.add_argument("--dim", type=int, default=5)
-    s.add_argument("--separation", type=float, default=1.0)
-    s.add_argument("--beta", type=float, default=0.3)
-    s.add_argument("--omega", type=float, default=0.1)
-    s.add_argument("--T", type=int, default=3000)
+    s.add_argument("--kappas", nargs="+", default=[2.0, 32.0],
+                   type=_flag("--kappas", float, "be positive", lambda v: v > 0.0))
+    _synthetic_flags(s, n=2000, imbalance=0.3, dim=5, separation=1.0)
+    s.add_argument("--beta", type=_flag("--beta", float, "lie in (0,1]",
+                                        lambda v: 0.0 < v <= 1.0), default=0.3)
+    s.add_argument("--omega", type=_flag("--omega", float, "be nonnegative",
+                                         lambda v: v >= 0.0), default=0.1)
+    s.add_argument("--T", type=_at_least("--T", 0), default=3000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="out")
     s.set_defaults(fn=cmd_sweep)
@@ -479,14 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if "seed" in args:
             # evaluate takes no seed, and pays nothing for this
             _resolve_seed(args)
         return args.fn(args)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
-        # bad configs or inputs; every paucopt error and JSONDecodeError is a ValueError
+    except (FileNotFoundError, KeyError, ValueError, FlagError) as exc:
+        # bad flags, configs or inputs; every other paucopt error and
+        # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -324,5 +324,5 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     for slices in buckets:
         idx = np.concatenate(slices)
         idx.sort()
-        parts.append(Dataset(ds.features[idx], ds.labels[idx]))
+        parts.append(Dataset(ds.features.take(idx, axis=0), ds.labels.take(idx)))
     return tuple(parts)

@@ -176,8 +176,8 @@ def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
         order = rng.permutation(ds.n)
         for start in range(0, ds.n, batch_size):
             idx = order[start:start + batch_size]
-            x = ds.features[idx]
-            y = ds.labels[idx].astype(np.float64)
+            x = ds.features.take(idx, axis=0)
+            y = ds.labels.take(idx).astype(np.float64)
             f, pullback = score_with_pullback(params.layer_dims, w[None], x)
             # dCE/dz = f - y, averaged over the batch
             g = pullback((f - y) / len(idx))

@@ -221,7 +221,7 @@ def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> Verificati
 
 def quantile_deviation(ds: Dataset, tau: MinVars, gamma: float) -> float:
     """Effective selected-negative fraction: share with N-loss strictly above s'."""
-    f_neg = score_batch(tau.theta, ds.features[ds.neg_ids])
+    f_neg = score_batch(tau.theta, ds.features.take(ds.neg_ids, axis=0))
     losses = neg_branch_N(f_neg, tau.b, gamma)
     return float(np.mean(losses > tau.s_prime))
 

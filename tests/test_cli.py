@@ -486,6 +486,43 @@ def test_negative_t_flag_is_named_as_the_flag(tmp_path, capsys):
     assert run_cli("train", "--config", str(cfg), "--out", str(out), "--T", "0") == 0
 
 
+# a flag value outside its range, with the error that names the flag
+BAD_FLAGS = [
+    (["bench", "--reps", "0"], "--reps must be at least 1, got 0"),
+    (["bench", "--steps", "0", "--label", "x"], "--steps must be at least 1, got 0"),
+    (["bench", "--batch-sizes", "64", "1"], "--batch-sizes must be at least 2, got 1"),
+    (["verify", "--trials", "-3"], "--trials must be at least 1, got -3"),
+    (["sweep", "--T", "-1"], "--T must be at least 0, got -1"),
+    (["sweep", "--kappas", "2", "0"], "--kappas must be positive, got 0.0"),
+    (["sweep", "--n", "3"], "--n must be at least 4, got 3"),
+    (["sweep", "--imbalance", "1"], "--imbalance must lie in (0,1), got 1.0"),
+    (["sweep", "--dim", "0"], "--dim must be at least 1, got 0"),
+    (["sweep", "--separation", "-0.5"], "--separation must be nonnegative, got -0.5"),
+    (["sweep", "--beta", "nan"], "--beta must lie in (0,1], got nan"),
+    (["sweep", "--omega", "-0.1"], "--omega must be nonnegative, got -0.1"),
+    (["generate", "--n", "0", "--imbalance", "0.1"], "--n must be at least 4, got 0"),
+    (["generate", "--n", "50", "--imbalance", "0"], "--imbalance must lie in (0,1), got 0.0"),
+    (["generate", "--n", "50", "--imbalance", "0.1", "--dim", "-2"],
+     "--dim must be at least 1, got -2"),
+    (["generate", "--n", "50", "--imbalance", "0.1", "--separation", "nan"],
+     "--separation must be nonnegative, got nan"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_FLAGS,
+                         ids=[argv[0] + message.split()[0] for argv, message in BAD_FLAGS])
+def test_out_of_range_flag_usage_error_names_the_flag(tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+    # checked as the flags are parsed: no command runs and nothing is written,
+    # not even at a default --out or --output
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PAUC_SEED", raising=False)
+    out = ["--output", "x.csv"] if argv[0] == "generate" else ["--out", "x"]
+    assert run_cli(*argv, *out) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestEvaluate:
     def make_checkpoint(self, tmp_path, synth_csv):
         cfgdoc = {

@@ -26,6 +26,7 @@ from paucopt.objectives import (
     ObjectiveConfig,
     ObjectiveError,
     evaluate,
+    hinged_ids,
     neg_branch_N,
     pos_branch_P,
     softplus,
@@ -443,3 +444,27 @@ def test_stacked_points_equal_one_point_calls(metric, formulation, kind, monkeyp
     assert len(c_moved) == cfg.T + 2
     if formulation == "unbiased":
         assert sum(c_moved) >= cfg.T // 2
+
+
+@pytest.mark.parametrize("metric,formulation,kind", CASES)
+def test_unsorted_repeated_ids_equal_fancy_indexed_rows(metric, formulation, kind):
+    # evaluate gathers the batch rows by id; a dataset of the same rows,
+    # gathered by fancy indexing and read in order, must give the same bits
+    # for ids in no order and with a repeat, which stratified_sample never gives
+    ds = generate_synthetic(60, 0.3, 3, 1.0, seed=6)
+    pos, neg = ds.pos_ids[[5, 0, 9, 3]], ds.neg_ids[[17, 2, 30, 11, 2, 25, 8]]
+    ids = np.concatenate([pos, neg])
+    assert not (np.diff(ids) > 0).all() and len(np.unique(ids)) == len(ids) - 1
+    gathered = Dataset(ds.features[ids], ds.labels[ids])
+    in_order = Minibatch(np.arange(len(pos)), np.arange(len(pos), len(ids)))
+    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    theta = init_scorer(kind, 3, (4,), seed=6)
+    tau = np.array([MinVars(theta, a, 1.0 - a, -0.5, 2 * a, a, 0.2).flat()
+                    for a in (0.3, 0.7)])
+    gamma = np.array([0.25, -0.5])
+    batch = Minibatch(pos, neg)
+    c = np.random.default_rng(6).uniform(0, 1, (2, len(hinged_ids(cfg, batch))))
+    got = evaluate(cfg, tau, gamma, batch, ds, c, dims=theta.layer_dims)
+    want = evaluate(cfg, tau, gamma, in_order, gathered, c, dims=theta.layer_dims)
+    for name in ("grad_min", "grad_max_gamma", "grad_max_c", "value"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))

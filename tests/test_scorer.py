@@ -216,6 +216,36 @@ class TestWarmup:
         q = warmup_logistic(p, ds, 200, 0.5, seed=3)
         assert cross_entropy(q, ds) < before
 
+    @staticmethod
+    def fancy_index_oracle(params, ds, epochs, lr, batch_size, seed):
+        """warmup_logistic's former body, each batch gathered by fancy indexing."""
+        rng = np.random.default_rng(seed)
+        w = params.weights.copy()
+        for _ in range(epochs):
+            order = rng.permutation(ds.n)
+            for start in range(0, ds.n, batch_size):
+                idx = order[start:start + batch_size]
+                x = ds.features[idx]
+                y = ds.labels[idx].astype(np.float64)
+                f, pullback = score_with_pullback(params.layer_dims, w[None], x)
+                g = pullback((f - y) / len(idx))
+                w = w - lr * g[0]
+        return w
+
+    @pytest.mark.parametrize("kind,hidden", [("linear", ()), ("mlp", (4,))])
+    # 100 rows: 25 divides them, 32 leaves a last batch of 4
+    @pytest.mark.parametrize("batch_size", [25, 32])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_matches_fancy_index_oracle(self, kind, hidden, batch_size, epochs):
+        rng = np.random.default_rng(5)
+        labels = (rng.random(100) < 0.3).astype(np.int64)
+        ds = Dataset(rng.normal(size=(100, 3)) + labels[:, None], labels)
+        p = init_scorer(kind, 3, hidden, seed=1)
+        q = warmup_logistic(p, ds, epochs, 0.3, batch_size=batch_size, seed=7)
+        assert not np.array_equal(q.weights, p.weights)
+        assert np.array_equal(q.weights,
+                              self.fancy_index_oracle(p, ds, epochs, 0.3, batch_size, 7))
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
