@@ -50,8 +50,9 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    ds = generate_synthetic(args.n, args.imbalance, args.dim, args.separation, args.seed)
-    save_csv(ds, args.output, label_column=args.label_col)
+    ds = _build(generate_synthetic, _SYNTHETIC_FLAGS, args.n, args.imbalance, args.dim,
+                args.separation, args.seed)
+    _build(save_csv, {"label_column": "--label-col"}, ds, args.output, args.label_col)
     print(f"wrote {args.output}: n={ds.n} n_pos={ds.n_pos} n_neg={ds.n_neg}")
     return 0
 
@@ -60,8 +61,8 @@ def cmd_generate(args) -> int:
 # the dataclass gives each key its type and default.
 _DATACLASS_SECTIONS = {"split": (SplitSpec, ()), "objective": (ObjectiveConfig, ("prior_p",)),
                        "solver": (SolverConfig, ("seed", "freeze_theta"))}
-# Run-config spellings of the dataclass fields whose key differs from the name.
-_SPELLINGS = {"metric": "metric_kind", "lambda": "lam", "k": "k_coef", "m": "m_coef"}
+# Run-config spellings of the fields whose key differs from the name.
+_SPELLINGS = {"metric": "metric_kind", "lambda": "lam", "k": "k_coef", "m": "m_coef", "dim": "d"}
 _CONFIG_KEYS = {name: key for key, name in _SPELLINGS.items()}
 # (type, default) of each key of the other sections ("" is the top level); a
 # seed left at None is the run seed.
@@ -90,6 +91,10 @@ def _key_types() -> dict:
 
 
 _KEY_TYPES = _key_types()
+# _build's names of each run-config section: each field by its config key
+_CONFIG_NAMES = {section: {"": f"config {section}",
+                           **{_SPELLINGS.get(key, key): f"config {section}.{key}" for key in keys}}
+                 for section, keys in _KEY_TYPES.items()}
 _TYPE_NAMES = {dict: "an object", list[int]: "a list of integers",
                list[float]: "a list of numbers", str: "a string", int: "an integer",
                float: "a number"}
@@ -115,8 +120,8 @@ def _has_type(value, kind) -> bool:
 
 def _read_sections(doc) -> dict:
     """{section: values} of a run config, each key checked against _KEY_TYPES
-    before any data is read. A plain section has its defaults filled in; a
-    dataclass section holds the keys given, under their field names."""
+    before any data is read, under their field names. A plain section has its
+    defaults filled in; a dataclass section holds the keys given."""
     if not isinstance(doc, dict):
         raise ValueError("config top-level must be a JSON object")
     sections = {}
@@ -131,23 +136,25 @@ def _read_sections(doc) -> dict:
             if not _has_type(value, types[key]):
                 raise ValueError(f"config {f'{section}.{key}'.lstrip('.')} must be "
                                  f"{_type_name(types[key])}, got {value!r}")
-        defaults = _PLAIN_SECTIONS.get(section, {})
-        sections[section] = {**{key: default for key, (_, default) in defaults.items()},
-                             **{_SPELLINGS.get(key, key): value for key, value in entry.items()}}
+        defaults = {key: default for key, (_, default) in _PLAIN_SECTIONS.get(section, {}).items()}
+        sections[section] = {_SPELLINGS.get(key, key): value
+                             for key, value in {**defaults, **entry}.items()}
     return sections
 
 
-def _build(section: str, cls, **values):
-    """cls(**values), with a range error reworded to name the key as the run
-    config spells it: `config <section>.<key> ...`, or `config <section>: ...`
-    where the message opens with no field (a rule over several fields)."""
+def _build(fn, names: dict, /, *args, **values):
+    """fn(*args, **values), with a range error reworded to name the value as
+    the user typed it: names maps a field to that spelling (`--dim`, `config
+    dataset.synthetic.dim`) and "" to the prefix of an error naming no field."""
     try:
-        return cls(**values)
+        return fn(*args, **values)
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
-        if name in values:
-            raise type(exc)(f"config {section}.{_CONFIG_KEYS.get(name, name)} {rest}") from None
-        raise type(exc)(f"config {section}: {exc}") from None
+        if name in names:
+            raise type(exc)(f"{names[name]} {rest}") from None
+        if "" in names:
+            raise type(exc)(f"{names['']}: {exc}") from None
+        raise
 
 
 def _load_run_config(args):
@@ -179,11 +186,11 @@ def _load_run_config(args):
         # split() makes no empty part: its Dataset would fail as single-class
         if name.endswith("_frac") and not value > 0:
             raise ValueError(f"config split.{name} must be above 0, got {float(value)!r}")
-    spec = _build("split", SplitSpec, **{"seed": seed, **sections["split"]})
-    obj_cfg = _build("objective", ObjectiveConfig, **sections["objective"])
+    spec = _build(SplitSpec, _CONFIG_NAMES["split"], **{"seed": seed, **sections["split"]})
+    obj_cfg = _build(ObjectiveConfig, _CONFIG_NAMES["objective"], **sections["objective"])
     if "alpha" in doc.get("objective", {}) and obj_cfg.metric_kind == "OPAUC":
         raise ValueError("config objective.alpha has no effect beside objective.metric OPAUC")
-    so = sections["solver"]
+    so, names = sections["solver"], _CONFIG_NAMES["solver"]
     if "batch" in so:
         batch = so.pop("batch")
         if batch < 2:
@@ -191,15 +198,16 @@ def _load_run_config(args):
             raise ValueError(f"config solver.batch must be at least 2, got {batch}")
         so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
     if args.T is not None:
-        so["T"] = args.T
-    solver_cfg = _build("solver", SolverConfig, **so, seed=seed)
+        so["T"], names = args.T, {**names, "T": "--T"}
+    solver_cfg = _build(SolverConfig, names, **so, seed=seed)
 
     if dsrc["csv"] is not None:
-        ds = load_csv(dsrc["csv"], dsrc["label_col"])
+        ds, names = load_csv(dsrc["csv"], dsrc["label_col"]), {}
     else:
-        ds = generate_synthetic(syn["n"], syn["imbalance"], syn["dim"], syn["separation"],
-                                seed if syn["seed"] is None else syn["seed"])
-    ds_train, ds_val, ds_test = split(ds, spec)
+        names = _CONFIG_NAMES["dataset.synthetic"]
+        ds = _build(generate_synthetic, names,
+                    **{**syn, "seed": seed if syn["seed"] is None else syn["seed"]})
+    ds_train, ds_val, ds_test = _build(split, names, ds, spec)
     scorer = init_scorer(sc["kind"], ds.dim, tuple(sc["hidden"]), seed=seed)
     obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
     return ds_train, ds_val, ds_test, scorer, obj_cfg, solver_cfg
@@ -253,11 +261,8 @@ def cmd_evaluate(args) -> int:
         if not _has_type(entry[key], kind):
             raise ValueError(f"{args.checkpoint}: scorer object: {key} must be "
                              f"{_type_name(kind)}, got {reprlib.repr(entry[key])}")
-    try:
-        scorer = ScorerParams.from_dict(entry)
-    except ValueError as exc:
-        # an unknown kind, or layer_dims and weights that do not fit
-        raise ValueError(f"{args.checkpoint}: scorer object: {exc}") from None
+    # an unknown kind, or layer_dims and weights that do not fit, names the file
+    scorer = _build(ScorerParams.from_dict, {"": f"{args.checkpoint}: scorer object"}, entry)
     scores = score_batch(scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
 
@@ -297,39 +302,32 @@ def _reprs(v: np.ndarray, end: str) -> np.ndarray:
 
 
 class FlagError(Exception):
-    """A flag value outside its range. argparse handles only the ValueError,
-    TypeError and ArgumentTypeError of a type function, so this one leaves
-    parse_args for main, which names the flag as it names a bad --seed."""
-
-
-def _flag(flag: str, kind, rule: str, ok):
-    """An argparse type for flag: the text read as kind, which must pass ok
-    (NaN passes none of the checks given here). A text kind cannot read
-    stays argparse's `invalid <kind> value` usage error."""
-    def parse(text: str):
-        value = kind(text)
-        if not ok(value):
-            raise FlagError(f"{flag} must {rule}, got {value!r}")
-        return value
-    parse.__name__ = kind.__name__
-    return parse
+    """A count flag below its least value. argparse handles a type function's ValueError,
+    TypeError and ArgumentTypeError, so this one leaves parse_args for main to print."""
 
 
 def _at_least(flag: str, low: int):
-    """An argparse type: an integer of at least low."""
-    return _flag(flag, int, f"be at least {low}", lambda v: v >= low)
+    """An argparse type: an integer of at least low, a count no library function checks."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise FlagError(f"{flag} must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
+# generate_synthetic's fields by their flags; a rule over several values, such
+# as that a split keep both classes, names the two that set the class sizes
+_SYNTHETIC_FLAGS = {"": "--n, --imbalance", "n": "--n", "imbalance": "--imbalance",
+                    "d": "--dim", "separation": "--separation"}
 
 
 def _synthetic_flags(parser, **defaults):
-    """Add --n, --imbalance, --dim and --separation, checked by
-    generate_synthetic's rules; a flag given no default is required."""
-    for name, kind, rule, ok in (
-            ("n", int, "be at least 4", lambda v: v >= 4),
-            ("imbalance", float, "lie in (0,1)", lambda v: 0.0 < v < 1.0),
-            ("dim", int, "be at least 1", lambda v: v >= 1),
-            ("separation", float, "be nonnegative", lambda v: v >= 0.0)):
-        parser.add_argument(f"--{name}", type=_flag(f"--{name}", kind, rule, ok),
-                            required=name not in defaults, default=defaults.get(name))
+    """Add --n, --imbalance, --dim and --separation, each required unless given a default."""
+    for name, kind in (("n", int), ("imbalance", float), ("dim", int), ("separation", float)):
+        parser.add_argument(f"--{name}", type=kind, required=name not in defaults,
+                            default=defaults.get(name))
 
 
 def _metric_point(text: str) -> tuple[float, float]:
@@ -419,21 +417,25 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     seed = args.seed
-    ds = generate_synthetic(args.n, args.imbalance, args.dim, args.separation, seed)
-    ds_train, ds_val, _ = split(ds, SplitSpec(seed=seed))
+    # every flag is checked before any data is made
+    flags = {"kappa": "--kappas", "beta": "--beta", "omega": "--omega", "T": "--T"}
+    obj_cfg = _build(ObjectiveConfig, flags, metric_kind="OPAUC", formulation="surrogate",
+                     beta=args.beta, omega=args.omega)
+    for kappa in args.kappas:
+        _build(replace, flags, obj_cfg, kappa=kappa)
+    solver_cfg = _build(SolverConfig, flags, nu=0.05, lam=1.0, k_coef=1.0, m_coef=27.0,
+                        T=args.T, seed=seed, freeze_theta=True, eval_every=max(1, args.T))
+    ds = _build(generate_synthetic, _SYNTHETIC_FLAGS, args.n, args.imbalance, args.dim,
+                args.separation, seed)
+    ds_train, ds_val, _ = _build(split, _SYNTHETIC_FLAGS, ds, SplitSpec(seed=seed))
     # warm the scorer once, then freeze it: the sweep isolates how each
     # hinge treatment places the selection threshold on a fixed loss
     # distribution, which a still-moving scorer would pull from under it
     scorer = warmup_logistic(init_scorer("linear", ds.dim, seed=seed),
                              ds_train, 2, 0.3, seed=seed)
-    obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate",
-                              beta=args.beta, omega=args.omega,
-                              prior_p=ds_train.prior_p)
-    solver_cfg = SolverConfig(nu=0.05, lam=1.0, k_coef=1.0, m_coef=27.0,
-                              T=args.T, seed=seed,
-                              batch_pos=min(32, ds_train.n_pos),
-                              batch_neg=min(224, ds_train.n_neg),
-                              freeze_theta=True, eval_every=max(1, args.T))
+    obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
+    solver_cfg = replace(solver_cfg, batch_pos=min(32, ds_train.n_pos),
+                         batch_neg=min(224, ds_train.n_neg))
     rows = run_bias_sweep(ds_train, ds_val, scorer, args.kappas, obj_cfg, solver_cfg)
     # strict JSON: a non-finite value is a ValueError (exit 2), not a bare NaN
     text = json.dumps(rows, indent=2, allow_nan=False)
@@ -457,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run the descent-ascent optimizer")
     t.add_argument("--config", required=True)
-    t.add_argument("--T", type=_at_least("--T", 0), default=None)
+    t.add_argument("--T", type=int, default=None)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", default="out")
     t.set_defaults(fn=cmd_train)
@@ -493,14 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("sweep", help="softplus-sharpness sensitivity sweep")
-    s.add_argument("--kappas", nargs="+", default=[2.0, 32.0],
-                   type=_flag("--kappas", float, "be positive", lambda v: v > 0.0))
+    s.add_argument("--kappas", nargs="+", type=float, default=[2.0, 32.0])
     _synthetic_flags(s, n=2000, imbalance=0.3, dim=5, separation=1.0)
-    s.add_argument("--beta", type=_flag("--beta", float, "lie in (0,1]",
-                                        lambda v: 0.0 < v <= 1.0), default=0.3)
-    s.add_argument("--omega", type=_flag("--omega", float, "be nonnegative",
-                                         lambda v: v >= 0.0), default=0.1)
-    s.add_argument("--T", type=_at_least("--T", 0), default=3000)
+    s.add_argument("--beta", type=float, default=0.3)
+    s.add_argument("--omega", type=float, default=0.1)
+    s.add_argument("--T", type=int, default=3000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="out")
     s.set_defaults(fn=cmd_sweep)

@@ -234,9 +234,14 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
     The bytes are csv.writer's: a feature is its repr, which csv never
     quotes, and CRLF ends a row.
     """
+    header = [f"x{j}" for j in range(ds.dim)]
+    # load_csv would read the first column of that name as the labels
+    if label_column in header:
+        raise DataError(f"label_column must differ from the feature columns "
+                        f"x0..x{ds.dim - 1}, got {label_column!r}")
     row = ",".join(["%r"] * ds.dim + ["%d"]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([f"x{j}" for j in range(ds.dim)] + [label_column])
+        csv.writer(fh).writerow(header + [label_column])
         for start in range(0, ds.n, 1 << 16):       # bounded memory for any n
             block = slice(start, start + (1 << 16))
             fh.write("".join([row % (*feats, label) for feats, label in
@@ -251,14 +256,14 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
     blobs are drawn into one (n, d) buffer, so besides the result it holds one
     n×d copy and the n-length permutation at once.
     """
-    if n < 4:
-        raise DataError("n must be at least 4")
-    if not 0.0 < imbalance < 1.0:
-        raise DataError("imbalance must lie in (0,1)")
-    if separation < 0:
-        raise DataError("separation must be nonnegative")
-    if d < 1:
-        raise DataError("d must be positive")
+    # each condition is False for NaN, so NaN fails every check
+    for name, value, ok, rule in (
+            ("n", n, n >= 4, "be at least 4"),
+            ("imbalance", imbalance, 0.0 < imbalance < 1.0, "lie in (0,1)"),
+            ("separation", separation, separation >= 0, "be nonnegative"),
+            ("d", d, d >= 1, "be at least 1")):
+        if not ok:
+            raise DataError(f"{name} must {rule}, got {value!r}")
     n_pos = int(round(n * imbalance))
     n_pos = min(max(n_pos, 1), n - 1)
     rng = np.random.default_rng(seed)

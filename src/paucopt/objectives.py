@@ -64,6 +64,8 @@ class ObjectiveConfig:
                 ("alpha", 0.0 < self.alpha <= 1.0, "lie in (0,1]"),
                 ("beta", 0.0 < self.beta <= 1.0, "lie in (0,1]"),
                 ("kappa", self.kappa > 0 or self.formulation == "unbiased", "be positive"),
+                # the softplus of an infinite sharpness is inf/inf
+                ("kappa", self.kappa < np.inf or self.formulation == "unbiased", "be finite"),
                 ("omega", self.omega >= 0, "be nonnegative"),
                 ("lagrange_cap", self.lagrange_cap >= 0, "be nonnegative"),
                 ("prior_p", 0.0 < self.prior_p < 1.0, "lie in (0,1)")):

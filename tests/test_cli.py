@@ -1,4 +1,5 @@
 import argparse
+import collections
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import paucopt.bench
 import paucopt.cli
+import paucopt.verify
 from paucopt.cli import _load_run_config, main
 from paucopt.data import SplitSpec, generate_synthetic, load_csv, split
 from paucopt.metrics import roc_curve
@@ -24,6 +26,20 @@ from paucopt.solver import SolverConfig
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def calls(monkeypatch) -> collections.Counter:
+    """The number of calls, by name, that the CLI makes to the functions that
+    make data, warm a scorer or train; each call still runs."""
+    counts = collections.Counter()
+    for module, name in ((paucopt.cli, "generate_synthetic"), (paucopt.cli, "warmup_logistic"),
+                         (paucopt.cli, "train"), (paucopt.verify, "train")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 @pytest.fixture
@@ -48,6 +64,25 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             run_cli("generate", "--imbalance", "0.1")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("label_col", ["y", "x5", "x0", "x4"])
+    def test_label_col_round_trip(self, tmp_path, capsys, monkeypatch, label_col):
+        # the features are x0..x4: a label spelled as one of them would be read
+        # back in its place, so it is refused and nothing is written
+        monkeypatch.delenv("PAUC_SEED", raising=False)
+        out = tmp_path / "g.csv"
+        rc = run_cli("generate", "--n", "50", "--imbalance", "0.3", "--seed", "1",
+                     "--label-col", label_col, "--output", str(out))
+        if label_col in ("x0", "x4"):
+            assert rc == 2
+            assert capsys.readouterr().err == ("error: --label-col must differ from the feature "
+                                               f"columns x0..x4, got '{label_col}'\n")
+            assert list(tmp_path.iterdir()) == []
+            return
+        assert rc == 0
+        back, want = load_csv(out, label_col), generate_synthetic(50, 0.3, 5, 2.0, seed=1)
+        np.testing.assert_array_equal(back.features, want.features)
+        np.testing.assert_array_equal(back.labels, want.labels)
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -182,6 +217,34 @@ class TestTrain:
                        "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err.startswith(f"error: config {section}.{name} must be")
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n", 2, ".n must be at least 4, got 2"),
+        ("n", 10, ": split too small to keep both classes in every part"),
+        ("imbalance", 0, ".imbalance must lie in (0,1), got 0"),
+        ("imbalance", float("nan"), ".imbalance must lie in (0,1), got nan"),
+        ("dim", 0, ".dim must be at least 1, got 0"),
+        ("separation", -1.5, ".separation must be nonnegative, got -1.5"),
+        ("separation", float("nan"), ".separation must be nonnegative, got nan"),
+    ], ids=["n", "n-split", "imbalance", "imbalance-nan", "dim", "separation",
+            "separation-nan"])
+    def test_synthetic_value_names_the_config_key(self, tmp_path, capsys, calls, key, value,
+                                                  message):
+        # generate_synthetic states the rules; the key is spelled as the config
+        # spells it (dim, not d), and a rule over several keys names the section
+        cfg = self.write_config(tmp_path, dataset={"synthetic": {key: value}})
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: config dataset.synthetic{message}\n"
+        assert not (tmp_path / "x").exists()
+        assert calls["train"] == 0
+
+    def test_infinite_kappa_usage_error_before_making_data(self, tmp_path, capsys, calls):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"objective": {"kappa": Infinity}}')
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == "error: config objective.kappa must be finite, got inf\n"
+        assert not (tmp_path / "x").exists()
+        assert calls["generate_synthetic"] == calls["train"] == 0
 
     @pytest.mark.parametrize("section,entry,name", [
         ("solver", {"lambda": float("nan")}, "solver.lambda"),
@@ -513,14 +576,35 @@ BAD_FLAGS = [
                          ids=[argv[0] + message.split()[0] for argv, message in BAD_FLAGS])
 def test_out_of_range_flag_usage_error_names_the_flag(tmp_path, capsys, monkeypatch,
                                                       argv, message):
-    # checked as the flags are parsed: no command runs and nothing is written,
-    # not even at a default --out or --output
+    # a count flag is checked as it is parsed, any other by the dataclass or
+    # function that takes its value, which the command builds or calls before
+    # it makes data or writes anything, even at a default --out or --output
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PAUC_SEED", raising=False)
     out = ["--output", "x.csv"] if argv[0] == "generate" else ["--out", "x"]
     assert run_cli(*argv, *out) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--kappas", "2", "0"], "--kappas must be positive, got 0.0"),
+    (["--kappas", "inf"], "--kappas must be finite, got inf"),
+    (["--beta", "nan"], "--beta must lie in (0,1], got nan"),
+    (["--T", "-1"], "--T must be at least 0, got -1"),
+    (["--n", "10", "--T", "5"],
+     "--n, --imbalance: split too small to keep both classes in every part"),
+], ids=["kappas", "kappas-inf", "beta-nan", "T", "n-split"])
+def test_bad_sweep_flag_trains_nothing(tmp_path, capsys, monkeypatch, calls, argv, message):
+    # a value rule stops the sweep before it makes data; the split rule, which
+    # needs the data, right after it, before the warm-up
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PAUC_SEED", raising=False)
+    assert run_cli("sweep", *argv, "--out", "x") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+    assert calls["warmup_logistic"] == calls["train"] == 0
+    assert calls["generate_synthetic"] == (argv[0] == "--n")
 
 
 class TestEvaluate:

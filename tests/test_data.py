@@ -205,11 +205,13 @@ class TestSaveCsv:
     (lambda: Dataset(np.array([[0.0], [np.nan]]), np.array([0, 1])), "non-finite"),
     (lambda: SplitSpec(0.7, 0.2, 0.2), "split fractions"),
     (lambda: SplitSpec(1.2, -0.1, -0.1), "split fractions"),
-    (lambda: generate_synthetic(100, 0.5, 0, 1.0, seed=0), "d must be positive"),
+    (lambda: generate_synthetic(100, 0.5, 0, 1.0, seed=0), "d must be at least 1"),
+    (lambda: generate_synthetic(100, 0.5, 2, float("nan"), seed=0),
+     "^separation must be nonnegative, got nan$"),
     (lambda: stratified_sample(generate_synthetic(20, 0.5, 1, 1.0, seed=0), 0, 2,
                                np.random.default_rng(0)), "at least 1 per class"),
 ], ids=["1-D", "label-length", "label-value", "nan-feature", "split-sum",
-        "split-negative", "d", "sample-size"])
+        "split-negative", "d", "separation-nan", "sample-size"])
 def test_invalid_input_raises(make, message):
     with pytest.raises(DataError, match=message):
         make()

@@ -88,6 +88,14 @@ class TestConfig:
     def test_unbiased_allows_zero_kappa(self):
         ObjectiveConfig(formulation="unbiased", kappa=0.0)
 
+    def test_surrogate_requires_finite_kappa(self):
+        # softplus at an infinite sharpness divides inf by inf
+        with pytest.raises(ObjectiveError, match=r"^kappa must be finite, got inf$"):
+            ObjectiveConfig(formulation="surrogate", kappa=math.inf)
+
+    def test_unbiased_allows_infinite_kappa(self):
+        ObjectiveConfig(formulation="unbiased", kappa=math.inf)
+
 
 def _empty_batch_evaluate():
     scorer = init_scorer("linear", 2, seed=0)
