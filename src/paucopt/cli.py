@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BENCH_COLUMNS, bench_document, bench_rows
-from .data import SplitSpec, generate_synthetic, load_csv, save_csv, split
+from .data import SplitSpec, generate_synthetic, load_csv, row_blocks, save_csv, split
 from .metrics import empirical_auc, empirical_opauc, empirical_tpauc, roc_curve
 from .objectives import FLAT_SCALARS, ObjectiveConfig
 from .scorer import ScorerParams, init_scorer, score_batch, warmup_logistic
@@ -202,7 +202,8 @@ def _load_run_config(args):
     solver_cfg = _build(SolverConfig, names, **so, seed=seed)
 
     if dsrc["csv"] is not None:
-        ds, names = load_csv(dsrc["csv"], dsrc["label_col"]), {}
+        ds = load_csv(dsrc["csv"], dsrc["label_col"])
+        names = {"": f"config dataset.csv {dsrc['csv']}"}
     else:
         names = _CONFIG_NAMES["dataset.synthetic"]
         ds = _build(generate_synthetic, names,
@@ -281,16 +282,22 @@ def cmd_evaluate(args) -> int:
         # one flat pass over the rows' floats, faster than np.array(rows)
         fpr, tpr = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
                                2 * len(rows)).reshape(-1, 2).T
-        (out / "roc.csv").write_text(_roc_csv(fpr, tpr), encoding="utf-8", newline="")
+        del rows    # about 110 bytes a row; the arrays hold it in 16
+        with open(out / "roc.csv", "w", newline="", encoding="utf-8") as fh:
+            _roc_csv(fpr, tpr, fh)
         (out / "roc.svg").write_text(_roc_svg(fpr, tpr), encoding="utf-8")
     return 0
 
 
-def _roc_csv(fpr: np.ndarray, tpr: np.ndarray) -> str:
-    """The bytes csv.writer writes for the rows (fpr, tpr): a float cell is its
-    repr, CRLF ends a row."""
-    cells = np.stack([_reprs(fpr, ","), _reprs(tpr, "\r\n")], axis=1)
-    return "fpr,tpr\r\n" + "".join(cells.ravel().tolist())
+def _roc_csv(fpr: np.ndarray, tpr: np.ndarray, fh) -> None:
+    """Write to the text file fh the bytes csv.writer writes for the rows (fpr,
+    tpr): a float cell is its repr, CRLF ends a row. The rows are formatted one
+    row_blocks block at a time, so the text held does not grow with the rows."""
+    fh.write("fpr,tpr\r\n")
+    for block in row_blocks(len(fpr), 2):
+        # one expression, so that no block's text is alive beside the next one's
+        fh.write("".join(np.stack([_reprs(fpr[block], ","), _reprs(tpr[block], "\r\n")],
+                                  axis=1).ravel().tolist()))
 
 
 def _reprs(v: np.ndarray, end: str) -> np.ndarray:

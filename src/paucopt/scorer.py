@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import row_blocks
+
 # The largest double below 1, the cap on a score.
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 
@@ -123,14 +125,23 @@ def _forward(layers: list, x: np.ndarray):
 
 
 def score_batch(params: ScorerParams, x: np.ndarray) -> np.ndarray:
-    """Scores for a batch of rows; each value lies in (0,1)."""
+    """Scores for a batch of rows; each value lies in (0,1).
+
+    The forward pass runs one row_blocks block at a time, a row's width being
+    the widest layer, so its activations do not grow with the rows; a row's
+    score has the bits of one pass over all rows (see row_blocks).
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.layer_dims[0]:
         raise ValueError(
             f"feature dimension {x.shape[1]} does not match scorer input "
             f"{params.layer_dims[0]}"
         )
-    return _forward(_layers(params.layer_dims, params.weights[None]), x)[0][0]
+    layers = _layers(params.layer_dims, params.weights[None])
+    scores = np.empty(len(x))
+    for block in row_blocks(len(x), max(params.layer_dims)):
+        scores[block] = _forward(layers, x[block])[0][0]
+    return scores
 
 
 def backprop_logit(layers: list, acts: list, dz: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ import paucopt.bench
 import paucopt.cli
 import paucopt.verify
 from paucopt.cli import _load_run_config, main
-from paucopt.data import SplitSpec, generate_synthetic, load_csv, split
+from paucopt.data import (Dataset, SplitSpec, generate_synthetic, load_csv, row_blocks,
+                          save_csv, split)
 from paucopt.metrics import roc_curve
 from paucopt.objectives import ObjectiveConfig
 from paucopt.scorer import ScorerParams, init_scorer, score_batch
@@ -235,6 +237,18 @@ class TestTrain:
         cfg = self.write_config(tmp_path, dataset={"synthetic": {key: value}})
         assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == f"error: config dataset.synthetic{message}\n"
+        assert not (tmp_path / "x").exists()
+        assert calls["train"] == 0
+
+    def test_csv_too_small_to_split_names_the_file(self, tmp_path, capsys, calls):
+        data = tmp_path / "small.csv"
+        assert run_cli("generate", "--n", "10", "--imbalance", "0.1",
+                       "--output", str(data)) == 0
+        capsys.readouterr()
+        cfg = self.write_config(tmp_path, dataset={"csv": str(data)})
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == (f"error: config dataset.csv {data}: split too small "
+                                           "to keep both classes in every part\n")
         assert not (tmp_path / "x").exists()
         assert calls["train"] == 0
 
@@ -655,6 +669,45 @@ class TestEvaluate:
             w.writerows(roc_curve(scores[ds.pos_ids], scores[ds.neg_ids]))
         assert (out / "roc.csv").read_bytes() == oracle.read_bytes()
 
+    def test_roc_csv_bytes_match_csv_writer_across_blocks(self, tmp_path):
+        # features on a coarse grid tie many scores, and every block boundary
+        # of the roc.csv writer falls between two rows of one tied threshold
+        raw = generate_synthetic(60_000, 0.1, 5, 1.0, seed=4)
+        ds = Dataset(np.round(raw.features), raw.labels)
+        data, ckpt = tmp_path / "ties.csv", tmp_path / "checkpoint.json"
+        save_csv(ds, data)
+        scorer = init_scorer("mlp", 5, (8,), seed=4)
+        ckpt.write_text(json.dumps({"scorer": scorer.to_dict()}))
+        out = tmp_path / "eval"
+        assert run_cli("evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                       "--out", str(out)) == 0
+        scores = score_batch(scorer, ds.features)
+        rows = roc_curve(scores[ds.pos_ids], scores[ds.neg_ids])
+        blocks = list(row_blocks(len(rows), 2))
+        assert len(blocks) >= 3
+        assert all(rows[b.start - 1] == rows[b.start] for b in blocks[1:])
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["fpr", "tpr"])
+            w.writerows(rows)
+        assert (out / "roc.csv").read_bytes() == oracle.read_bytes()
+
+    def test_roc_csv_peak_allocation_does_not_grow_with_n(self, tmp_path):
+        peaks = []
+        for n in (20_000, 200_000):
+            # distinct values, each formatted on its own: the most text a row can make
+            fpr, tpr = np.linspace(0.0, 1.0, n + 1), np.linspace(0.0, 1.0, n + 1) ** 0.5
+            with open(tmp_path / "roc.csv", "w", newline="", encoding="utf-8") as fh:
+                tracemalloc.start()
+                try:
+                    paucopt.cli._roc_csv(fpr, tpr, fh)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # one n-length float copy at n = 2e5 would add 1.6 MB
+        assert peaks[1] <= peaks[0] + 65536, peaks
+
     @pytest.mark.parametrize("at", ["2,0.3", "0.5", "0,0.3", "0.5,1.5", "a,b", "nan,0.3",
                                     "0.5,0.3,1", "1,-0.3"])
     def test_bad_at_usage_error_before_reading_data(self, tmp_path, capsys, at):
@@ -892,4 +945,6 @@ def test_roc_csv_bytes_match_csv_writer_on_tied_scores(pos, neg):
     w = csv.writer(oracle)
     w.writerow(["fpr", "tpr"])
     w.writerows(rows)
-    assert paucopt.cli._roc_csv(*np.array(rows).T) == oracle.getvalue()
+    written = io.StringIO(newline="")
+    paucopt.cli._roc_csv(*np.array(rows).T, written)
+    assert written.getvalue() == oracle.getvalue()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paucopt.data import (
+    BLOCK_CELLS,
     DataError,
     Dataset,
     SplitSpec,
@@ -15,6 +16,7 @@ from paucopt.data import (
     _load_csv_rows,
     generate_synthetic,
     load_csv,
+    row_blocks,
     save_csv,
     split,
     stratified_sample,
@@ -196,6 +198,34 @@ class TestSaveCsv:
         save_csv(ds, a)
         save_csv_oracle(ds, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_peak_allocation_grows_with_neither_n_nor_d(self, tmp_path):
+        def peak(n, d):
+            ds = generate_synthetic(n, 0.1, d, 2.0, seed=0)
+            tracemalloc.start()
+            try:
+                save_csv(ds, tmp_path / "d.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 2e3 x 100 spans 7 blocks; 2e4 x 100 would take ~10 s under tracemalloc
+        base, more_rows, more_columns = peak(20_000, 5), peak(200_000, 5), peak(2_000, 100)
+        # blocks of a fixed 65536 rows held 25.6 MB at 2e5 x 5 and 10.6 MB at 2e3 x 100
+        assert more_rows <= base + 65536, (base, more_rows)
+        assert more_columns <= base + 65536, (base, more_columns)
+
+
+@given(st.integers(0, 200_000), st.integers(1, 1 << 16))
+@settings(deadline=None)
+def test_row_blocks_tile_the_rows_in_blocks_of_a_power_of_two(n, width):
+    # the most rows of a power of two whose cells fit in BLOCK_CELLS, or one
+    rows = max([1] + [1 << k for k in range(16) if (1 << k) * width <= BLOCK_CELLS])
+    blocks = list(row_blocks(n, width))
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert [b.stop for b in blocks] == [rows * (k + 1) for k in range(len(blocks) - 1)] + [n]
+    # the last block takes the rows left over, so none is shorter than the rest
+    assert min(rows, n) <= n - blocks[-1].start < 2 * rows
 
 
 @pytest.mark.parametrize("make,message", [

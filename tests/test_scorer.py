@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
-from paucopt.data import Dataset
+from paucopt.data import Dataset, row_blocks
 from paucopt.scorer import (
     ScorerParams,
     _forward,
@@ -97,6 +98,36 @@ class TestScore:
         with pytest.raises(ValueError):
             ScorerParams("mlp", (2, 3, 1), np.zeros(5))
         assert param_count((2, 3, 1)) == 13
+
+
+class TestScoreBlocks:
+    """score_batch runs the forward pass one row_blocks block at a time."""
+
+    @pytest.mark.parametrize("kind, hidden", [("linear", ()), ("mlp", (8,)), ("mlp", (16, 8))])
+    def test_matches_one_unblocked_forward(self, kind, hidden):
+        params = init_scorer(kind, 5, hidden, seed=3)
+        layers = _layers(params.layer_dims, params.weights[None])
+        block = next(row_blocks(10**9, max(params.layer_dims))).stop
+        rng = np.random.default_rng(0)
+        # 3 * block + 7 rows: three blocks, the last with the 7 rows left over
+        for n in (block - 1, block, block + 1, 3 * block + 7):
+            x = rng.standard_normal((n, 5)) * 3
+            assert score_batch(params, x).tobytes() == _forward(layers, x)[0][0].tobytes(), n
+
+    def test_peak_allocation_does_not_grow_with_n(self):
+        params = init_scorer("mlp", 5, (8,), seed=3)
+        transients = []
+        for n in (20_000, 200_000):
+            x = np.random.default_rng(0).standard_normal((n, 5))
+            tracemalloc.start()
+            try:
+                scores = score_batch(params, x)   # noqa: F841 -- kept while memory is read
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            transients.append(peak - current)
+        # one (n, 8) activation at n = 2e5 would add 12.8 MB, one n-length copy 1.6 MB
+        assert transients[1] <= transients[0] + 65536, transients
 
 
 @pytest.mark.parametrize("make,message", [
