@@ -56,6 +56,10 @@ def _round_robin_ms(calls: list, reps: int) -> list:
 def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0,
                dim: int = 5):
     """Median/p90 per-step milliseconds for instance-wise vs pairwise losses."""
+    # a batch size is split in half, one half per class
+    for name, value, low in (("reps", reps, 1), *(("batch_sizes", bs, 2) for bs in batch_sizes)):
+        if not value >= low:
+            raise ValueError(f"{name} must be at least {low}, got {value!r}")
     n = 2 * max(batch_sizes) + 4
     ds = generate_synthetic(n, 0.5, dim, 2.0, seed)
     scorer = init_scorer("linear", dim, seed=seed)
@@ -83,6 +87,8 @@ def step_sweep(sizes=(2_000, 200_000, 2_000_000), steps: int = 200, seed: int = 
     32 + 224 batch. One step touches only the batch, so its cost should not
     depend on n.
     """
+    if not steps >= 1:
+        raise ValueError(f"steps must be at least 1, got {steps!r}")
     cfg = SolverConfig(nu=0.5, lam=0.5, seed=seed)
     runs, calls = [], []
     for n in sizes:

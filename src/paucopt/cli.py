@@ -173,28 +173,22 @@ def _load_run_config(args):
     sc = sections["scorer"]
     if sc["kind"] == "linear" and "hidden" in doc.get("scorer", {}):
         raise ValueError("config scorer.hidden has no effect beside scorer.kind linear")
+    # here, as init_scorer needs the data's dim: a bad width fails before data is read
     if not all(width >= 1 for width in sc["hidden"]):
         raise ValueError(f"config scorer.hidden widths must be at least 1, got {sc['hidden']}")
-    # a seed numpy would reject, named by the key it is read from; main has
-    # checked --seed and PAUC_SEED, which stand in for the top-level seed
-    for key, value in (("seed", seed),
-                       ("split.seed", sections["split"].get("seed")),
-                       ("dataset.synthetic.seed", syn["seed"])):
-        if value is not None and value < 0:
-            raise ValueError(f"config {key} must be at least 0, got {value}")
-    for name, value in sections["split"].items():
-        # split() makes no empty part: its Dataset would fail as single-class
-        if name.endswith("_frac") and not value > 0:
-            raise ValueError(f"config split.{name} must be above 0, got {float(value)!r}")
-    spec = _build(SplitSpec, _CONFIG_NAMES["split"], **{"seed": seed, **sections["split"]})
+    # a seed is named by the key it is read from; main has checked --seed and
+    # PAUC_SEED, which stand in for the top-level seed
+    run_seed = {"seed": "config seed"}
+    names = {**_CONFIG_NAMES["split"], **({} if "seed" in sections["split"] else run_seed)}
+    spec = _build(SplitSpec, names, **{"seed": seed, **sections["split"]})
     obj_cfg = _build(ObjectiveConfig, _CONFIG_NAMES["objective"], **sections["objective"])
     if "alpha" in doc.get("objective", {}) and obj_cfg.metric_kind == "OPAUC":
         raise ValueError("config objective.alpha has no effect beside objective.metric OPAUC")
-    so, names = sections["solver"], _CONFIG_NAMES["solver"]
+    so, names = sections["solver"], {**_CONFIG_NAMES["solver"], **run_seed}
     if "batch" in so:
         batch = so.pop("batch")
         if batch < 2:
-            # one positive and one negative at the least
+            # here, as no field takes it: one positive and one negative at the least
             raise ValueError(f"config solver.batch must be at least 2, got {batch}")
         so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
     if args.T is not None:
@@ -308,22 +302,6 @@ def _reprs(v: np.ndarray, end: str) -> np.ndarray:
     return text[inverse]
 
 
-class FlagError(Exception):
-    """A count flag below its least value. argparse handles a type function's ValueError,
-    TypeError and ArgumentTypeError, so this one leaves parse_args for main to print."""
-
-
-def _at_least(flag: str, low: int):
-    """An argparse type: an integer of at least low, a count no library function checks."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise FlagError(f"{flag} must be at least {low}, got {value}")
-        return value
-    parse.__name__ = "int"
-    return parse
-
-
 # generate_synthetic's fields by their flags; a rule over several values, such
 # as that a split keep both classes, names the two that set the class sizes
 _SYNTHETIC_FLAGS = {"": "--n, --imbalance", "n": "--n", "imbalance": "--imbalance",
@@ -398,7 +376,8 @@ def _hundredths(v: np.ndarray) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     only = set(args.only) if args.only else None
-    reports = run_all_checks(seed=args.seed, only=only, trials=args.trials)
+    reports = _build(run_all_checks, {"trials": "--trials"}, seed=args.seed, only=only,
+                     trials=args.trials)
     text = reports_to_json(reports)
     if args.out:
         (_out_dir(args) / "verify.json").write_text(text + "\n", encoding="utf-8")
@@ -407,7 +386,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = bench_rows(tuple(args.batch_sizes), args.reps, args.seed)
+    flags = {"batch_sizes": "--batch-sizes", "reps": "--reps", "steps": "--steps"}
+    rows = _build(bench_rows, flags, tuple(args.batch_sizes), args.reps, args.seed)
+    # step_sweep, the first timing of bench_document, checks --steps: the
+    # document is made before anything is written or printed
+    doc = (None if args.label is None else
+           _build(bench_document, flags, args.label, rows, args.seed, args.reps, args.steps))
     out = _out_dir(args)
     with open(out / "timings.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -415,8 +399,7 @@ def cmd_bench(args) -> int:
         w.writerows(rows)
     for row in rows:
         print(",".join(str(v) for v in row))
-    if args.label is not None:
-        doc = bench_document(args.label, rows, args.seed, args.reps, args.steps)
+    if doc is not None:
         (out / f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=2) + "\n",
                                                       encoding="utf-8")
     return 0
@@ -441,8 +424,6 @@ def cmd_sweep(args) -> int:
     scorer = warmup_logistic(init_scorer("linear", ds.dim, seed=seed),
                              ds_train, 2, 0.3, seed=seed)
     obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
-    solver_cfg = replace(solver_cfg, batch_pos=min(32, ds_train.n_pos),
-                         batch_neg=min(224, ds_train.n_neg))
     rows = run_bias_sweep(ds_train, ds_val, scorer, args.kappas, obj_cfg, solver_cfg)
     # strict JSON: a non-finite value is a ValueError (exit 2), not a bare NaN
     text = json.dumps(rows, indent=2, allow_nan=False)
@@ -482,22 +463,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the numerical verification suite")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=_at_least("--trials", 1), default=None)
+    v.add_argument("--trials", type=int, default=None)
     v.add_argument("--only", nargs="+", default=None, choices=sorted(ALL_CHECKS))
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="per-step timing across batch sizes")
-    # each size is split in half, one half per class
-    b.add_argument("--batch-sizes", nargs="+", type=_at_least("--batch-sizes", 2),
-                   default=[64, 128, 256, 512])
-    b.add_argument("--reps", type=_at_least("--reps", 1), default=15)
+    b.add_argument("--batch-sizes", nargs="+", type=int, default=[64, 128, 256, 512])
+    b.add_argument("--reps", type=int, default=15)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="out")
     b.add_argument("--label", default=None,
                    help="also time solver steps at n = 2e3, 2e5, 2e6 and whole train, "
                         "generate and evaluate commands; write BENCH_<label>.json")
-    b.add_argument("--steps", type=_at_least("--steps", 1), default=200,
+    b.add_argument("--steps", type=int, default=200,
                    help="timed steps per size and formulation")
     b.set_defaults(fn=cmd_bench)
 
@@ -521,7 +500,7 @@ def main(argv=None) -> int:
             # evaluate takes no seed, and pays nothing for this
             _resolve_seed(args)
         return args.fn(args)
-    except (FileNotFoundError, KeyError, ValueError, FlagError) as exc:
+    except (FileNotFoundError, KeyError, ValueError) as exc:
         # bad flags, configs or inputs; every other paucopt error and
         # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

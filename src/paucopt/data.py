@@ -119,8 +119,14 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+        # a part of no rows cannot keep both classes; NaN compares False and fails
+        for name, value in zip(("train_frac", "val_frac", "test_frac"), fracs):
+            if not value > 0:
+                raise DataError(f"{name} must be above 0, got {float(value)!r}")
+        if abs(sum(fracs) - 1.0) > 1e-9:
             raise DataError("split fractions must be nonnegative and sum to 1")
+        if not self.seed >= 0:
+            raise DataError(f"seed must be at least 0, got {self.seed!r}")
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
@@ -132,30 +138,26 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     reads it and raises its error naming the row and the column.
     """
     try:
-        parsed = _load_csv_numpy(path, label_column)
+        return _load_csv_numpy(path, label_column)
     except ValueError:
-        parsed = None
-    if parsed is None:
         return _load_csv_rows(path, label_column)
-    return Dataset(*parsed)
 
 
 _LABELS = {"0": 0.0, "1": 1.0}
 
 
-def _load_csv_numpy(path, label_column: str):
-    """(features, labels) by np.loadtxt, or None where its parse could differ
-    from _load_csv_rows': np.loadtxt skips blank lines and accepts non-finite
-    values, so a file with a blank line or a non-finite feature is left to the
-    per-row parser. Raises ValueError where np.loadtxt cannot read a cell,
-    which includes every cell holding a csv quote."""
+def _load_csv_numpy(path, label_column: str) -> Dataset:
+    """The Dataset by np.loadtxt. Raises ValueError where np.loadtxt cannot
+    read a cell, which includes every cell holding a csv quote, and where its
+    parse could differ from _load_csv_rows': np.loadtxt skips blank lines, and
+    a non-finite feature, which it accepts, fails the Dataset."""
     lines = _count_lines(path)
     if lines is None or lines < 2:
-        return None
+        raise DataError(f"{path}: no data row, or lines csv may split otherwise")
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh))
     if label_column not in header:
-        return None
+        raise DataError(f"{path}: missing label column {label_column!r}")
     label_idx = header.index(label_column)
     # An open file, not the path: given a path, np.loadtxt would unpack a .gz
     # file. A label cell must read exactly 0 or 1; a padded one such as " 0",
@@ -167,11 +169,10 @@ def _load_csv_numpy(path, label_column: str):
                            converters={label_idx: _LABELS.__getitem__})
     # a blank line that loadtxt skipped leaves the table a row short
     if table.shape != (lines - 1, len(header)):
-        return None
-    feats = np.delete(table, label_idx, axis=1)
-    if not np.isfinite(feats).all():
-        return None
-    return feats, table[:, label_idx].astype(np.int64)
+        raise DataError(f"{path}: a blank line, which np.loadtxt skips")
+    feats, labels = np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64)
+    del table   # not alive beside the Dataset's finiteness mask
+    return Dataset(feats, labels)
 
 
 def _count_lines(path) -> int | None:
@@ -287,7 +288,8 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
             ("n", n, n >= 4, "be at least 4"),
             ("imbalance", imbalance, 0.0 < imbalance < 1.0, "lie in (0,1)"),
             ("separation", separation, separation >= 0, "be nonnegative"),
-            ("d", d, d >= 1, "be at least 1")):
+            ("d", d, d >= 1, "be at least 1"),
+            ("seed", seed, seed >= 0, "be at least 0")):
         if not ok:
             raise DataError(f"{name} must {rule}, got {value!r}")
     n_pos = int(round(n * imbalance))

@@ -11,10 +11,14 @@ treated:
   sigma(kappa*(x - threshold)); c plays no role. Asymptotically unbiased,
   with gap at most ln2/kappa;
 * unbiased: c*(x - threshold) with selection weight c in [0,1], exact at
-  the inner maximum since [x]_+ = max_c c*x.
+  the inner maximum only at omega = 0, since [x]_+ = max_c c*x. For g the
+  gap over its branch's frac*prior, max_c c*g - omega*c^2 is g - omega
+  for g >= 2*omega, g^2/(4*omega) for 0 <= g < 2*omega and 0 below.
 
-Both carry the strong-concavity regularizer -omega*gamma^2 (the unbiased
-form additionally subtracts omega * mean(c_i^2)) and the Lagrangian terms
+Both carry the strong-concavity regularizer -omega*gamma^2, which shrinks
+the unclamped gamma maximizer from its omega = 0 value Delta to
+Delta/(1+omega) (the unbiased form additionally subtracts omega *
+mean(c_i^2)), and the Lagrangian terms
 -theta_b*(b-1-gamma) - theta_a*(-a-gamma) that decouple the gamma-domain
 coupling into plain boxes. ObjectiveConfig.boxes lists every box of the
 problem.

@@ -11,6 +11,7 @@ MinVars and MaxVars are built only for the trace and the return value.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,7 +49,8 @@ class SolverConfig:
         for name, bound, strict in (
                 ("nu", 0, False), ("lam", 0, False), ("k_coef", 0, True), ("m_coef", 2, False),
                 ("iota1", 0, True), ("iota2", 0, True), ("T", 0, False), ("batch_pos", 1, False),
-                ("batch_neg", 1, False), ("warmup_epochs", 0, False), ("eval_every", 1, False)):
+                ("batch_neg", 1, False), ("seed", 0, False), ("warmup_epochs", 0, False),
+                ("eval_every", 1, False)):
             value = getattr(self, name)
             if not (value > bound if strict else value >= bound):
                 raise SolverError(f"{name} must be {'above' if strict else 'at least'} "
@@ -159,12 +161,12 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
     # tau descends, gamma ascends. c coordinates move only when they were
     # sampled in the batch behind the current momenta (the surrogate samples
     # none). Their partial gradients carry the 1/B batch-mean factor, so the
-    # step is rescaled by the batch size to recover the per-instance magnitude.
+    # step is rescaled by the drawn batch's size to recover the per-instance magnitude.
     state.tau = _projected_mix(tau, -cfg.nu * state.v, eta, *state.box)
     state.gamma = _projected_mix(gamma, cfg.lam * state.w_gamma, eta, *obj_cfg.boxes["gamma"])
     act = state.active_c
     if len(act):
-        lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
+        lam_c = cfg.lam * batch.size
         state.c[act] = _projected_mix(state.c[act], lam_c * state.w_c[act], eta,
                                       *obj_cfg.boxes["c"])
     lg = evaluate(obj_cfg, np.array([tau, state.tau]), np.array([gamma, state.gamma]),
@@ -201,16 +203,18 @@ def grad_mapping_proxy(tau: np.ndarray, grad_min: np.ndarray, nu: float,
 
 def _box_violation(state: SolverState, c: np.ndarray, cfg: ObjectiveConfig) -> float:
     """Largest distance from its box of any entry of tau, of gamma or of the
-    given c values; 0 when all are feasible."""
+    given c values; 0 when all are feasible, nan when any of them is nan."""
     # fmax, as a free weight at +-inf is in its box though inf - inf is nan
     lo, hi = state.box
     tau_gap = float(np.fmax(lo - state.tau, state.tau - hi).max(initial=0.0))
-    # a nan gamma gives nan or 0 here; either loses to tau_gap in the max below
     lo, hi = cfg.boxes["gamma"]
     gamma_gap = max(lo - state.gamma, state.gamma - hi, 0.0)
     lo, hi = cfg.boxes["c"]
     c_gap = float(np.fmax(lo - c, c - hi).max(initial=0.0)) if len(c) else 0.0
-    return max(tau_gap, gamma_gap, c_gap)
+    gaps = (tau_gap, gamma_gap, c_gap)
+    # each gap is 0 or more, or nan: the sum is nan exactly when a gap is, a
+    # violation Python's max would drop behind a 0.0 before it
+    return math.nan if math.isnan(sum(gaps)) else max(gaps)
 
 
 def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> PaucReport:
@@ -264,7 +268,7 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
         # other c entry was checked when last written
         touched = state.active_c
         asgda_step(state, cfg, obj_cfg, ds_train)
-        if _box_violation(state, state.c[touched], obj_cfg) > 0.0:
+        if not _box_violation(state, state.c[touched], obj_cfg) <= 0.0:    # nan counts
             trace.box_violations += 1
         if state.t % cfg.eval_every == 0 and state.t < cfg.T:
             record(state)

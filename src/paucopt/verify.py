@@ -259,6 +259,8 @@ ALL_CHECKS = {
 
 def run_all_checks(seed: int = 0, only=None, trials=None):
     """Run the named checks (all by default); returns a list of reports."""
+    if trials is not None and not trials >= 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     reports = []
     for name, fn in ALL_CHECKS.items():
         if only is not None and name not in only:

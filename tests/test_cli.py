@@ -518,10 +518,12 @@ class TestRunConfigSchema:
     (["train", "--seed", "3"], "abc", {}, "PAUC_SEED must be an integer, got 'abc'"),
     (["train"], None, {"seed": -2}, "config seed must be at least 0, got -2"),
     (["train"], None, {"split": {"seed": -3}}, "config split.seed must be at least 0, got -3"),
+    (["train"], None, {"seed": -2, "split": {"seed": 3}}, "config seed must be at least 0, got -2"),
     (["train"], None, {"dataset": {"synthetic": {"seed": -5}}},
      "config dataset.synthetic.seed must be at least 0, got -5"),
 ], ids=["generate", "train", "verify", "bench", "sweep", "env-verify", "env-train",
-        "env-not-integer", "config", "config-split", "config-synthetic"])
+        "env-not-integer", "config", "config-split", "config-beside-split-seed",
+        "config-synthetic"])
 def test_negative_seed_usage_error_names_its_source(tmp_path, capsys, monkeypatch, argv,
                                                     env, config, message):
     monkeypatch.chdir(tmp_path)
@@ -590,9 +592,9 @@ BAD_FLAGS = [
                          ids=[argv[0] + message.split()[0] for argv, message in BAD_FLAGS])
 def test_out_of_range_flag_usage_error_names_the_flag(tmp_path, capsys, monkeypatch,
                                                       argv, message):
-    # a count flag is checked as it is parsed, any other by the dataclass or
-    # function that takes its value, which the command builds or calls before
-    # it makes data or writes anything, even at a default --out or --output
+    # each flag is checked by the dataclass or function that takes its value,
+    # which the command builds or calls before it makes data or writes
+    # anything, even at a default --out or --output
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PAUC_SEED", raising=False)
     out = ["--output", "x.csv"] if argv[0] == "generate" else ["--out", "x"]

@@ -80,14 +80,15 @@ def parse_outcome(load, path):
 
 def served_by_numpy(path) -> bool:
     try:
-        return _load_csv_numpy(path, "label") is not None
+        _load_csv_numpy(path, "label")
     except ValueError:
         return False
+    return True
 
 
 H = "x0,x1,label"
-# name: (file text or bytes, whether np.loadtxt reads it; _load_csv_rows reads
-# the rest)
+# name: (file text or bytes, whether _load_csv_numpy makes its Dataset;
+# _load_csv_rows reads the rest)
 EDGE_CASES = {
     "lf": (f"{H}\n1.5,-2,1\n0.25,3e-3,0\n", True),
     "crlf": (f"{H}\r\n1.5,-2,1\r\n0.25,3e-3,0\r\n", True),
@@ -95,7 +96,9 @@ EDGE_CASES = {
     "label first": ("label,x0\n1,1.5\n0,-0.0\n", True),
     "padded features": (f"{H}\n 1.5 ,\t-2\xa0,1\n0.25,3e-3,0\n", True),
     "bom": (f"\ufeff{H}\n1.5,-2,1\n0.25,3e-3,0\n", True),
-    "single data row": (f"{H}\n1.5,-2,1\n", True),
+    # one row holds one class, which the Dataset refuses, and then the per-row
+    # parser reads the file
+    "single data row": (f"{H}\n1.5,-2,1\n", False),
     "blank line in the middle": (f"{H}\n1.5,-2,1\n\n0.25,3e-3,0\n", False),
     "blank line at the end": (f"{H}\n1.5,-2,1\n0.25,3e-3,0\n\n", False),
     "blank crlf line": (f"{H}\r\n1.5,-2,1\r\n\r\n0.25,3e-3,0\r\n", False),
@@ -234,14 +237,19 @@ def test_row_blocks_tile_the_rows_in_blocks_of_a_power_of_two(n, width):
     (lambda: Dataset(np.zeros((2, 1)), np.array([0, 2])), "label out of"),
     (lambda: Dataset(np.array([[0.0], [np.nan]]), np.array([0, 1])), "non-finite"),
     (lambda: SplitSpec(0.7, 0.2, 0.2), "split fractions"),
-    (lambda: SplitSpec(1.2, -0.1, -0.1), "split fractions"),
+    (lambda: SplitSpec(1.2, -0.1, -0.1), "^val_frac must be above 0, got -0.1$"),
     (lambda: generate_synthetic(100, 0.5, 0, 1.0, seed=0), "d must be at least 1"),
     (lambda: generate_synthetic(100, 0.5, 2, float("nan"), seed=0),
      "^separation must be nonnegative, got nan$"),
     (lambda: stratified_sample(generate_synthetic(20, 0.5, 1, 1.0, seed=0), 0, 2,
                                np.random.default_rng(0)), "at least 1 per class"),
+    (lambda: SplitSpec(0.85, 0.15, 0.0), "^test_frac must be above 0, got 0.0$"),
+    (lambda: SplitSpec(0.7, float("nan"), 0.3), "^val_frac must be above 0, got nan$"),
+    (lambda: SplitSpec(seed=-1), "^seed must be at least 0, got -1$"),
+    (lambda: generate_synthetic(100, 0.5, 2, 1.0, seed=-1), "^seed must be at least 0, got -1$"),
 ], ids=["1-D", "label-length", "label-value", "nan-feature", "split-sum",
-        "split-negative", "d", "separation-nan", "sample-size"])
+        "split-negative", "d", "separation-nan", "sample-size", "split-zero", "split-nan",
+        "split-seed", "seed"])
 def test_invalid_input_raises(make, message):
     with pytest.raises(DataError, match=message):
         make()
@@ -401,8 +409,10 @@ def split_outcome(split_fn, ds, spec):
 
 # (n, positive fraction, d, separation); 1e-9 rounds to a single positive
 ORACLE_GRID = list(itertools.product((4, 5, 2000, 70_000), (1e-9, 0.1, 0.5), (1, 5), (0.0, 2.0)))
-# a zero fraction leaves a part empty, and both raise on it alike
-SPLIT_FRACS = [(0.7, 0.15, 0.15), (0.8, 0.0, 0.2), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)]
+# a fraction too small for one row of a class leaves a part empty, and both
+# raise on it alike (SplitSpec refuses a fraction of 0)
+SPLIT_FRACS = [(0.7, 0.15, 0.15), (0.8, 1e-12, 0.2 - 1e-12), (0.5, 0.5 - 1e-12, 1e-12),
+               (1.0 - 2e-12, 1e-12, 1e-12)]
 
 
 class TestDataStageMatchesOracle:

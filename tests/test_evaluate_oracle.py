@@ -298,7 +298,8 @@ def asgda_step_oracle(state: OracleState, cfg: SolverConfig,
     g_cand = min(max(max_old.gamma + cfg.lam * state.w_gamma, -1.0), 1.0)
     gamma_new = min(max((1.0 - eta) * max_old.gamma + eta * g_cand, -1.0), 1.0)
     c_new = max_old.c.copy()
-    lam_c = cfg.lam * (cfg.batch_pos + cfg.batch_neg)
+    # rescaled by the size of the batch drawn below
+    lam_c = cfg.lam * (min(cfg.batch_pos, ds.n_pos) + min(cfg.batch_neg, ds.n_neg))
     for idx in state.active_c:
         ci = c_new[idx]
         cand = min(max(ci + lam_c * state.w_c[idx], 0.0), 1.0)

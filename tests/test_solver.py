@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import astuple
 
@@ -62,6 +63,7 @@ class TestEtaSchedule:
     ("iota1", 0.0, "above 0"), ("iota1", float("nan"), "above 0"),
     ("iota2", -1.0, "above 0"), ("iota2", float("nan"), "above 0"),
     ("T", -1, "at least 0"), ("batch_pos", 0, "at least 1"), ("batch_neg", 0, "at least 1"),
+    ("seed", -1, "at least 0"),
 ])
 def test_config_check_names_the_field(name, value, message):
     with pytest.raises(SolverError, match=f"^{name} must be {message}, got {value!r}$"):
@@ -143,10 +145,12 @@ class TestAsgdaStep:
 
     def test_box_violation_matches_numpy_oracle(self, small_setup):
         def oracle(state, c, cfg):
-            # a numpy reduction per block, Python's max over the three
-            return max(float(np.fmax(lo - x, x - hi).max(initial=0.0)) for x, (lo, hi) in
-                       ((state.tau, state.box), (state.gamma, cfg.boxes["gamma"]),
-                        (c, cfg.boxes["c"])))
+            # a numpy reduction per block, then nan if any block is nan, else
+            # Python's max over the three
+            gaps = [float(np.fmax(lo - x, x - hi).max(initial=0.0)) for x, (lo, hi) in
+                    ((state.tau, state.box), (state.gamma, cfg.boxes["gamma"]),
+                     (c, cfg.boxes["c"]))]
+            return float("nan") if any(map(math.isnan, gaps)) else max(gaps)
 
         ds, scorer, obj = small_setup
         st = init_state(ds, scorer, SolverConfig(), obj)
@@ -175,6 +179,26 @@ class TestAsgdaStep:
                               cfg, obj)
         assert tau.s_prime == 5.0
         assert trace.box_violations == 0
+
+
+@pytest.mark.parametrize("metric,alpha", [("OPAUC", 1.0), ("TPAUC", 0.5)])
+@pytest.mark.parametrize("batch_pos,batch_neg", [(10**6, 64), (10**6, 10**6)])
+def test_batch_past_the_class_sizes_trains_as_the_capped_batch(metric, alpha, batch_pos,
+                                                                batch_neg):
+    # a step draws each class's request capped at the class size, and sizes
+    # the c step by the batch it drew, so the request past it changes nothing
+    ds_train, ds_val, _ = split(generate_synthetic(300, 0.1, 3, 1.0, seed=2), SplitSpec(seed=2))
+    assert (ds_train.n_pos, ds_train.n_neg) == (21, 189)
+    obj = ObjectiveConfig(metric, "unbiased", alpha, 0.3, 4.0, 0.1, prior_p=ds_train.prior_p)
+    scorer = init_scorer("linear", 3, seed=2)
+    runs = []
+    for sizes in ((batch_pos, batch_neg),
+                  (min(batch_pos, ds_train.n_pos), min(batch_neg, ds_train.n_neg))):
+        cfg = SolverConfig(T=200, batch_pos=sizes[0], batch_neg=sizes[1], seed=2)
+        tau, xv, trace = train(ds_train, ds_val, scorer, cfg, obj)
+        runs.append((tau.flat().tobytes(), xv.gamma, xv.c.tobytes(),
+                     [astuple(r)[:-1] for r in trace.records]))    # less elapsed_ms
+    assert runs[0] == runs[1]
 
 
 class TestTrain:

@@ -115,6 +115,12 @@ class TestRunAll:
         b = run_all_checks(seed=3, trials=20)
         assert [r.max_deviation for r in a] == [r.max_deviation for r in b]
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        # each check would run no trial and report a pass
+        with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
+            run_all_checks(trials=trials)
+
 
 @pytest.mark.slow
 class TestBiasSweep:
