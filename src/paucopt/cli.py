@@ -500,9 +500,9 @@ def main(argv=None) -> int:
             # evaluate takes no seed, and pays nothing for this
             _resolve_seed(args)
         return args.fn(args)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
-        # bad flags, configs or inputs; every other paucopt error and
-        # JSONDecodeError is a ValueError
+    except (OSError, KeyError, ValueError) as exc:
+        # bad flags, configs or inputs, and paths that cannot be read or
+        # written; every other paucopt error and JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -133,9 +133,10 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a UTF-8 comma-separated file with a header row into a Dataset.
 
     Row order is preserved; ids are assigned 0..n-1 in file order. The file
-    is parsed by np.loadtxt when it provably reads the same as the per-row
-    parser _load_csv_rows; otherwise, or if that parse fails, _load_csv_rows
-    reads it and raises its error naming the row and the column.
+    is parsed by np.loadtxt in one pass, which checks each line as it takes
+    it; where the parse could differ from the per-row parser _load_csv_rows,
+    or fails, _load_csv_rows reads the file and raises its error naming the
+    row and the column.
     """
     try:
         return _load_csv_numpy(path, label_column)
@@ -147,59 +148,49 @@ _LABELS = {"0": 0.0, "1": 1.0}
 
 
 def _load_csv_numpy(path, label_column: str) -> Dataset:
-    """The Dataset by np.loadtxt. Raises ValueError where np.loadtxt cannot
-    read a cell, which includes every cell holding a csv quote, and where its
-    parse could differ from _load_csv_rows': np.loadtxt skips blank lines, and
-    a non-finite feature, which it accepts, fails the Dataset."""
-    lines = _count_lines(path)
-    if lines is None or lines < 2:
-        raise DataError(f"{path}: no data row, or lines csv may split otherwise")
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-    if label_column not in header:
-        raise DataError(f"{path}: missing label column {label_column!r}")
-    label_idx = header.index(label_column)
-    # An open file, not the path: given a path, np.loadtxt would unpack a .gz
-    # file. A label cell must read exactly 0 or 1; a padded one such as " 0",
-    # which _load_csv_rows strips, fails here and is left to it.
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-        # only blank lines after the header: the row count below rejects it
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1, ndmin=2,
-                           converters={label_idx: _LABELS.__getitem__})
-    # a blank line that loadtxt skipped leaves the table a row short
-    if table.shape != (lines - 1, len(header)):
-        raise DataError(f"{path}: a blank line, which np.loadtxt skips")
+    """The Dataset by np.loadtxt, from one pass over the file opened with
+    universal newlines: they end a line at an LF, a CRLF and a lone CR, which
+    is where csv.reader ends an unquoted row. Each line is checked as
+    np.loadtxt takes it. Raises ValueError where np.loadtxt cannot read a
+    cell, which includes every cell holding a csv quote, and where its parse
+    could differ from _load_csv_rows':
+    - a header holding a quote, which csv reads otherwise than split(","),
+      or a NUL, which csv refuses on Python 3.10;
+    - a blank line (one that isspace()), which np.loadtxt skips, and a line
+      longer than csv.field_size_limit(), on which csv raises;
+    - rows of another width than the header;
+    - no data row, which the Dataset refuses as single-class, and a
+      non-finite feature, which np.loadtxt accepts and the Dataset refuses.
+    """
+    limit = csv.field_size_limit()
+
+    def checked(fh):
+        for line in fh:
+            if line.isspace() or len(line) > limit:
+                raise DataError(f"{path}: a blank line, or a line over csv's field size limit")
+            yield line
+
+    with open(path, encoding="utf-8") as fh:
+        lines = checked(fh)
+        line = next(lines, "")
+        if '"' in line or "\0" in line:
+            raise DataError(f"{path}: a header that csv may read otherwise")
+        header = line.removesuffix("\n").split(",")
+        if label_column not in header:
+            raise DataError(f"{path}: missing label column {label_column!r}")
+        label_idx = header.index(label_column)
+        # A label cell must read exactly 0 or 1; a padded one such as " 0",
+        # which _load_csv_rows strips, fails here and is left to it.
+        with warnings.catch_warnings():
+            # no data row: the Dataset refuses it as single-class
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                               converters={label_idx: _LABELS.__getitem__})
+    if table.shape[1] != len(header):
+        raise DataError(f"{path}: rows of another width than the header")
     feats, labels = np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64)
     del table   # not alive beside the Dataset's finiteness mask
     return Dataset(feats, labels)
-
-
-def _count_lines(path) -> int | None:
-    """Number of lines of the file, or None where csv and np.loadtxt may split
-    it apart: a CR that does not end a CRLF, or a line longer than csv's
-    field size limit (csv raises on it, np.loadtxt does not)."""
-    limit = csv.field_size_limit()
-    lines, pos, last_lf = 0, 0, -1
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if chunk.endswith(b"\r"):          # keep a CRLF in one chunk
-                chunk += fh.read(1)
-            a = np.frombuffer(chunk, np.uint8)
-            lf = np.flatnonzero(a == 10)
-            # every CR sits right before an LF; an LF at offset 0 follows no CR
-            # of this chunk, and a[0] is that LF itself
-            if b"\r" in chunk and (np.count_nonzero(a == 13)
-                                    != np.count_nonzero(a[np.maximum(lf - 1, 0)] == 13)):
-                return None
-            if np.diff(pos + lf, prepend=last_lf).max(initial=0) > limit:
-                return None
-            lines += len(lf)
-            last_lf = pos + int(lf[-1]) if len(lf) else last_lf
-            pos += len(a)
-    if pos - 1 - last_lf > limit:
-        return None
-    return lines + (last_lf < pos - 1)
 
 
 def _load_csv_rows(path, label_column: str = "label") -> Dataset:

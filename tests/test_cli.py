@@ -623,6 +623,22 @@ def test_bad_sweep_flag_trains_nothing(tmp_path, capsys, monkeypatch, calls, arg
     assert calls["generate_synthetic"] == (argv[0] == "--n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--data", "{dir}", "--checkpoint", "{dir}/absent.json"],
+    ["train", "--config", "{dir}"],
+    ["verify", "--trials", "1", "--only", "topk_threshold", "--out", "{file}"],
+], ids=["evaluate-data-dir", "train-config-dir", "verify-out-file"])
+def test_unreadable_path_usage_error_names_the_path(tmp_path, capsys, argv):
+    # a directory where a file is read, or a file where a directory is made
+    path = tmp_path / "file"
+    path.write_text("")
+    argv = [a.format(dir=tmp_path, file=path) for a in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(str(path if argv[0] == "verify" else tmp_path)) in err
+
+
 class TestEvaluate:
     def make_checkpoint(self, tmp_path, synth_csv):
         cfgdoc = {

@@ -87,6 +87,18 @@ def served_by_numpy(path) -> bool:
 
 
 H = "x0,x1,label"
+
+
+def crlf_across(offset):
+    """A CRLF file whose CR is its byte offset - 1 and whose LF is offset."""
+    row = "0.25,3e-3,0\r\n"
+    text = f"{H}\r\n1.5,-2,1\r\n" + row * (offset // len(row) - 3)
+    # one row of "1." + k zeros + "5,-2,1" ends at the CR
+    text += "1." + "0" * (offset - 1 - len(text) - len("1.5,-2,1")) + "5,-2,1\r\n"
+    assert text.endswith("\r\n") and len(text) == offset + 1
+    return text + row
+
+
 # name: (file text or bytes, whether _load_csv_numpy makes its Dataset;
 # _load_csv_rows reads the rest)
 EDGE_CASES = {
@@ -103,9 +115,10 @@ EDGE_CASES = {
     "blank line at the end": (f"{H}\n1.5,-2,1\n0.25,3e-3,0\n\n", False),
     "blank crlf line": (f"{H}\r\n1.5,-2,1\r\n\r\n0.25,3e-3,0\r\n", False),
     "whitespace line": (f"{H}\n1.5,-2,1\n \n0.25,3e-3,0\n", False),
-    "cr only": (f"{H}\r1.5,-2,1\r0.25,3e-3,0\r", False),
-    "cr inside crlf": (f"{H}\r\n1.5,-2,1\r0.25,3e-3,0\r\n", False),
-    # one LF per line overall, but csv reads a blank row where loadtxt reads none
+    "cr only": (f"{H}\r1.5,-2,1\r0.25,3e-3,0\r", True),
+    "cr inside crlf": (f"{H}\r\n1.5,-2,1\r0.25,3e-3,0\r\n", True),
+    "cr only with a blank line": (f"{H}\r1.5,-2,1\r\r0.25,3e-3,0\r", False),
+    "crlf across the 1 MiB offset": (crlf_across(1 << 20), True),
     "blank line and a lone cr": (f"{H}\r\n\n1.5,-2,1\r0.25,3e-3,0\n", False),
     "nan": (f"{H}\nnan,-2,1\n0.25,3e-3,0\n", False),
     "inf": (f"{H}\n1.5,-Infinity,1\n0.25,3e-3,0\n", False),
@@ -115,11 +128,16 @@ EDGE_CASES = {
     "quoted cell": (f'{H}\n"1.5",-2,1\n0.25,3e-3,"0"\n', False),
     "quoted newline": (f'{H}\n"1.5\n",-2,1\n0.25,3e-3,0\n', False),
     "quoted header": (f'"x,0\n",x1,label\n1.5,-2,1\n0.25,3e-3,0\n', False),
+    # csv reads the label from the first column, split(",") from the second
+    "quoted label column": ('"label",label\n1,0\n0,1\n', False),
     "hash": (f"{H}\n1.5,-2,1\n#0.25,3e-3,0\n", False),
     "underscore": (f"{H}\n1_5,-2,1\n0.25,3e-3,0\n", False),
     "non-ascii digit": (f"{H}\n\u0661,-2,1\n0.25,3e-3,0\n", False),
     "nul": (f"{H}\n1.5\x00,-2,1\n0.25,3e-3,0\n", False),
+    "nul in the header": (f"x0\x00,x1,label\n1.5,-2,1\n0.25,3e-3,0\n", False),
     "ragged row": (f"{H}\n1.5,1\n0.25,3e-3,0\n", False),
+    # np.loadtxt reads a table one column narrower than the header
+    "every row short a field": ("label,x0\n1\n0\n", False),
     "extra field": (f"{H}\n1.5,-2,1,\n0.25,3e-3,0\n", False),
     "empty field": (f"{H}\n1.5,,1\n0.25,3e-3,0\n", False),
     "header only": (f"{H}\n", False),
@@ -165,7 +183,7 @@ class TestLoadCsvNumpyPath:
         cells = [data.draw(st.sampled_from(forms))(v) for v in values]
         labels = ["1", "0"] + data.draw(st.lists(st.sampled_from("01"),
                                                  min_size=n - 2, max_size=n - 2))
-        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         lines = [",".join([f"x{j}" for j in range(d)] + ["label"])]
         lines += [",".join(cells[i * d:(i + 1) * d] + [labels[i]]) for i in range(n)]
         f = tmp_path_factory.mktemp("csv") / "d.csv"
