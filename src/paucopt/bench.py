@@ -53,16 +53,15 @@ def _round_robin_ms(calls: list, reps: int) -> list:
     return [(float(np.median(ms)), float(np.percentile(ms, 90))) for ms in times]
 
 
-def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0,
-               dim: int = 5):
+def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0):
     """Median/p90 per-step milliseconds for instance-wise vs pairwise losses."""
     # a batch size is split in half, one half per class
     for name, value, low in (("reps", reps, 1), *(("batch_sizes", bs, 2) for bs in batch_sizes)):
         if not value >= low:
             raise ValueError(f"{name} must be at least {low}, got {value!r}")
     n = 2 * max(batch_sizes) + 4
-    ds = generate_synthetic(n, 0.5, dim, 2.0, seed)
-    scorer = init_scorer("linear", dim, seed=seed)
+    ds = generate_synthetic(n, 0.5, 5, 2.0, seed)
+    scorer = init_scorer("linear", 5, seed=seed)
     obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate",
                               beta=0.3, prior_p=ds.prior_p)
     tau, gamma = MinVars(theta=scorer).flat()[None], np.zeros(1)
@@ -80,8 +79,8 @@ def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0,
             in zip(steps, _round_robin_ms(calls, reps))]
 
 
-def step_sweep(sizes=(2_000, 200_000, 2_000_000), steps: int = 200, seed: int = 0):
-    """Median/p90 milliseconds per asgda_step at each size n, both formulations.
+def step_sweep(steps: int = 200, seed: int = 0):
+    """Median/p90 milliseconds per asgda_step at n = 2e3, 2e5, 2e6, both formulations.
 
     The problem is the README's OPAUC(0.3) with a linear scorer and a
     32 + 224 batch. One step touches only the batch, so its cost should not
@@ -91,7 +90,7 @@ def step_sweep(sizes=(2_000, 200_000, 2_000_000), steps: int = 200, seed: int = 
         raise ValueError(f"steps must be at least 1, got {steps!r}")
     cfg = SolverConfig(nu=0.5, lam=0.5, seed=seed)
     runs, calls = [], []
-    for n in sizes:
+    for n in (2_000, 200_000, 2_000_000):
         ds = generate_synthetic(n, 0.1, 5, 4.0, seed)
         for form in ("surrogate", "unbiased"):
             obj = ObjectiveConfig("OPAUC", form, 1.0, 0.3, 4.0, 0.1, prior_p=ds.prior_p)

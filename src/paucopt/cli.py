@@ -77,13 +77,12 @@ _PLAIN_SECTIONS = {
 
 def _key_types() -> dict:
     """{section: {key: type}} of the run config. Each section is an object key
-    of its parent; solver.batch is the one key that no field backs."""
+    of its parent."""
     types = {name: {key: kind for key, (kind, _) in keys.items()}
              for name, keys in _PLAIN_SECTIONS.items()}
     for section, (cls, skip) in _DATACLASS_SECTIONS.items():
         types[section] = {_CONFIG_KEYS.get(name, name): kind for name, kind
                           in typing.get_type_hints(cls).items() if name not in skip}
-    types["solver"]["batch"] = int
     for section in filter(None, list(types)):
         parent, _, key = section.rpartition(".")
         types[parent][key] = dict
@@ -185,12 +184,6 @@ def _load_run_config(args):
     if "alpha" in doc.get("objective", {}) and obj_cfg.metric_kind == "OPAUC":
         raise ValueError("config objective.alpha has no effect beside objective.metric OPAUC")
     so, names = sections["solver"], {**_CONFIG_NAMES["solver"], **run_seed}
-    if "batch" in so:
-        batch = so.pop("batch")
-        if batch < 2:
-            # here, as no field takes it: one positive and one negative at the least
-            raise ValueError(f"config solver.batch must be at least 2, got {batch}")
-        so = {"batch_pos": max(1, batch // 8), "batch_neg": batch - max(1, batch // 8), **so}
     if args.T is not None:
         so["T"], names = args.T, {**names, "T": "--T"}
     solver_cfg = _build(SolverConfig, names, **so, seed=seed)
@@ -245,7 +238,6 @@ _SCORER_KEYS = {"kind": str, "layer_dims": list[int], "weights": list[float]}
 
 
 def cmd_evaluate(args) -> int:
-    ds = load_csv(args.data, args.label_col)
     doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or not isinstance(doc.get("scorer"), dict):
         raise ValueError(f"{args.checkpoint}: no scorer object")
@@ -258,8 +250,11 @@ def cmd_evaluate(args) -> int:
                              f"{_type_name(kind)}, got {reprlib.repr(entry[key])}")
     # an unknown kind, or layer_dims and weights that do not fit, names the file
     scorer = _build(ScorerParams.from_dict, {"": f"{args.checkpoint}: scorer object"}, entry)
+    ds = load_csv(args.data, args.label_col)
     scores = score_batch(scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
+    # before the first line is printed: an unusable --out leaves stdout empty
+    out = _out_dir(args) if args.out else None
 
     for alpha, beta in args.at:
         if alpha >= 1.0 and beta >= 1.0:
@@ -270,8 +265,7 @@ def cmd_evaluate(args) -> int:
             rep = empirical_tpauc(pos, neg, alpha, beta)
         print(rep.to_json())
 
-    if args.out:
-        out = _out_dir(args)
+    if out is not None:
         rows = roc_curve(pos, neg)
         # one flat pass over the rows' floats, faster than np.array(rows)
         fpr, tpr = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
@@ -418,6 +412,7 @@ def cmd_sweep(args) -> int:
     ds = _build(generate_synthetic, _SYNTHETIC_FLAGS, args.n, args.imbalance, args.dim,
                 args.separation, seed)
     ds_train, ds_val, _ = _build(split, _SYNTHETIC_FLAGS, ds, SplitSpec(seed=seed))
+    out = _out_dir(args)    # after every value check, before the warm-up and the runs
     # warm the scorer once, then freeze it: the sweep isolates how each
     # hinge treatment places the selection threshold on a fixed loss
     # distribution, which a still-moving scorer would pull from under it
@@ -427,7 +422,7 @@ def cmd_sweep(args) -> int:
     rows = run_bias_sweep(ds_train, ds_val, scorer, args.kappas, obj_cfg, solver_cfg)
     # strict JSON: a non-finite value is a ValueError (exit 2), not a bare NaN
     text = json.dumps(rows, indent=2, allow_nan=False)
-    (_out_dir(args) / "sweep.json").write_text(text, encoding="utf-8")
+    (out / "sweep.json").write_text(text, encoding="utf-8")
     for row in rows:
         print(json.dumps(row))
     return 0

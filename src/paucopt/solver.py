@@ -182,10 +182,6 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
     state.t += 1
 
 
-def full_batch(ds: Dataset) -> Minibatch:
-    return Minibatch(ds.pos_ids, ds.neg_ids)
-
-
 def grad_mapping_proxy(tau: np.ndarray, grad_min: np.ndarray, nu: float,
                        box: tuple) -> float:
     """Projected-stationarity proxy (1/nu)*||tau - P(tau - nu*g)||_2 of the
@@ -240,7 +236,7 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
                              cfg.nu, seed=cfg.seed)
     state = init_state(ds_train, scorer, cfg, obj_cfg)
     trace = TrainTrace()
-    full = full_batch(ds_train)
+    full = Minibatch(ds_train.pos_ids, ds_train.neg_ids)
     full_c_ids = hinged_ids(obj_cfg, full)
     t0 = time.perf_counter()
 

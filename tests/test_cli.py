@@ -1,6 +1,7 @@
 import argparse
 import collections
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -28,6 +29,12 @@ from paucopt.solver import SolverConfig
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def write_checkpoint(path, dim):
+    """Write to path a checkpoint of an untrained linear scorer of dim features."""
+    path.write_text(json.dumps({"scorer": init_scorer("linear", dim).to_dict()}))
+    return path
 
 
 @pytest.fixture
@@ -155,6 +162,8 @@ class TestTrain:
         ("solver", {"freeze_theta": True}, "freeze_theta"),
         ("objective", {"prior_p": 0.2}, "prior_p"),
         ("solver", {"seed": 4}, "seed"),
+        # batch_pos and batch_neg are the batch; no key sets both
+        ("solver", {"batch": 64}, "batch"),
     ])
     def test_unknown_key_usage_error(self, tmp_path, capsys, section, entry,
                                      bad_key):
@@ -171,7 +180,7 @@ class TestTrain:
         ("scorer", {"kind": "mlp", "hidden": 8}, "scorer.hidden"),
         ("split", {"train_frac": "0.7"}, "split.train_frac"),
         ("dataset", {"synthetic": {"n": "300"}}, "dataset.synthetic.n"),
-        ("solver", {"batch": "64"}, "solver.batch"),
+        ("solver", {"batch_pos": "8"}, "solver.batch_pos"),
         ("scorer", {"kind": "mlp", "hidden": [8.0]}, "scorer.hidden"),
         ("seed", "7", "seed"),
         # a bool is neither an integer nor a number
@@ -277,19 +286,6 @@ class TestTrain:
             f"error: config {name.removeprefix('config ')} must be")
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("dataset", [
-        None, {"csv": "absent.csv"}], ids=["synthetic", "missing-csv"])
-    def test_batch_below_two_usage_error_before_reading_data(self, tmp_path, capsys,
-                                                             dataset):
-        # the message names the key the config holds, not batch_neg, and a
-        # missing CSV does not hide it
-        cfg = self.write_config(tmp_path, solver={"T": 5, "batch": 1},
-                                **({"dataset": dataset} if dataset else {}))
-        assert run_cli("train", "--config", str(cfg),
-                       "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err == "error: config solver.batch must be at least 2, got 1\n"
-        assert not (tmp_path / "x").exists()
-
     @pytest.mark.parametrize("fracs,message", [
         ((0, 0.5, 0.5), "train_frac must be above 0, got 0.0"),
         ((0.8, 0, 0.2), "val_frac must be above 0, got 0.0"),
@@ -316,7 +312,7 @@ class TestTrain:
         ("solver", "nu", -1), ("solver", "lambda", -1), ("solver", "k", 0), ("solver", "m", 1),
         ("solver", "iota1", 0), ("solver", "iota2", 0), ("solver", "T", -1),
         ("solver", "batch_pos", 0), ("solver", "batch_neg", 0), ("solver", "eval_every", 0),
-        ("solver", "warmup_epochs", -1), ("solver", "batch", 1),
+        ("solver", "warmup_epochs", -1),
     ])
     def test_every_range_check_runs_before_the_data_is_read(self, tmp_path, capsys, section,
                                                            key, value):
@@ -460,7 +456,7 @@ class TestRunConfigSchema:
             "objective": {"metric": "TPAUC", "formulation": "unbiased", "alpha": 0.5,
                           "beta": 0.4, "kappa": 8.0, "omega": 0.2, "lagrange_cap": 100},
             "solver": {"nu": 0.3, "lambda": 0.2, "k": 1.5, "m": 8.0, "iota1": 0.7,
-                       "iota2": 0.9, "T": 40, "batch": 64, "batch_pos": 5, "batch_neg": 20,
+                       "iota2": 0.9, "T": 40, "batch_pos": 5, "batch_neg": 20,
                        "warmup_epochs": 1, "eval_every": 10},
             "seed": 3,
         }
@@ -496,14 +492,22 @@ class TestRunConfigSchema:
             ObjectiveConfig(prior_p=42 / 210), SolverConfig(T=9, seed=11))
 
     @pytest.mark.parametrize("solver,sizes", [
-        ({"batch": 64}, (8, 56)),
-        ({"batch": 4}, (1, 3)),
-        ({"batch": 64, "batch_pos": 5}, (5, 56)),
+        ({"batch_pos": 8, "batch_neg": 56}, (8, 56)),
+        ({"batch_pos": 1, "batch_neg": 3}, (1, 3)),
+        ({"batch_pos": 5}, (5, 224)),
         ({"batch_neg": 30}, (32, 30)),
     ])
     def test_batch_split(self, tmp_path, solver, sizes):
         solver_cfg = load_config(tmp_path, {"solver": solver})[-1]
         assert (solver_cfg.batch_pos, solver_cfg.batch_neg) == sizes
+
+    @pytest.mark.parametrize("section,cls", [
+        ("split", SplitSpec), ("objective", ObjectiveConfig), ("solver", SolverConfig)])
+    def test_every_key_names_a_field(self, section, cls):
+        # a key that no field backs would be a second way to set a field
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert [key for key in paucopt.cli._KEY_TYPES[section]
+                if paucopt.cli._SPELLINGS.get(key, key) not in names] == []
 
 
 @pytest.mark.parametrize("argv,env,config,message", [
@@ -624,7 +628,7 @@ def test_bad_sweep_flag_trains_nothing(tmp_path, capsys, monkeypatch, calls, arg
 
 
 @pytest.mark.parametrize("argv", [
-    ["evaluate", "--data", "{dir}", "--checkpoint", "{dir}/absent.json"],
+    ["evaluate", "--data", "{dir}", "--checkpoint", "{ckpt}"],
     ["train", "--config", "{dir}"],
     ["verify", "--trials", "1", "--only", "topk_threshold", "--out", "{file}"],
 ], ids=["evaluate-data-dir", "train-config-dir", "verify-out-file"])
@@ -632,7 +636,9 @@ def test_unreadable_path_usage_error_names_the_path(tmp_path, capsys, argv):
     # a directory where a file is read, or a file where a directory is made
     path = tmp_path / "file"
     path.write_text("")
-    argv = [a.format(dir=tmp_path, file=path) for a in argv]
+    # a valid checkpoint, as evaluate reads it before the data
+    ckpt = write_checkpoint(tmp_path / "checkpoint.json", 5)
+    argv = [a.format(dir=tmp_path, file=path, ckpt=ckpt) for a in argv]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -743,9 +749,26 @@ class TestEvaluate:
     def test_unreadable_csv_usage_error_names_the_file(self, tmp_path, capsys, row):
         data = tmp_path / "bad.csv"
         data.write_bytes(b"x0,x1,label\n1.5,-2,1\n" + row)
-        assert run_cli("evaluate", "--data", str(data), "--checkpoint",
-                       str(tmp_path / "absent.json")) == 2
+        # a valid checkpoint, as evaluate reads it before the data
+        ckpt = write_checkpoint(tmp_path / "checkpoint.json", 2)
+        assert run_cli("evaluate", "--data", str(data), "--checkpoint", str(ckpt)) == 2
         assert capsys.readouterr().err.startswith(f"error: {data}")
+
+    def test_missing_checkpoint_named_before_the_data_is_read(self, tmp_path, capsys):
+        ckpt = tmp_path / "absent.json"
+        assert run_cli("evaluate", "--data", str(tmp_path / "absent.csv"),
+                       "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {str(ckpt)!r}\n")
+
+    def test_existing_file_as_out_prints_nothing(self, tmp_path, synth_csv, capsys):
+        # --out is made before the first metric line is printed
+        ckpt, out = write_checkpoint(tmp_path / "checkpoint.json", 5), tmp_path / "file"
+        out.write_text("")
+        assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt),
+                       "--out", str(out)) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and repr(str(out)) in err
 
     @pytest.mark.parametrize("doc", [
         [1, 2],
@@ -842,6 +865,15 @@ class TestSweep:
         assert run_cli("sweep", "--n", "300", "--T", "1", "--out", str(out)) == 2
         assert not (out / "sweep.json").exists()
         assert capsys.readouterr().out == ""
+
+    def test_existing_file_as_out_trains_nothing(self, tmp_path, capsys, calls):
+        # --out is made right after the split, before the warm-up and the runs
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run_cli("sweep", "--n", "300", "--T", "5", "--out", str(out)) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and repr(str(out)) in err
+        assert calls["warmup_logistic"] == calls["train"] == 0
 
 
 @pytest.mark.slow

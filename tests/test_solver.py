@@ -9,7 +9,7 @@ import pytest
 import paucopt.objectives
 import paucopt.scorer
 import paucopt.solver
-from paucopt.data import generate_synthetic, split, SplitSpec
+from paucopt.data import Minibatch, generate_synthetic, split, SplitSpec
 from paucopt.objectives import ObjectiveConfig
 from paucopt.scorer import init_scorer, score_batch, warmup_logistic
 from paucopt.solver import (
@@ -18,7 +18,6 @@ from paucopt.solver import (
     _box_violation,
     asgda_step,
     eta_schedule,
-    full_batch,
     grad_mapping_proxy,
     init_state,
     train,
@@ -252,7 +251,7 @@ class TestGradMappingProxy:
         ds, scorer, obj = small_setup
         cfg = SolverConfig(T=1, batch_pos=4, batch_neg=8, seed=0)
         st = init_state(ds, scorer, cfg, obj)
-        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
+        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), Minibatch(ds.pos_ids, ds.neg_ids), ds)
         p = grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box)
         assert p >= 0.0 and np.isfinite(p)
 
@@ -263,7 +262,7 @@ class TestGradMappingProxy:
         # move interior so no box face is active (theta_a stays pinned at 0)
         st.tau = st.tau * 0 + 0.5
         st.tau[-2] = 0.0
-        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
+        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), Minibatch(ds.pos_ids, ds.neg_ids), ds)
         proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box)
         assert proxy == pytest.approx(np.linalg.norm(lg.grad_min), rel=1e-6)
 
@@ -277,7 +276,7 @@ class TestGradMappingProxy:
                            batch_neg=48, seed=11, freeze_theta=True,
                            eval_every=100)
         st = init_state(ds, scorer, cfg, obj)
-        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), full_batch(ds), ds)
+        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), Minibatch(ds.pos_ids, ds.neg_ids), ds)
         first = grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box)
         _, _, trace = train(ds, None, scorer, cfg, obj)
         tail = [r.grad_map_proxy for r in trace.records

@@ -77,10 +77,6 @@ class TestSoftplusGap:
         rep = check_softplus_gap(trials=100, seed=0)
         assert rep.passed
 
-    def test_rejects_unsorted_kappas(self):
-        with pytest.raises(ValueError):
-            check_softplus_gap(kappas=(8, 2), trials=1, seed=0)
-
 
 class TestSmallChecks:
     def test_monotone_branches(self):
