@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import os
@@ -47,6 +48,14 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _refuse_taken_out(args) -> None:
+    """Raise _out_dir's error for an --out that names an existing
+    non-directory, before a command's work; the directory itself is made
+    after the work, which checks the counts that size it."""
+    if args.out is not None and os.path.lexists(args.out) and not os.path.isdir(args.out):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
 
 
 def cmd_generate(args) -> int:
@@ -369,6 +378,7 @@ def _hundredths(v: np.ndarray) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
+    _refuse_taken_out(args)
     only = set(args.only) if args.only else None
     reports = _build(run_all_checks, {"trials": "--trials"}, seed=args.seed, only=only,
                      trials=args.trials)
@@ -380,6 +390,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _refuse_taken_out(args)
     flags = {"batch_sizes": "--batch-sizes", "reps": "--reps", "steps": "--steps"}
     rows = _build(bench_rows, flags, tuple(args.batch_sizes), args.reps, args.seed)
     # step_sweep, the first timing of bench_document, checks --steps: the

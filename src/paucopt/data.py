@@ -13,6 +13,10 @@ class DataError(ValueError):
     """Raised for malformed inputs or contract violations in data handling."""
 
 
+class SingleClassError(DataError):
+    """Raised by Dataset for rows that hold one class only, or no row."""
+
+
 # Cells per block of a whole-table pass: a pass over n rows holds temporaries
 # for one block at a time, so its memory does not grow with n.
 BLOCK_CELLS = 1 << 15
@@ -65,7 +69,7 @@ class Dataset:
         pos = np.flatnonzero(is_pos)
         neg = np.flatnonzero(is_neg)
         if len(pos) == 0 or len(neg) == 0:
-            raise DataError("single-class data")
+            raise SingleClassError("single-class data")
         feats.setflags(write=False)
         labels.setflags(write=False)
         pos.setflags(write=False)
@@ -136,10 +140,14 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     is parsed by np.loadtxt in one pass, which checks each line as it takes
     it; where the parse could differ from the per-row parser _load_csv_rows,
     or fails, _load_csv_rows reads the file and raises its error naming the
-    row and the column.
+    row and the column. A table that parsed but holds one class is refused
+    as it stands: the row parser would read the same rows and refuse them
+    alike.
     """
     try:
         return _load_csv_numpy(path, label_column)
+    except SingleClassError:
+        raise
     except ValueError:
         return _load_csv_rows(path, label_column)
 
@@ -158,9 +166,9 @@ def _load_csv_numpy(path, label_column: str) -> Dataset:
       or a NUL, which csv refuses on Python 3.10;
     - a blank line (one that isspace()), which np.loadtxt skips, and a line
       longer than csv.field_size_limit(), on which csv raises;
-    - rows of another width than the header;
-    - no data row, which the Dataset refuses as single-class, and a
-      non-finite feature, which np.loadtxt accepts and the Dataset refuses.
+    - rows of another width than the header, or no data row;
+    - a non-finite feature, which np.loadtxt accepts and the Dataset refuses.
+    The Dataset's SingleClassError is raised as it is.
     """
     limit = csv.field_size_limit()
 
@@ -182,12 +190,12 @@ def _load_csv_numpy(path, label_column: str) -> Dataset:
         # A label cell must read exactly 0 or 1; a padded one such as " 0",
         # which _load_csv_rows strips, fails here and is left to it.
         with warnings.catch_warnings():
-            # no data row: the Dataset refuses it as single-class
+            # no data row: refused below, and _load_csv_rows names it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                                converters={label_idx: _LABELS.__getitem__})
-    if table.shape[1] != len(header):
-        raise DataError(f"{path}: rows of another width than the header")
+    if table.shape[1] != len(header) or not len(table):
+        raise DataError(f"{path}: no data row, or rows of another width than the header")
     feats, labels = np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64)
     del table   # not alive beside the Dataset's finiteness mask
     return Dataset(feats, labels)

@@ -833,6 +833,22 @@ class TestVerifyCmd:
         assert run_cli("verify", "--trials", "0") == 2
 
 
+@pytest.mark.parametrize("command,work", [("verify", "run_all_checks"), ("bench", "bench_rows")])
+def test_existing_file_as_out_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                      command, work):
+    # verify and bench make --out after their work, whose count checks must
+    # leave no directory behind, but an existing file is refused first
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(paucopt.cli, work, no_work)
+    out = tmp_path / "file"
+    out.write_text("")
+    assert run_cli(command, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: {str(out)!r}\n")
+    assert out.read_text() == ""
+
+
 def strict_json(text: str):
     """json.loads that rejects NaN and +-Infinity, as strict JSON does."""
     def reject(name):

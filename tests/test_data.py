@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paucopt.data
 from paucopt.data import (
     BLOCK_CELLS,
     DataError,
     Dataset,
+    SingleClassError,
     SplitSpec,
     _allocate,
     _load_csv_numpy,
@@ -53,6 +55,16 @@ class TestLoadCsv:
         f = tmp_path / "d.csv"
         write_csv(f, ["1.0,oops,1", "0.1,0.2,0"])
         with pytest.raises(DataError, match="x1"):
+            load_csv(f)
+
+    def test_single_class_refused_without_the_row_parser(self, tmp_path, monkeypatch):
+        def row_parser(*args):
+            raise AssertionError("the per-row parser read the file")
+
+        monkeypatch.setattr(paucopt.data, "_load_csv_rows", row_parser)
+        f = tmp_path / "d.csv"
+        write_csv(f, ["1.0,2.0,1", "0.1,0.2,1"])
+        with pytest.raises(SingleClassError, match="^single-class data$"):
             load_csv(f)
 
     def test_missing_file(self, tmp_path):
@@ -108,8 +120,8 @@ EDGE_CASES = {
     "label first": ("label,x0\n1,1.5\n0,-0.0\n", True),
     "padded features": (f"{H}\n 1.5 ,\t-2\xa0,1\n0.25,3e-3,0\n", True),
     "bom": (f"\ufeff{H}\n1.5,-2,1\n0.25,3e-3,0\n", True),
-    # one row holds one class, which the Dataset refuses, and then the per-row
-    # parser reads the file
+    # one row holds one class: the Dataset refuses it, and load_csv raises
+    # that refusal without the per-row parser
     "single data row": (f"{H}\n1.5,-2,1\n", False),
     "blank line in the middle": (f"{H}\n1.5,-2,1\n\n0.25,3e-3,0\n", False),
     "blank line at the end": (f"{H}\n1.5,-2,1\n0.25,3e-3,0\n\n", False),
@@ -141,6 +153,8 @@ EDGE_CASES = {
     "extra field": (f"{H}\n1.5,-2,1,\n0.25,3e-3,0\n", False),
     "empty field": (f"{H}\n1.5,,1\n0.25,3e-3,0\n", False),
     "header only": (f"{H}\n", False),
+    # np.loadtxt reads a (0, 1) table, the header's width
+    "label column only, no rows": ("label\n", False),
     "only blank lines": (f"{H}\n\n\n", False),
     "empty file": ("", False),
     "missing label column": ("x0,x1,y\n1.5,-2,1\n0.25,3e-3,0\n", False),

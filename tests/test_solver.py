@@ -9,13 +9,16 @@ import pytest
 import paucopt.objectives
 import paucopt.scorer
 import paucopt.solver
-from paucopt.data import Minibatch, generate_synthetic, split, SplitSpec
-from paucopt.objectives import ObjectiveConfig
+from paucopt.data import Dataset, Minibatch, generate_synthetic, row_blocks, split, SplitSpec
+from paucopt.objectives import LossGrad, ObjectiveConfig
 from paucopt.scorer import init_scorer, score_batch, warmup_logistic
 from paucopt.solver import (
     SolverConfig,
     SolverError,
+    _RECORD_WIDTH,
     _box_violation,
+    _record_parts,
+    _record_value_grad,
     asgda_step,
     eta_schedule,
     grad_mapping_proxy,
@@ -381,3 +384,105 @@ class TestStepIsBatchSized:
         ds, obj, cfg, _ = self.unbiased_setup(2_000)
         trace = train(ds, None, init_scorer("linear", 5, seed=7), cfg, obj)[2]
         assert trace.box_violations == cfg.T - 1
+
+
+def one_pass_record(ds, obj, cfg, tau, xv):
+    """A trace record's objective and grad_map_proxy at (tau, xv) from one
+    evaluate call over the whole split."""
+    lg = evaluate_at(obj, tau, xv, Minibatch(ds.pos_ids, ds.neg_ids), ds)
+    box = obj.tau_box(tau.theta.n_params)
+    return lg.value, grad_mapping_proxy(tau.flat(), lg.grad_min, cfg.nu, box)
+
+
+class TestBlockedRecord:
+    """train's trace record over a split larger than one row block: one
+    evaluate call per class-pure block, summed with the blocks' shares."""
+
+    BLOCK = next(row_blocks(10**9, _RECORD_WIDTH)).stop
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        # 6e4 rows: one positive block and three negative ones
+        return generate_synthetic(60_000, 0.1, 5, 2.0, seed=1)
+
+    def test_parts_are_class_pure_blocks_that_cover_the_split(self, large):
+        parts = _record_parts(ObjectiveConfig("TPAUC", "unbiased", 0.5, prior_p=0.1), large)
+        pos = [b.pos_ids for b, _, _ in parts if len(b.pos_ids)]
+        neg = [b.neg_ids for b, _, _ in parts if len(b.neg_ids)]
+        assert (len(pos), len(neg)) == (1, 3)
+        assert all(b.size in (len(b.pos_ids), len(b.neg_ids)) for b, _, _ in parts)
+        assert np.array_equal(np.concatenate(pos), large.pos_ids)
+        assert np.array_equal(np.concatenate(neg), large.neg_ids)
+        for batch, c_ids, weight in parts:
+            assert np.array_equal(c_ids, np.concatenate([batch.pos_ids, batch.neg_ids]))
+            assert weight == batch.size / large.n
+        assert math.isclose(sum(w for _, _, w in parts), 1.0, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+    @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_matches_one_pass_evaluate(self, large, metric, formulation, kind):
+        obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1, prior_p=large.prior_p)
+        scorer = init_scorer(kind, 5, (8,), seed=1)
+        cfg = SolverConfig(T=20, seed=1, eval_every=1000)
+        tau, xv, trace = train(large, None, scorer, cfg, obj)
+        assert sum(len(b.neg_ids) > 0 for b, _, _ in _record_parts(obj, large)) >= 3
+        rec = trace.records[-1]
+        for got, want in zip((rec.objective, rec.grad_map_proxy),
+                             one_pass_record(large, obj, cfg, tau, xv)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+    @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+    @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+    def test_split_inside_one_block_records_one_pass_bits(self, metric, formulation):
+        ds = generate_synthetic(self.BLOCK, 0.2, 4, 2.0, seed=2)
+        obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+        assert len(_record_parts(obj, ds)) == 1
+        cfg = SolverConfig(T=10, seed=2)
+        tau, xv, trace = train(ds, None, init_scorer("mlp", 4, (4,), seed=2), cfg, obj)
+        rec = trace.records[-1]
+        assert (rec.objective, rec.grad_map_proxy) == one_pass_record(ds, obj, cfg, tau, xv)
+
+    def test_peak_allocation_does_not_grow_with_n(self):
+        def peak(blocks_pos, blocks_neg):
+            # every block holds BLOCK rows, so a block's temporaries are the
+            # same at both sizes
+            n_pos, n = blocks_pos * self.BLOCK, (blocks_pos + blocks_neg) * self.BLOCK
+            rng = np.random.default_rng(3)
+            ds = Dataset(rng.standard_normal((n, 2)), rng.permutation(np.arange(n) < n_pos))
+            obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+            cfg = SolverConfig(seed=3)
+            st = init_state(ds, init_scorer("linear", 2, seed=3), cfg, obj)
+            parts = _record_parts(obj, ds)
+            tracemalloc.start()
+            try:
+                _record_value_grad(st, obj, ds, parts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 65536 and 655360 rows; one n-length float copy of the larger split
+        # would add 5.2 MB
+        small, large = peak(1, 3), peak(4, 36)
+        assert abs(large - small) <= 4096, (small, large)
+
+    def test_non_finite_value_in_one_block_stops_the_run(self, large, monkeypatch):
+        # the record's third evaluate call, a negative block, reads inf
+        evaluate = paucopt.solver.evaluate
+        record_calls = []
+
+        def one_block_inf(cfg, tau, *args, **kwargs):
+            lg = evaluate(cfg, tau, *args, **kwargs)
+            if len(tau) == 1:
+                record_calls.append(1)
+                if len(record_calls) == 3:
+                    return LossGrad(lg.grad_min, lg.grad_max_gamma, lg.grad_max_c,
+                                    lambda: np.array([np.inf]))
+            return lg
+
+        monkeypatch.setattr(paucopt.solver, "evaluate", one_block_inf)
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1, prior_p=large.prior_p)
+        cfg = SolverConfig(T=20, seed=1, eval_every=5)
+        with pytest.raises(SolverError, match=r"^non-finite objective at t=5$"):
+            train(large, None, init_scorer("linear", 5, seed=1), cfg, obj)
+        assert len(record_calls) == 4
