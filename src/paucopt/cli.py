@@ -51,11 +51,15 @@ def _out_dir(args) -> Path:
 
 
 def _refuse_taken_out(args) -> None:
-    """Raise _out_dir's error for an --out that names an existing
-    non-directory, before a command's work; the directory itself is made
-    after the work, which checks the counts that size it."""
-    if args.out is not None and os.path.lexists(args.out) and not os.path.isdir(args.out):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    """Raise _out_dir's error for an --out that names, or lies below, an
+    existing non-directory, before a command's work; the directory itself is
+    made after the work, which checks the counts that size it."""
+    out = Path(args.out or ".")
+    # the walk ends at "." or the root; OSError(code, ...) is code's subclass
+    taken = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not taken.is_dir():
+        code = errno.EEXIST if taken == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), args.out)
 
 
 def cmd_generate(args) -> int:
@@ -257,10 +261,11 @@ def cmd_evaluate(args) -> int:
         if not _has_type(entry[key], kind):
             raise ValueError(f"{args.checkpoint}: scorer object: {key} must be "
                              f"{_type_name(kind)}, got {reprlib.repr(entry[key])}")
-    # an unknown kind, or layer_dims and weights that do not fit, names the file
+    # an unknown kind, layer_dims and weights that do not fit, a non-finite
+    # weight or an input width the data lacks names the file
     scorer = _build(ScorerParams.from_dict, {"": f"{args.checkpoint}: scorer object"}, entry)
     ds = load_csv(args.data, args.label_col)
-    scores = score_batch(scorer, ds.features)
+    scores = _build(score_batch, {"": args.checkpoint}, scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
     # before the first line is printed: an unusable --out leaves stdout empty
     out = _out_dir(args) if args.out else None

@@ -63,7 +63,12 @@ class ScorerParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScorerParams":
-        return cls(doc["kind"], doc["layer_dims"], doc["weights"])
+        """to_dict's inverse, for a document read from outside: its weights
+        must be finite, which with_weights, called every step, does not check."""
+        params = cls(doc["kind"], doc["layer_dims"], doc["weights"])
+        if not np.isfinite(params.weights).all():
+            raise ValueError("weights must be finite")
+        return params
 
 
 @np.errstate(over="ignore")

@@ -11,6 +11,7 @@ MinVars and MaxVars are built only for the trace and the return value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -228,40 +229,28 @@ def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> PaucRe
 _RECORD_WIDTH = 2
 
 
-def _record_parts(obj_cfg: ObjectiveConfig, ds: Dataset) -> list:
-    """The (batch, c ids, weight) of each evaluate call a trace record makes
-    over ds: ds whole, weight 1, when it fits one row_blocks block; else
-    each class in blocks, which never mix classes, each weighing
-    block.size / ds.n. A call averages over its own batch and adds the
-    gamma and Lagrangian terms once, and the weights sum to 1, so the
-    weighted sum is the whole-split value and gradient up to rounding."""
-    full = Minibatch(ds.pos_ids, ds.neg_ids)
+def _record_value_grad(st: SolverState, obj_cfg: ObjectiveConfig, ds: Dataset) -> tuple:
+    """The objective value and grad_min at st over ds, from evaluate calls
+    over ds whole when it fits one row_blocks block, else over each class
+    in blocks, which never mix classes. A call averages over its own batch
+    and adds the gamma and Lagrangian terms once, so its results weighted
+    by batch.size / ds.n sum to the whole split's up to rounding, and with
+    one call, weight 1, to its bits."""
     if next(row_blocks(ds.n, _RECORD_WIDTH)).stop == ds.n:
-        return [(full, hinged_ids(obj_cfg, full), 1.0)]
-    none = ds.pos_ids[:0]
-    batches = ([Minibatch(ds.pos_ids[b], none) for b in row_blocks(ds.n_pos, _RECORD_WIDTH)]
-               + [Minibatch(none, ds.neg_ids[b]) for b in row_blocks(ds.n_neg, _RECORD_WIDTH)])
-    return [(batch, hinged_ids(obj_cfg, batch), batch.size / ds.n) for batch in batches]
-
-
-def _record_value_grad(st: SolverState, obj_cfg: ObjectiveConfig, ds: Dataset,
-                       parts: list) -> tuple:
-    """The objective value and grad_min at st over ds, from the evaluate
-    calls of parts (_record_parts): one call's own results, or the calls'
-    results summed with their weights."""
-    def at(batch, c_ids):
-        lg = evaluate(obj_cfg, st.tau[None], np.array([st.gamma]), batch, ds,
-                      st.c[c_ids][None], dims=st.scorer.layer_dims)
-        return float(lg.value[0]), lg.grad_min[0]
-
-    if len(parts) == 1:
-        batch, c_ids, _ = parts[0]
-        return at(batch, c_ids)
+        batches = [Minibatch(ds.pos_ids, ds.neg_ids)]
+    else:
+        # lazy: only one block's ids are held at a time
+        none = ds.pos_ids[:0]
+        batches = itertools.chain(
+            (Minibatch(ds.pos_ids[b], none) for b in row_blocks(ds.n_pos, _RECORD_WIDTH)),
+            (Minibatch(none, ds.neg_ids[b]) for b in row_blocks(ds.n_neg, _RECORD_WIDTH)))
     value, grad_min = 0.0, np.zeros_like(st.tau)
-    for batch, c_ids, weight in parts:
-        part_value, part_grad = at(batch, c_ids)
-        value += weight * part_value
-        grad_min += weight * part_grad
+    for batch in batches:
+        lg = evaluate(obj_cfg, st.tau[None], np.array([st.gamma]), batch, ds,
+                      st.c[hinged_ids(obj_cfg, batch)][None], dims=st.scorer.layer_dims)
+        weight = batch.size / ds.n
+        value += weight * float(lg.value[0])
+        grad_min += weight * lg.grad_min[0]
     return value, grad_min
 
 
@@ -271,20 +260,19 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
     """Optional cross-entropy warm-up followed by T descent-ascent steps.
 
     Returns (MinVars, MaxVars, TrainTrace). The trace records objective and
-    stationarity-proxy values over the whole training split (in the calls
-    of _record_parts) every cfg.eval_every iterations and at the final
+    stationarity-proxy values over the whole training split (from
+    _record_value_grad) every cfg.eval_every iterations and at the final
     step, and tracks the best validation partial AUC seen.
     """
     scorer = warmup_logistic(scorer_init, ds_train, cfg.warmup_epochs,
                              cfg.nu, seed=cfg.seed)
     state = init_state(ds_train, scorer, cfg, obj_cfg)
     trace = TrainTrace()
-    parts = _record_parts(obj_cfg, ds_train)
     t0 = time.perf_counter()
 
     def record(st: SolverState):
         eta = eta_schedule(cfg, max(st.t - 1, 0))
-        value, grad_min = _record_value_grad(st, obj_cfg, ds_train, parts)
+        value, grad_min = _record_value_grad(st, obj_cfg, ds_train)
         proxy = grad_mapping_proxy(st.tau, grad_min, cfg.nu, st.box)
         for name, x in (("objective", value), ("descent gradient", grad_min),
                         ("grad_map_proxy", proxy)):

@@ -806,6 +806,23 @@ class TestEvaluate:
         assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
         assert capsys.readouterr().err == f"error: {ckpt}: scorer object: {message}\n"
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_weight_usage_error(self, tmp_path, synth_csv, capsys, weight):
+        # Python's json reads these; a NaN weight scores every row NaN, whose
+        # metrics would read 1.0
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text('{"scorer": {"kind": "linear", "layer_dims": [5, 1], '
+                        f'"weights": [{weight}, 0, 0, 0, 0, 0]}}}}')
+        assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {ckpt}: scorer object: weights must be finite\n")
+
+    def test_input_width_mismatch_names_the_checkpoint(self, tmp_path, synth_csv, capsys):
+        ckpt = write_checkpoint(tmp_path / "checkpoint.json", 3)
+        assert run_cli("evaluate", "--data", str(synth_csv), "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {ckpt}: feature dimension 5 does not match scorer input 3\n")
+
     def test_alpha_beta_one_equals_auc(self, tmp_path, synth_csv, capsys):
         ckpt = self.make_checkpoint(tmp_path, synth_csv)
         run_cli("evaluate", "--data", str(synth_csv), "--checkpoint",
@@ -837,16 +854,20 @@ class TestVerifyCmd:
 def test_existing_file_as_out_refused_before_the_work(tmp_path, capsys, monkeypatch,
                                                       command, work):
     # verify and bench make --out after their work, whose count checks must
-    # leave no directory behind, but an existing file is refused first
+    # leave no directory behind, but an existing file, or a path below one, is
+    # refused first
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
     monkeypatch.setattr(paucopt.cli, work, no_work)
-    out = tmp_path / "file"
-    out.write_text("")
-    assert run_cli(command, "--out", str(out)) == 2
-    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: {str(out)!r}\n")
-    assert out.read_text() == ""
+    taken = tmp_path / "file"
+    taken.write_text("")
+    for out, error in ((taken, "[Errno 17] File exists"),
+                       (taken / "sub", "[Errno 20] Not a directory"),
+                       (taken / "sub" / "deeper", "[Errno 20] Not a directory")):
+        assert run_cli(command, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {error}: {str(out)!r}\n")
+    assert taken.read_text() == ""
 
 
 def strict_json(text: str):

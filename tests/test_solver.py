@@ -17,7 +17,6 @@ from paucopt.solver import (
     SolverError,
     _RECORD_WIDTH,
     _box_violation,
-    _record_parts,
     _record_value_grad,
     asgda_step,
     eta_schedule,
@@ -405,28 +404,49 @@ class TestBlockedRecord:
         # 6e4 rows: one positive block and three negative ones
         return generate_synthetic(60_000, 0.1, 5, 2.0, seed=1)
 
-    def test_parts_are_class_pure_blocks_that_cover_the_split(self, large):
-        parts = _record_parts(ObjectiveConfig("TPAUC", "unbiased", 0.5, prior_p=0.1), large)
-        pos = [b.pos_ids for b, _, _ in parts if len(b.pos_ids)]
-        neg = [b.neg_ids for b, _, _ in parts if len(b.neg_ids)]
-        assert (len(pos), len(neg)) == (1, 3)
-        assert all(b.size in (len(b.pos_ids), len(b.neg_ids)) for b, _, _ in parts)
-        assert np.array_equal(np.concatenate(pos), large.pos_ids)
-        assert np.array_equal(np.concatenate(neg), large.neg_ids)
-        for batch, c_ids, weight in parts:
-            assert np.array_equal(c_ids, np.concatenate([batch.pos_ids, batch.neg_ids]))
-            assert weight == batch.size / large.n
-        assert math.isclose(sum(w for _, _, w in parts), 1.0, rel_tol=1e-15)
+    @pytest.fixture
+    def record_calls(self, monkeypatch):
+        """The (batch, c) of each evaluate call at one point, a record's; a
+        step evaluates two."""
+        evaluate, calls = paucopt.solver.evaluate, []
+
+        def spy(cfg, tau, gamma, batch, ds, c=None, **kwargs):
+            if len(tau) == 1:
+                calls.append((batch, c))
+            return evaluate(cfg, tau, gamma, batch, ds, c, **kwargs)
+
+        monkeypatch.setattr(paucopt.solver, "evaluate", spy)
+        return calls
+
+    @staticmethod
+    def check_class_pure_blocks(ds, calls, blocks):
+        """One record over ds, at c unlike at each id, makes calls over the
+        given (positive, negative) numbers of blocks that cover its classes."""
+        obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, prior_p=ds.prior_p)
+        st = init_state(ds, init_scorer("linear", ds.dim, seed=1), SolverConfig(), obj)
+        st.c = np.random.default_rng(1).uniform(size=ds.n)
+        _record_value_grad(st, obj, ds)
+        pos = [b.pos_ids for b, _ in calls if len(b.pos_ids)]
+        neg = [b.neg_ids for b, _ in calls if len(b.neg_ids)]
+        assert (len(pos), len(neg)) == blocks
+        assert all(b.size in (len(b.pos_ids), len(b.neg_ids)) for b, _ in calls)
+        assert np.array_equal(np.concatenate(pos), ds.pos_ids)
+        assert np.array_equal(np.concatenate(neg), ds.neg_ids)
+        for batch, c in calls:
+            assert np.array_equal(c, st.c[np.concatenate([batch.pos_ids, batch.neg_ids])][None])
+
+    def test_parts_are_class_pure_blocks_that_cover_the_split(self, large, record_calls):
+        self.check_class_pure_blocks(large, record_calls, (1, 3))
 
     @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
     @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    def test_matches_one_pass_evaluate(self, large, metric, formulation, kind):
+    def test_matches_one_pass_evaluate(self, large, record_calls, metric, formulation, kind):
         obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1, prior_p=large.prior_p)
         scorer = init_scorer(kind, 5, (8,), seed=1)
         cfg = SolverConfig(T=20, seed=1, eval_every=1000)
         tau, xv, trace = train(large, None, scorer, cfg, obj)
-        assert sum(len(b.neg_ids) > 0 for b, _, _ in _record_parts(obj, large)) >= 3
+        assert sum(len(b.neg_ids) > 0 for b, _ in record_calls) >= 3
         rec = trace.records[-1]
         for got, want in zip((rec.objective, rec.grad_map_proxy),
                              one_pass_record(large, obj, cfg, tau, xv)):
@@ -434,14 +454,29 @@ class TestBlockedRecord:
 
     @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
     @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
-    def test_split_inside_one_block_records_one_pass_bits(self, metric, formulation):
+    def test_split_inside_one_block_records_one_pass_bits(self, record_calls, metric,
+                                                          formulation):
         ds = generate_synthetic(self.BLOCK, 0.2, 4, 2.0, seed=2)
         obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
-        assert len(_record_parts(obj, ds)) == 1
         cfg = SolverConfig(T=10, seed=2)
         tau, xv, trace = train(ds, None, init_scorer("mlp", 4, (4,), seed=2), cfg, obj)
+        assert len(record_calls) == 1
         rec = trace.records[-1]
         assert (rec.objective, rec.grad_map_proxy) == one_pass_record(ds, obj, cfg, tau, xv)
+
+    def test_one_call_below_twice_the_block_rows(self, record_calls):
+        # the last block takes under twice BLOCK rows: 2 * BLOCK - 1 rows are
+        # the most one call takes, and one row more is split by class
+        ds = generate_synthetic(2 * self.BLOCK - 1, 0.2, 4, 2.0, seed=2)
+        obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+        cfg = SolverConfig(T=10, seed=2)
+        tau, xv, trace = train(ds, None, init_scorer("mlp", 4, (4,), seed=2), cfg, obj)
+        assert len(record_calls) == 1
+        rec = trace.records[-1]
+        assert (rec.objective, rec.grad_map_proxy) == one_pass_record(ds, obj, cfg, tau, xv)
+        record_calls.clear()
+        ds = generate_synthetic(2 * self.BLOCK, 0.2, 4, 2.0, seed=2)
+        self.check_class_pure_blocks(ds, record_calls, (1, 1))
 
     def test_peak_allocation_does_not_grow_with_n(self):
         def peak(blocks_pos, blocks_neg):
@@ -453,10 +488,9 @@ class TestBlockedRecord:
             obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
             cfg = SolverConfig(seed=3)
             st = init_state(ds, init_scorer("linear", 2, seed=3), cfg, obj)
-            parts = _record_parts(obj, ds)
             tracemalloc.start()
             try:
-                _record_value_grad(st, obj, ds, parts)
+                _record_value_grad(st, obj, ds)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
