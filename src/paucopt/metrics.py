@@ -147,21 +147,27 @@ def closed_form_optimum(scores_pos, scores_neg, alpha: float, beta: float,
 
 
 def _share_at_or_above(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """For each threshold t, the fraction of scores >= t; NaN is never >= t."""
+    """0, then for each threshold t the fraction of scores >= t; NaN is never >= t."""
     ranked = np.sort(scores[~np.isnan(scores)])
+    share = np.zeros(len(thresholds) + 1)
     at_or_above = len(ranked) - np.searchsorted(ranked, thresholds, side="left")
-    return at_or_above / len(scores)
+    np.divide(at_or_above, len(scores), out=share[1:])
+    return share
 
 
-def roc_curve(scores_pos, scores_neg):
-    """ROC sweep: one (FPR, TPR) row per score threshold plus the (0,0) endpoint.
+def roc_points(scores_pos, scores_neg) -> tuple[np.ndarray, np.ndarray]:
+    """ROC sweep: the (0,0) endpoint, then one (FPR, TPR) point per score
+    threshold, as two float64 arrays.
 
-    Rows are produced in threshold-descending order, giving exactly
-    n_pos + n_neg + 1 rows; a point at a tied threshold counts every
+    Points run in threshold-descending order, giving exactly
+    n_pos + n_neg + 1 of them; a point at a tied threshold counts every
     instance with score >= threshold as predicted positive.
     """
     pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
     thresholds = -np.sort(-np.concatenate([pos, neg]))
-    fpr = _share_at_or_above(neg, thresholds)
-    tpr = _share_at_or_above(pos, thresholds)
-    return [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]
+    return _share_at_or_above(neg, thresholds), _share_at_or_above(pos, thresholds)
+
+
+def roc_curve(scores_pos, scores_neg) -> list[tuple[float, float]]:
+    """roc_points as a list of (FPR, TPR) rows."""
+    return list(zip(*(a.tolist() for a in roc_points(scores_pos, scores_neg))))

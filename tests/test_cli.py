@@ -732,6 +732,26 @@ class TestEvaluate:
         # one n-length float copy at n = 2e5 would add 1.6 MB
         assert peaks[1] <= peaks[0] + 65536, peaks
 
+    def test_out_peak_allocation_per_row(self, tmp_path, monkeypatch):
+        # load_csv hands over a prebuilt Dataset, so the peak counts what
+        # evaluate makes from the data, not the parse
+        ckpt = write_checkpoint(tmp_path / "checkpoint.json", 5)
+        peaks = {}
+        for n in (20_000, 200_000):
+            ds = generate_synthetic(n, 0.1, 5, 1.0, seed=5)
+            monkeypatch.setattr(paucopt.cli, "load_csv", lambda *args, ds=ds: ds)
+            tracemalloc.start()
+            try:
+                assert run_cli("evaluate", "--data", "unread.csv", "--checkpoint", str(ckpt),
+                               "--out", str(tmp_path / f"eval{n}")) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # ~73 bytes a row: the scores, the sorted classes, the ROC's two float
+        # arrays and roc.svg's whole-array passes; a list of (fpr, tpr) tuples
+        # would add ~110 more
+        assert (peaks[200_000] - peaks[20_000]) / 180_000 < 100, peaks
+
     @pytest.mark.parametrize("at", ["2,0.3", "0.5", "0,0.3", "0.5,1.5", "a,b", "nan,0.3",
                                     "0.5,0.3,1", "1,-0.3"])
     def test_bad_at_usage_error_before_reading_data(self, tmp_path, capsys, at):

@@ -14,6 +14,7 @@ from paucopt.metrics import (
     empirical_tpauc,
     pairwise_surrogate_risk,
     roc_curve,
+    roc_points,
     top_negatives,
 )
 
@@ -60,6 +61,17 @@ def oracle_roc_curve(pos: np.ndarray, neg: np.ndarray):
     return rows
 
 
+def assert_roc_points_match_oracle(pos: np.ndarray, neg: np.ndarray):
+    """roc_points gives two float64 arrays of n + 1 points that hold the loop
+    oracle's FPR and TPR columns bit for bit."""
+    points = roc_points(pos, neg)
+    columns = np.array(oracle_roc_curve(pos, neg)).T
+    assert len(points) == 2
+    for got, want in zip(points, columns):
+        assert got.dtype == np.float64 and got.shape == (len(pos) + len(neg) + 1,)
+        assert got.view(np.int64).tolist() == np.ascontiguousarray(want).view(np.int64).tolist()
+
+
 def oracle_reports(pos: np.ndarray, neg: np.ndarray, k_pos: int, k_neg: int,
                    alpha: float, beta: float):
     sel_pos = oracle_bottom_positives(pos, k_pos)
@@ -103,12 +115,14 @@ class TestAgainstOracles:
         assert (pos_quantile_threshold(pos, alpha)
                 == float(oracle_bottom_positives(pos, k_pos)[-1]))
         assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
+        assert_roc_points_match_oracle(pos, neg)
 
     def test_nan_and_infinite_scores(self):
         pos = np.array([np.nan, 0.5, -np.inf, 0.5, np.inf])
         neg = np.array([0.5, np.nan, np.inf, -1.0, np.nan, -np.inf])
         assert empirical_auc(pos, neg).value == oracle_pair_value(pos, neg)
         assert roc_curve(pos, neg) == oracle_roc_curve(pos, neg)
+        assert_roc_points_match_oracle(pos, neg)
         for k in range(1, len(neg) + 1):
             np.testing.assert_array_equal(top_negatives(neg, k / len(neg)),
                                           oracle_top_negatives(neg, k))
@@ -118,7 +132,7 @@ class TestAgainstOracles:
         rng = np.random.default_rng(0)
         pos = np.round(rng.normal(1.0, 1.0, 20_000), 2)
         neg = np.round(rng.normal(0.0, 1.0, 180_000), 2)
-        for fn in (empirical_auc, roc_curve):
+        for fn in (empirical_auc, roc_points, roc_curve):
             t0 = time.perf_counter()
             fn(pos, neg)
             assert time.perf_counter() - t0 < 2.0, fn.__name__
