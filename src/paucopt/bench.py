@@ -3,14 +3,12 @@
 bench_rows times the instance-wise objective against a pair-enumerating
 loop across batch sizes (acceptance test 8 reads its ratios); step_sweep
 times one solver step at growing dataset sizes for both formulations;
-end_to_end times a cold import and whole commands.
+end_to_end times whole commands, each in a fresh interpreter.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import io
 import json
 import platform
 import subprocess
@@ -110,56 +108,80 @@ README_CONFIG = {
     "solver": {"nu": 0.5, "lambda": 0.5, "T": 300, "warmup_epochs": 2},
     "seed": 7,
 }
+
+
+def _resized(config: dict, n: int, **solver) -> dict:
+    """config with n synthetic rows and its solver keys updated by solver."""
+    dataset = {"synthetic": {**config["dataset"]["synthetic"], "n": n}}
+    return {**config, "dataset": dataset, "solver": {**config["solver"], **solver}}
+
+
+# Run configs that `paucopt train` is timed on: the README's as it is, then at
+# 10^6 rows the solver alone (T = 200, no warm-up) and the warm-up alone (T = 0).
+TRAIN_RUNS = (README_CONFIG,
+              _resized(README_CONFIG, 1_000_000, T=200, warmup_epochs=0),
+              _resized(README_CONFIG, 1_000_000, T=0))
 # CSV sizes that `paucopt evaluate` is timed on.
 EVALUATE_ROWS = (10_000, 1_000_000)
-# Fresh interpreters whose import of paucopt.cli is timed.
-COLD_STARTS = 5
+
+# Run in a fresh interpreter with a command's argv: times the import of
+# paucopt.cli, then main(argv) with its printed lines discarded, and prints
+# both with the peak resident size of the interpreter's own address space
+# (VmHWM, in KiB). That is what ru_maxrss reads for a command started from a
+# shell; here ru_maxrss would read at least the parent's peak, which Linux
+# hands to a child across exec.
+_CHILD = """\
+import contextlib, json, os, sys, time
+sys.path.insert(0, {src!r})
+t0 = time.perf_counter()
+from paucopt.cli import main
+t1 = time.perf_counter()
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+t2 = time.perf_counter()
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({{"import_s": t1 - t0, "seconds": t2 - t1, "ru_maxrss_mb": peak / 1024}}))
+sys.exit(code)
+"""
 
 
-def cold_import_seconds() -> float:
-    """Median wall seconds of ``import paucopt.cli`` in a fresh interpreter,
-    over COLD_STARTS interpreters. Each child times its own import, so the
-    interpreter's start-up is left out."""
-    code = (f"import sys, time; sys.path.insert(0, {str(Path(__file__).parent.parent)!r}); "
-            "t = time.perf_counter(); import paucopt.cli; print(time.perf_counter() - t)")
-    return float(np.median([
-        float(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, timeout=120).stdout)
-        for _ in range(COLD_STARTS)]))
+def _command_row(rows, *argv) -> dict:
+    """The end_to_end row of ``paucopt argv`` on rows rows, run in a fresh
+    interpreter, with that interpreter's import_s beside it."""
+    code = _CHILD.format(src=str(Path(__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"paucopt {argv[0]} exited {proc.returncode}: {proc.stderr.strip()}")
+    return {"command": argv[0], "rows": rows, **json.loads(proc.stdout)}
 
 
 def end_to_end(seed: int) -> list:
-    """Wall seconds of a cold ``import paucopt.cli`` (cold_import_seconds),
-    then of whole commands, each run once in this process with its printed
-    lines discarded: ``train`` on README_CONFIG, then for each n in
-    EVALUATE_ROWS ``generate`` of an n-row CSV and ``evaluate --out`` of the
-    trained checkpoint on it."""
-    from .cli import main       # cli imports this module
-
-    def seconds(*argv) -> float:
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main([str(a) for a in argv])
-        if code != 0:
-            raise RuntimeError(f"paucopt {argv[0]} exited {code}")
-        return time.perf_counter() - t0
-
+    """Wall seconds and peak resident MB of whole commands, each run once in a
+    fresh interpreter: ``train`` on each of TRAIN_RUNS, then for each n in
+    EVALUATE_ROWS ``generate`` of an n-row CSV and ``evaluate --out`` of an
+    untrained mlp[8] checkpoint on it. The first row is the median seconds of
+    those interpreters' ``import paucopt.cli``."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "run.json").write_text(json.dumps(README_CONFIG), encoding="utf-8")
-        rows = [{"command": "import paucopt.cli", "rows": None,
-                 "seconds": cold_import_seconds()},
-                {"command": "train", "rows": README_CONFIG["dataset"]["synthetic"]["n"],
-                 "seconds": seconds("train", "--config", tmp / "run.json", "--out", tmp / "train")}]
+        checkpoint = tmp / "mlp8.json"
+        scorer = init_scorer("mlp", 5, (8,), seed=seed)
+        checkpoint.write_text(json.dumps({"scorer": scorer.to_dict()}), encoding="utf-8")
+        rows = []
+        for i, config in enumerate(TRAIN_RUNS):
+            (tmp / f"run{i}.json").write_text(json.dumps(config), encoding="utf-8")
+            rows.append(_command_row(config["dataset"]["synthetic"]["n"], "train", "--config",
+                                     tmp / f"run{i}.json", "--out", tmp / f"train{i}"))
         for n in EVALUATE_ROWS:
             data = tmp / f"data{n}.csv"
-            rows.append({"command": "generate", "rows": n, "seconds": seconds(
-                "generate", "--n", n, "--imbalance", 0.1, "--separation", 4.0,
-                "--seed", seed, "--output", data)})
-            rows.append({"command": "evaluate", "rows": n, "seconds": seconds(
-                "evaluate", "--data", data, "--checkpoint", tmp / "train" / "checkpoint.json",
-                "--at", "1,1", "1,0.3", "0.5,0.3", "--out", tmp / "evaluate")})
-    return rows
+            rows.append(_command_row(n, "generate", "--n", n, "--imbalance", 0.1,
+                                     "--separation", 4.0, "--seed", seed, "--output", data))
+            rows.append(_command_row(n, "evaluate", "--data", data, "--checkpoint", checkpoint,
+                                     "--at", "1,1", "1,0.3", "0.5,0.3", "--out", tmp / f"eval{n}"))
+    imports = [row.pop("import_s") for row in rows]
+    return [{"command": "import paucopt.cli", "rows": None, "seconds": float(np.median(imports))},
+            *rows]
 
 
 BENCH_COLUMNS = ["batch_pos", "batch_neg", "median_ms", "p90_ms", "kind"]

@@ -269,6 +269,8 @@ def cmd_evaluate(args) -> int:
     ds = load_csv(args.data, args.label_col)
     scores = _build(score_batch, {"": args.checkpoint}, scorer, ds.features)
     pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
+    # the classes are copies: the data and the scores need not outlive them
+    del ds, scores
     # each class sorted once, in place: the metrics and the ROC read a class
     # only as a multiset, and their own sorts, partitions and searchsorted
     # calls run faster on sorted input
@@ -398,13 +400,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # a flag that would be read for nothing is an error, not a silent no-op
+    if args.label is None and args.steps is not None:
+        raise ValueError("--steps has no effect without --label")
     _refuse_taken_out(args)
     flags = {"batch_sizes": "--batch-sizes", "reps": "--reps", "steps": "--steps"}
     rows = _build(bench_rows, flags, tuple(args.batch_sizes), args.reps, args.seed)
     # step_sweep, the first timing of bench_document, checks --steps: the
     # document is made before anything is written or printed
     doc = (None if args.label is None else
-           _build(bench_document, flags, args.label, rows, args.seed, args.reps, args.steps))
+           _build(bench_document, flags, args.label, rows, args.seed, args.reps,
+                  200 if args.steps is None else args.steps))
     out = _out_dir(args)
     with open(out / "timings.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -489,9 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", default="out")
     b.add_argument("--label", default=None,
                    help="also time solver steps at n = 2e3, 2e5, 2e6 and whole train, "
-                        "generate and evaluate commands; write BENCH_<label>.json")
-    b.add_argument("--steps", type=int, default=200,
-                   help="timed steps per size and formulation")
+                        "generate and evaluate commands, each in a fresh interpreter; "
+                        "write BENCH_<label>.json")
+    b.add_argument("--steps", type=int, default=None,
+                   help="timed steps per size and formulation (default 200; needs --label)")
     b.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("sweep", help="softplus-sharpness sensitivity sweep")
@@ -514,7 +521,7 @@ def main(argv=None) -> int:
             # evaluate takes no seed, and pays nothing for this
             _resolve_seed(args)
         return args.fn(args)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # bad flags, configs or inputs, and paths that cannot be read or
         # written; every other paucopt error and JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

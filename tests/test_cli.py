@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,7 @@ def test_negative_t_flag_is_named_as_the_flag(tmp_path, capsys):
 BAD_FLAGS = [
     (["bench", "--reps", "0"], "--reps must be at least 1, got 0"),
     (["bench", "--steps", "0", "--label", "x"], "--steps must be at least 1, got 0"),
+    (["bench", "--steps", "5"], "--steps has no effect without --label"),
     (["bench", "--batch-sizes", "64", "1"], "--batch-sizes must be at least 2, got 1"),
     (["verify", "--trials", "-3"], "--trials must be at least 1, got -3"),
     (["sweep", "--T", "-1"], "--T must be at least 0, got -1"),
@@ -593,7 +595,9 @@ BAD_FLAGS = [
 
 
 @pytest.mark.parametrize("argv,message", BAD_FLAGS,
-                         ids=[argv[0] + message.split()[0] for argv, message in BAD_FLAGS])
+                         ids=[argv[0] + message.split()[0]
+                              + ("-alone" if "no effect" in message else "")
+                              for argv, message in BAD_FLAGS])
 def test_out_of_range_flag_usage_error_names_the_flag(tmp_path, capsys, monkeypatch,
                                                       argv, message):
     # each flag is checked by the dataclass or function that takes its value,
@@ -751,6 +755,27 @@ class TestEvaluate:
         # arrays and roc.svg's whole-array passes; a list of (fpr, tpr) tuples
         # would add ~110 more
         assert (peaks[200_000] - peaks[20_000]) / 180_000 < 100, peaks
+
+    def test_data_is_freed_before_the_roc(self, tmp_path, monkeypatch):
+        # the sorted classes are all the ROC reads, so the loaded data, which
+        # at 10^6 rows is most of what is alive, is gone by then
+        ckpt = write_checkpoint(tmp_path / "checkpoint.json", 5)
+        refs = []
+
+        def load(*args):
+            ds = generate_synthetic(400, 0.2, 5, 1.0, seed=5)
+            refs.append(weakref.ref(ds))
+            return ds
+
+        def spy(*args, _real=paucopt.cli.roc_curve):
+            assert refs[0]() is None
+            return _real(*args)
+
+        monkeypatch.setattr(paucopt.cli, "load_csv", load)
+        monkeypatch.setattr(paucopt.cli, "roc_curve", spy)
+        assert run_cli("evaluate", "--data", "unread.csv", "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "eval")) == 0
+        assert len(refs) == 1
 
     @pytest.mark.parametrize("at", ["2,0.3", "0.5", "0,0.3", "0.5,1.5", "a,b", "nan,0.3",
                                     "0.5,0.3,1", "1,-0.3"])
@@ -949,6 +974,9 @@ class TestBench:
         assert med[("pairwise", 64)] / med[("pairwise", 32)] >= 3.0
 
     def test_label_writes_bench_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paucopt.bench, "TRAIN_RUNS", tuple(
+            paucopt.bench._resized(config, n) for config, n
+            in zip(paucopt.bench.TRAIN_RUNS, (400, 500, 600))))
         monkeypatch.setattr(paucopt.bench, "EVALUATE_ROWS", (300, 600))
         out = tmp_path / "b"
         rc = run_cli("bench", "--batch-sizes", "64", "128", "--reps", "3",
@@ -968,9 +996,21 @@ class TestBench:
             for form in ("surrogate", "unbiased")]
         assert all(0 < r["median_ms"] <= r["p90_ms"] for r in doc["step_sweep"])
         assert [(r["command"], r["rows"]) for r in doc["end_to_end"]] == [
-            ("import paucopt.cli", None), ("train", 2000), ("generate", 300), ("evaluate", 300),
-            ("generate", 600), ("evaluate", 600)]
+            ("import paucopt.cli", None), ("train", 400), ("train", 500), ("train", 600),
+            ("generate", 300), ("evaluate", 300), ("generate", 600), ("evaluate", 600)]
         assert all(r["seconds"] > 0 for r in doc["end_to_end"])
+        assert all(r["ru_maxrss_mb"] > 0 for r in doc["end_to_end"][1:])
+
+
+def test_key_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # no bad input raises a KeyError, so one is a bug and keeps its traceback
+    def broken(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(paucopt.cli, "generate_synthetic", broken)
+    with pytest.raises(KeyError, match="x"):
+        run_cli("generate", "--n", "50", "--imbalance", "0.1",
+                "--output", str(tmp_path / "x.csv"))
 
 
 def test_cli_import_loads_no_scipy():
