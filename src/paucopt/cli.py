@@ -436,7 +436,7 @@ def cmd_sweep(args) -> int:
                         T=args.T, seed=seed, freeze_theta=True, eval_every=max(1, args.T))
     ds = _build(generate_synthetic, _SYNTHETIC_FLAGS, args.n, args.imbalance, args.dim,
                 args.separation, seed)
-    ds_train, ds_val, _ = _build(split, _SYNTHETIC_FLAGS, ds, SplitSpec(seed=seed))
+    ds_train, _, _ = _build(split, _SYNTHETIC_FLAGS, ds, SplitSpec(seed=seed))
     out = _out_dir(args)    # after every value check, before the warm-up and the runs
     # warm the scorer once, then freeze it: the sweep isolates how each
     # hinge treatment places the selection threshold on a fixed loss
@@ -444,7 +444,7 @@ def cmd_sweep(args) -> int:
     scorer = warmup_logistic(init_scorer("linear", ds.dim, seed=seed),
                              ds_train, 2, 0.3, seed=seed)
     obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
-    rows = run_bias_sweep(ds_train, ds_val, scorer, args.kappas, obj_cfg, solver_cfg)
+    rows = run_bias_sweep(ds_train, scorer, args.kappas, obj_cfg, solver_cfg)
     # strict JSON: a non-finite value is a ValueError (exit 2), not a bare NaN
     text = json.dumps(rows, indent=2, allow_nan=False)
     (out / "sweep.json").write_text(text, encoding="utf-8")

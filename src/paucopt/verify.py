@@ -222,8 +222,7 @@ def quantile_deviation(ds: Dataset, tau: MinVars, gamma: float) -> float:
     return float(np.mean(losses > tau.s_prime))
 
 
-def run_bias_sweep(ds_train: Dataset, ds_val: Dataset | None,
-                   scorer_init: ScorerParams, kappas,
+def run_bias_sweep(ds_train: Dataset, scorer_init: ScorerParams, kappas,
                    obj_cfg_base: ObjectiveConfig, solver_cfg: SolverConfig):
     """Train the surrogate at each kappa plus one unbiased run, whose row's
     kappa is None; report beta-tilde.
@@ -236,10 +235,9 @@ def run_bias_sweep(ds_train: Dataset, ds_val: Dataset | None,
     runs.append((replace(obj_cfg_base, formulation="unbiased"), None))
     rows = []
     for cfg, kappa in runs:
-        tau, xv, trace = train(ds_train, ds_val, scorer_init, solver_cfg, cfg)
+        tau, xv, _ = train(ds_train, None, scorer_init, solver_cfg, cfg)
         beta_eff = quantile_deviation(ds_train, tau, xv.gamma)
-        rows.append({"kind": cfg.formulation, "kappa": kappa,
-                     "val_pauc": trace.best_val_pauc, "beta_eff": beta_eff,
+        rows.append({"kind": cfg.formulation, "kappa": kappa, "beta_eff": beta_eff,
                      "beta_dev": abs(beta_eff - cfg.beta)})
     return rows
 

@@ -28,7 +28,6 @@ from paucopt.objectives import (
 from paucopt.data import Dataset, Minibatch, stratified_sample
 from paucopt.scorer import init_scorer, score_batch, warmup_logistic
 from paucopt.solver import SolverConfig, asgda_step, init_state, train
-from paucopt.solver import _box_violation
 from paucopt.verify import (
     _threshold_objective_min_hinge,
     _threshold_objective_min_soft,
@@ -36,6 +35,7 @@ from paucopt.verify import (
     topk_threshold_min,
 )
 
+from feasibility import box_violation
 from points import evaluate_at
 
 
@@ -172,7 +172,7 @@ def test_5_feasibility_invariant():
     violations = 0
     for _ in range(2000):
         asgda_step(st, cfg, obj, ds)
-        if _box_violation(st, st.c, obj) > 0.0:
+        if box_violation(st, st.c, obj) > 0.0:
             violations += 1
     report("feasibility_invariant", violations == 0)
 
@@ -201,7 +201,7 @@ def test_6_optimization_sanity():
 def test_7_quantile_deviation_ordering():
     seed = 0
     ds = generate_synthetic(2000, 0.3, 5, 1.0, seed=seed)
-    tr, va, _ = split(ds, SplitSpec(seed=seed))
+    tr, _, _ = split(ds, SplitSpec(seed=seed))
     scorer = warmup_logistic(init_scorer("linear", 5, seed=seed), tr, 2, 0.3,
                              seed=seed)
     base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.3, 2.0, 0.1,
@@ -209,7 +209,7 @@ def test_7_quantile_deviation_ordering():
     cfg = SolverConfig(nu=0.05, lam=1.0, k_coef=1.0, m_coef=27.0, T=3000,
                        batch_pos=32, batch_neg=224, seed=seed,
                        freeze_theta=True, eval_every=3000)
-    rows = run_bias_sweep(tr, va, scorer, [2.0, 32.0], base, cfg)
+    rows = run_bias_sweep(tr, scorer, [2.0, 32.0], base, cfg)
     dev = {(r["kind"], r["kappa"]): r["beta_dev"] for r in rows}
     hinge_dev = [v for (k, _), v in dev.items() if k == "unbiased"][0]
     ok = (hinge_dev <= dev[("surrogate", 2.0)]

@@ -935,14 +935,14 @@ class TestSweep:
                                                                 ("surrogate", 16.0)]
         assert rows[2]["kind"] == "unbiased" and rows[2]["kappa"] is None
         for r in rows:
+            assert list(r) == ["kind", "kappa", "beta_eff", "beta_dev"]
             assert 0.0 <= r["beta_eff"] <= 1.0
             assert r["beta_dev"] == abs(r["beta_eff"] - 0.3)
-            assert 0.0 <= r["val_pauc"] <= 1.0
 
     def test_non_finite_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
                                                          capsys):
         monkeypatch.setattr(paucopt.cli, "run_bias_sweep", lambda *args: [
-            {"kind": "unbiased", "kappa": None, "val_pauc": float("nan")}])
+            {"kind": "unbiased", "kappa": None, "beta_eff": float("nan")}])
         out = tmp_path / "s"
         assert run_cli("sweep", "--n", "300", "--T", "1", "--out", str(out)) == 2
         assert not (out / "sweep.json").exists()

@@ -16,7 +16,6 @@ from paucopt.solver import (
     SolverConfig,
     SolverError,
     _RECORD_WIDTH,
-    _box_violation,
     _record_value_grad,
     asgda_step,
     eta_schedule,
@@ -25,6 +24,7 @@ from paucopt.solver import (
     train,
 )
 
+from feasibility import box_violation
 from points import evaluate_at
 
 
@@ -116,18 +116,21 @@ class TestAsgdaStep:
         cfg = SolverConfig(nu=1.0, lam=20.0, T=60, batch_pos=8, batch_neg=24,
                            seed=4, freeze_theta=True)
         scorer = init_scorer("mlp", 3, (4,), seed=4)
-        tau, _, trace = train(ds, None, scorer, cfg, obj)
+        tau, _, _ = train(ds, None, scorer, cfg, obj)
         assert np.array_equal(tau.theta.weights, scorer.weights)
-        assert trace.box_violations == 0
 
-    def test_feasible_after_every_step(self, small_setup):
-        ds, scorer, obj = small_setup
+    @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+    @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+    def test_feasible_after_every_step(self, small_setup, metric, formulation):
+        ds, scorer, _ = small_setup
+        obj = ObjectiveConfig(metric, formulation, 1.0 if metric == "OPAUC" else 0.6, 0.4,
+                              4.0, 0.1, prior_p=ds.prior_p)
         cfg = SolverConfig(nu=2.0, lam=2.0, T=100, batch_pos=4, batch_neg=8,
                            seed=1)
         st = init_state(ds, scorer, cfg, obj)
         for _ in range(100):
             asgda_step(st, cfg, obj, ds)
-            assert _box_violation(st, st.c, obj) == 0.0
+            assert box_violation(st, st.c, obj) == 0.0
 
     def test_box_violation_of_each_block(self, small_setup):
         ds, scorer, obj = small_setup
@@ -135,14 +138,14 @@ class TestAsgdaStep:
         # free weights, even infinite ones, are inside their box
         st.tau[:scorer.n_params] = [np.inf, -np.inf, 1e300, -1e300]
         with np.errstate(invalid="ignore"):     # inf - inf
-            assert _box_violation(st, st.c, obj) == 0.0
+            assert box_violation(st, st.c, obj) == 0.0
             st.gamma = 1.5
-            assert _box_violation(st, st.c, obj) == 0.5
+            assert box_violation(st, st.c, obj) == 0.5
             st.tau[-1] = -2.0    # theta_b, boxed at [0, lagrange_cap]
-            assert _box_violation(st, st.c, obj) == 2.0
+            assert box_violation(st, st.c, obj) == 2.0
         st.tau[:scorer.n_params] = 0.0
-        assert _box_violation(st, np.array([0.5, 3.0]), obj) == 2.0
-        assert _box_violation(st, np.array([0.5, 4.5]), obj) == 3.5
+        assert box_violation(st, np.array([0.5, 3.0]), obj) == 2.0
+        assert box_violation(st, np.array([0.5, 4.5]), obj) == 3.5
 
     def test_box_violation_matches_numpy_oracle(self, small_setup):
         def oracle(state, c, cfg):
@@ -164,7 +167,7 @@ class TestAsgdaStep:
             for gamma, w, theta_b, c in itertools.product(gammas, weights, theta_bs, cs):
                 st.gamma, st.tau[:scorer.n_params], st.tau[-1] = gamma, w, theta_b
                 c = np.array(c, dtype=np.float64)
-                got, want = _box_violation(st, c, obj), oracle(st, c, obj)
+                got, want = box_violation(st, c, obj), oracle(st, c, obj)
                 assert (type(got), repr(got)) == (float, repr(want)), (gamma, w, theta_b, c)
 
     def test_no_box_violation_at_the_bound(self):
@@ -175,11 +178,12 @@ class TestAsgdaStep:
         obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1,
                               prior_p=ds.prior_p)
         cfg = SolverConfig(nu=0.5, lam=0.0, T=1200, batch_pos=4,
-                           batch_neg=16, seed=0, eval_every=1200)
-        tau, _, trace = train(ds, None, init_scorer("linear", 3, seed=0),
-                              cfg, obj)
-        assert tau.s_prime == 5.0
-        assert trace.box_violations == 0
+                           batch_neg=16, seed=0, warmup_epochs=0)
+        st = init_state(ds, init_scorer("linear", 3, seed=0), cfg, obj)
+        for _ in range(cfg.T):
+            asgda_step(st, cfg, obj, ds)
+            assert box_violation(st, st.c, obj) == 0.0
+        assert st.min_vars().s_prime == 5.0
 
 
 @pytest.mark.parametrize("metric,alpha", [("OPAUC", 1.0), ("TPAUC", 0.5)])
@@ -353,36 +357,6 @@ class TestStepIsBatchSized:
         trace = train(ds, None, scorer, cfg, obj)[2]
         assert len(trace.records) == 3
         assert calls == [(1, ds.n_pos), (1, ds.n_neg)] * 3
-
-    def test_touched_box_count_equals_full_count(self):
-        # acceptance test 5's problem, through train, against a replay of
-        # the same steps checked over the whole c array
-        ds = generate_synthetic(800, 0.2, 4, 2.0, seed=13)
-        scorer = init_scorer("mlp", 4, (4,), seed=13)
-        obj = ObjectiveConfig("TPAUC", "unbiased", 0.6, 0.4, 4.0, 0.5,
-                              prior_p=ds.prior_p)
-        cfg = SolverConfig(nu=1.5, lam=1.0, T=2000, batch_pos=16,
-                           batch_neg=48, seed=13, eval_every=2000)
-        full = 0
-        st = init_state(ds, scorer, cfg, obj)
-        for _ in range(cfg.T):
-            asgda_step(st, cfg, obj, ds)
-            full += _box_violation(st, st.c, obj) > 0.0
-        assert train(ds, None, scorer, cfg, obj)[2].box_violations == full
-
-    def test_touched_box_check_sees_a_written_c_past_its_box(self, monkeypatch):
-        # every step after the first writes one c entry to 1.5
-        step = paucopt.solver.asgda_step
-
-        def leaky(state, *args):
-            ids = state.active_c
-            step(state, *args)
-            state.c[ids[:1]] = 1.5
-
-        monkeypatch.setattr(paucopt.solver, "asgda_step", leaky)
-        ds, obj, cfg, _ = self.unbiased_setup(2_000)
-        trace = train(ds, None, init_scorer("linear", 5, seed=7), cfg, obj)[2]
-        assert trace.box_violations == cfg.T - 1
 
 
 def one_pass_record(ds, obj, cfg, tau, xv):

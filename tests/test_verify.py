@@ -123,7 +123,7 @@ class TestBiasSweep:
     def test_orderings(self):
         seed = 0
         ds = generate_synthetic(2000, 0.3, 5, 1.0, seed=seed)
-        tr, va, _ = split(ds, SplitSpec(seed=seed))
+        tr, _, _ = split(ds, SplitSpec(seed=seed))
         scorer = warmup_logistic(init_scorer("linear", 5, seed=seed), tr, 2,
                                  0.3, seed=seed)
         base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.3, 2.0, 0.1,
@@ -131,7 +131,7 @@ class TestBiasSweep:
         cfg = SolverConfig(nu=0.05, lam=1.0, k_coef=1.0, m_coef=27.0, T=3000,
                            batch_pos=32, batch_neg=224, seed=seed,
                            freeze_theta=True, eval_every=3000)
-        rows = run_bias_sweep(tr, va, scorer, [2.0, 32.0], base, cfg)
+        rows = run_bias_sweep(tr, scorer, [2.0, 32.0], base, cfg)
         dev = {(r["kind"], r["kappa"]): r["beta_dev"] for r in rows}
         hinge_dev = [v for (k, _), v in dev.items() if k == "unbiased"][0]
         assert hinge_dev <= dev[("surrogate", 2.0)]
