@@ -196,9 +196,18 @@ def _load_csv_numpy(path, label_column: str) -> Dataset:
                                converters={label_idx: _LABELS.__getitem__})
     if table.shape[1] != len(header) or not len(table):
         raise DataError(f"{path}: no data row, or rows of another width than the header")
-    feats, labels = np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64)
-    del table   # not alive beside the Dataset's finiteness mask
-    return Dataset(feats, labels)
+    n, d = table.shape[0], table.shape[1] - 1
+    # taken first: the compaction below writes over the label column
+    labels = table[:, label_idx].astype(np.int64)
+    # The features are compacted in place, one block of rows after the other:
+    # a block's rows move to lower offsets of the buffer, which the blocks
+    # before it have already read, and its copy is taken before it is written.
+    for block in row_blocks(n, d + 1):
+        table.reshape(-1)[block.start * d:block.stop * d] = \
+            np.delete(table[block], label_idx, axis=1).ravel()
+    # the buffer shrinks to the n*d features in place: no second n*d copy
+    table.resize((n, d), refcheck=False)
+    return Dataset(table, labels)
 
 
 def _load_csv_rows(path, label_column: str = "label") -> Dataset:
@@ -256,22 +265,28 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
     """Write a Dataset back to CSV (inverse of load_csv up to float formatting).
 
     The bytes are csv.writer's: a feature is its repr, which csv never
-    quotes, and CRLF ends a row. Rows are formatted one row_blocks block of
-    d + 1 cells a row at a time: besides the dataset the call holds one block's
-    Python floats, text and encoded text, at most about 120 bytes a cell, so
-    under 4 MB at any n and d (tracemalloc: 3.0 MB at d = 5, 1.5 MB at d = 100).
+    quotes, and CRLF ends a row. Rows are formatted in blocks of BLOCK_CELLS / 4
+    feature cells, one column at a time. Besides the dataset the call holds one
+    block's Python floats, rows, text and encoded text, about 80 bytes a
+    feature cell (a label is one of two constant strings), so about 1 MB at any
+    n and d (tracemalloc: 1.0 MB at d = 1, 0.66 MB at d = 5, 0.63 MB at d = 100).
     """
     header = [f"x{j}" for j in range(ds.dim)]
     # load_csv would read the first column of that name as the labels
     if label_column in header:
         raise DataError(f"label_column must differ from the feature columns "
                         f"x0..x{ds.dim - 1}, got {label_column!r}")
-    row = ",".join(["%r"] * ds.dim + ["%d"]) + "\r\n"
+    # a fixed number of rows: no block takes rows left over, so the held text
+    # grows with neither n nor d (d is 0 for a label-only CSV's Dataset)
+    rows = max(1, BLOCK_CELLS // (4 * max(1, ds.dim)))
+    ends = ("0\r\n", "1\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header + [label_column])
-        for block in row_blocks(ds.n, ds.dim + 1):
-            fh.write("".join([row % (*feats, label) for feats, label in
-                              zip(ds.features[block].tolist(), ds.labels[block].tolist())]))
+        for start in range(0, ds.n, rows):
+            feats = ds.features[start:start + rows]
+            cols = [map(float.__repr__, feats[:, j].tolist()) for j in range(ds.dim)]
+            cols.append([ends[label] for label in ds.labels[start:start + rows].tolist()])
+            fh.write("".join(map(",".join, zip(*cols))))
 
 
 def generate_synthetic(n: int, imbalance: float, d: int = 5,

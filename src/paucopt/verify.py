@@ -252,9 +252,14 @@ ALL_CHECKS = {
 
 
 def run_all_checks(seed: int = 0, only=None, trials=None):
-    """Run the named checks (all by default); returns a list of reports."""
+    """Run the named checks (all by default); returns a list of reports. An
+    unknown name in `only` is a ValueError, raised before any check runs."""
     if trials is not None and not trials >= 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
+    unknown = sorted(set(only or ()) - ALL_CHECKS.keys())
+    if unknown:
+        raise ValueError(f"only names unknown check(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(sorted(ALL_CHECKS))}")
     reports = []
     for name, fn in ALL_CHECKS.items():
         if only is not None and name not in only:

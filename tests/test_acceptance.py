@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from paucopt.cli import bench_rows
+from paucopt.bench import bench_rows
 from paucopt.data import generate_synthetic, split, SplitSpec
 from paucopt.metrics import (
     closed_form_optimum,

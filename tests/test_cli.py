@@ -894,6 +894,17 @@ class TestVerifyCmd:
     def test_zero_trials_usage_error(self):
         assert run_cli("verify", "--trials", "0") == 2
 
+    def test_unknown_only_name_usage_error_before_any_check(self, capsys, monkeypatch):
+        def no_check(**kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setitem(paucopt.verify.ALL_CHECKS, "topk_threshold", no_check)
+        assert run_cli("verify", "--only", "topk_threshold", "bogus") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --only ") and "'bogus'" in err
+        assert "known: " + ", ".join(sorted(paucopt.verify.ALL_CHECKS)) in err
+
 
 @pytest.mark.parametrize("command,work", [("verify", "run_all_checks"), ("bench", "bench_rows")])
 def test_existing_file_as_out_refused_before_the_work(tmp_path, capsys, monkeypatch,
@@ -904,7 +915,8 @@ def test_existing_file_as_out_refused_before_the_work(tmp_path, capsys, monkeypa
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
-    monkeypatch.setattr(paucopt.cli, work, no_work)
+    # each command's work lives in the module named after it
+    monkeypatch.setattr(f"paucopt.{command}.{work}", no_work)
     taken = tmp_path / "file"
     taken.write_text("")
     for out, error in ((taken, "[Errno 17] File exists"),
@@ -941,7 +953,7 @@ class TestSweep:
 
     def test_non_finite_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
                                                          capsys):
-        monkeypatch.setattr(paucopt.cli, "run_bias_sweep", lambda *args: [
+        monkeypatch.setattr(paucopt.verify, "run_bias_sweep", lambda *args: [
             {"kind": "unbiased", "kappa": None, "beta_eff": float("nan")}])
         out = tmp_path / "s"
         assert run_cli("sweep", "--n", "300", "--T", "1", "--out", str(out)) == 2
@@ -1017,6 +1029,18 @@ def test_cli_import_loads_no_scipy():
     """numpy is the one runtime dependency; scipy serves the tests only."""
     src = Path(paucopt.cli.__file__).parent.parent
     code = "import sys, paucopt.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize("code", [
+    # a command imports the bench and verify modules only when it runs them
+    "import sys, paucopt.cli; assert not {'paucopt.bench', 'paucopt.verify'} & set(sys.modules)",
+    # the package itself stays eager
+    "import sys, paucopt; assert 'paucopt.solver' in sys.modules",
+], ids=["cli", "package"])
+def test_cold_start_imports(code):
+    src = Path(paucopt.cli.__file__).parent.parent
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": str(src)})
 

@@ -486,3 +486,11 @@ class TestDataStageMemory:
         # the shuffled ids of both classes and one part's joined ids; a list
         # of numpy scalars costs about 40 bytes an id
         assert got <= 2 * self.N * 8, got
+
+    def test_load_csv_holds_no_second_copy_of_the_features(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_csv(generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0), path)
+        got = self.transient(lambda: load_csv(path))
+        # the parsed table's label column until it is shrunk away, and one
+        # block's copy; a second n x d copy of the features would add 8 MB
+        assert got <= self.N * 8, got
