@@ -51,20 +51,23 @@ def _round_robin_ms(calls: list, reps: int) -> list:
     return [(float(np.median(ms)), float(np.percentile(ms, 90))) for ms in times]
 
 
-def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0):
+# bench_rows' batch sizes, each split in half, one half per class, and its
+# rounds; step_sweep's timed steps per size and formulation
+BATCH_SIZES = (64, 128, 256, 512)
+REPS = 15
+STEPS = 200
+
+
+def bench_rows(seed: int = 0):
     """Median/p90 per-step milliseconds for instance-wise vs pairwise losses."""
-    # a batch size is split in half, one half per class
-    for name, value, low in (("reps", reps, 1), *(("batch_sizes", bs, 2) for bs in batch_sizes)):
-        if not value >= low:
-            raise ValueError(f"{name} must be at least {low}, got {value!r}")
-    n = 2 * max(batch_sizes) + 4
+    n = 2 * max(BATCH_SIZES) + 4
     ds = generate_synthetic(n, 0.5, 5, 2.0, seed)
     scorer = init_scorer("linear", 5, seed=seed)
     obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate",
                               beta=0.3, prior_p=ds.prior_p)
     tau, gamma = MinVars(theta=scorer).flat()[None], np.zeros(1)
     steps, calls = [], []     # (half batch, kind) and the step of each
-    for bs in batch_sizes:
+    for bs in BATCH_SIZES:
         half = bs // 2
         batch = stratified_sample(ds, half, half, np.random.default_rng(seed))
         f_pos = list(score_batch(scorer, ds.features.take(batch.pos_ids, axis=0)))
@@ -74,18 +77,17 @@ def bench_rows(batch_sizes=(64, 128, 256, 512), reps: int = 15, seed: int = 0):
                                            dims=scorer.layer_dims).value,
                   lambda p=f_pos, q=f_neg: _pairwise_reference_step(p, q)]
     return [(half, half, median, p90, kind) for (half, kind), (median, p90)
-            in zip(steps, _round_robin_ms(calls, reps))]
+            in zip(steps, _round_robin_ms(calls, REPS))]
 
 
-def step_sweep(steps: int = 200, seed: int = 0):
-    """Median/p90 milliseconds per asgda_step at n = 2e3, 2e5, 2e6, both formulations.
+def step_sweep(seed: int = 0):
+    """Median/p90 milliseconds per asgda_step at n = 2e3, 2e5, 2e6, both
+    formulations, over STEPS rounds.
 
     The problem is the README's OPAUC(0.3) with a linear scorer and a
     32 + 224 batch. One step touches only the batch, so its cost should not
     depend on n.
     """
-    if not steps >= 1:
-        raise ValueError(f"steps must be at least 1, got {steps!r}")
     cfg = SolverConfig(nu=0.5, lam=0.5, seed=seed)
     runs, calls = [], []
     for n in (2_000, 200_000, 2_000_000):
@@ -96,7 +98,7 @@ def step_sweep(steps: int = 200, seed: int = 0):
             runs.append((form, n))
             calls.append(functools.partial(asgda_step, state, cfg, obj, ds))
     return [{"formulation": form, "n": n, "median_ms": median, "p90_ms": p90}
-            for (form, n), (median, p90) in zip(runs, _round_robin_ms(calls, steps))]
+            for (form, n), (median, p90) in zip(runs, _round_robin_ms(calls, STEPS))]
 
 
 # The README's minimal train config.
@@ -187,14 +189,14 @@ def end_to_end(seed: int) -> list:
 BENCH_COLUMNS = ["batch_pos", "batch_neg", "median_ms", "p90_ms", "kind"]
 
 
-def bench_document(label: str, rows: list, seed: int, reps: int, steps: int) -> dict:
+def bench_document(label: str, rows: list, seed: int) -> dict:
     """The BENCH_<label>.json record: bench_rows' rows, the step n-sweep, the
-    end-to-end command times, the seed, the library versions and the
-    src/paucopt line count."""
-    return {"label": label, "seed": seed, "reps": reps, "steps": steps,
+    end-to-end command times, the seed, the rounds and steps they were timed
+    over, the library versions and the src/paucopt line count."""
+    return {"label": label, "seed": seed, "reps": REPS, "steps": STEPS,
             "versions": {"python": platform.python_version(), "numpy": np.__version__},
             "src_paucopt_lines": sum(p.read_text(encoding="utf-8").count("\n")
                                      for p in Path(__file__).parent.glob("*.py")),
             "instance_vs_pairwise": [dict(zip(BENCH_COLUMNS, row)) for row in rows],
-            "step_sweep": step_sweep(steps=steps, seed=seed),
+            "step_sweep": step_sweep(seed=seed),
             "end_to_end": end_to_end(seed)}

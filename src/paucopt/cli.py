@@ -27,7 +27,7 @@ from .metrics import empirical_auc, empirical_opauc, empirical_tpauc
 from .metrics import roc_points as roc_curve
 from .objectives import FLAT_SCALARS, ObjectiveConfig
 from .scorer import ScorerParams, init_scorer, score_batch, warmup_logistic
-from .solver import SolverConfig, TraceRecord, _val_pauc, train
+from .solver import SolverConfig, TraceRecord, _val_pauc, check_val_counts, train
 # .bench and .verify are imported by the commands that run them, so that no
 # other command pays for their imports
 
@@ -211,6 +211,8 @@ def _load_run_config(args):
         ds = _build(generate_synthetic, names,
                     **{**syn, "seed": seed if syn["seed"] is None else syn["seed"]})
     ds_train, ds_val, ds_test = _build(split, names, ds, spec)
+    # train checks this too, but after cmd_train has made --out
+    _build(check_val_counts, _CONFIG_NAMES["objective"], ds_val, obj_cfg)
     scorer = init_scorer(sc["kind"], ds.dim, tuple(sc["hidden"]), seed=seed)
     obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
     return ds_train, ds_val, ds_test, scorer, obj_cfg, solver_cfg
@@ -404,17 +406,9 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import BENCH_COLUMNS, bench_document, bench_rows
 
-    # a flag that would be read for nothing is an error, not a silent no-op
-    if args.label is None and args.steps is not None:
-        raise ValueError("--steps has no effect without --label")
     _refuse_taken_out(args)
-    flags = {"batch_sizes": "--batch-sizes", "reps": "--reps", "steps": "--steps"}
-    rows = _build(bench_rows, flags, tuple(args.batch_sizes), args.reps, args.seed)
-    # step_sweep, the first timing of bench_document, checks --steps: the
-    # document is made before anything is written or printed
-    doc = (None if args.label is None else
-           _build(bench_document, flags, args.label, rows, args.seed, args.reps,
-                  200 if args.steps is None else args.steps))
+    rows = bench_rows(args.seed)
+    doc = None if args.label is None else bench_document(args.label, rows, args.seed)
     out = _out_dir(args)
     with open(out / "timings.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -494,17 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 
-    b = sub.add_parser("bench", help="per-step timing across batch sizes")
-    b.add_argument("--batch-sizes", nargs="+", type=int, default=[64, 128, 256, 512])
-    b.add_argument("--reps", type=int, default=15)
+    b = sub.add_parser("bench", help="per-step timing at batch sizes 64, 128, 256 and 512")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="out")
     b.add_argument("--label", default=None,
                    help="also time solver steps at n = 2e3, 2e5, 2e6 and whole train, "
                         "generate and evaluate commands, each in a fresh interpreter; "
                         "write BENCH_<label>.json")
-    b.add_argument("--steps", type=int, default=None,
-                   help="timed steps per size and formulation (default 200; needs --label)")
     b.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("sweep", help="softplus-sharpness sensitivity sweep")

@@ -55,8 +55,9 @@ class ObjectiveConfig:
     beta: float = 0.3
     kappa: float = 4.0
     omega: float = 0.0
-    lagrange_cap: float = 1e9
     prior_p: float = 0.5
+    # the Lagrange multipliers' upper bound: not a field, so nothing sets it
+    lagrange_cap = 1e9
 
     def __post_init__(self):
         if self.metric_kind not in get_args(MetricKind):
@@ -71,7 +72,6 @@ class ObjectiveConfig:
                 # the softplus of an infinite sharpness is inf/inf
                 ("kappa", self.kappa < np.inf or self.formulation == "unbiased", "be finite"),
                 ("omega", self.omega >= 0, "be nonnegative"),
-                ("lagrange_cap", self.lagrange_cap >= 0, "be nonnegative"),
                 ("prior_p", 0.0 < self.prior_p < 1.0, "lie in (0,1)")):
             if not ok:
                 raise ObjectiveError(f"{name} must {rule}, got {getattr(self, name)!r}")
@@ -211,12 +211,13 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     tau stacks K MinVars.flat vectors whose theta has layer shape dims,
     gamma is (K,), and c holds the unbiased form's weights at
     hinged_ids(cfg, batch), one row per point; the surrogate reads no c.
-    Each value is the batch mean of the per-instance objective plus the
-    Lagrangian terms (added once). Negative hinges are taken at s'; for
-    TPAUC the positive hinges are taken at s. For the unbiased form the
-    concavity regularizer also subtracts omega * the batch mean of the
-    participating c_i^2. The forward pass, every (K, B) term and every
-    batch sum run once over the stacked batch for all K points. The values
+    Each value is the batch mean of the per-instance objective, each class
+    weighted by its share of the batch, plus the Lagrangian terms (added
+    once). Negative hinges are taken at s'; for TPAUC the positive hinges
+    are taken at s. For the unbiased form the concavity regularizer also
+    subtracts omega * the batch mean of the participating c_i^2. The
+    forward pass, every (K, B) term and every batch sum run once over the
+    stacked batch for all K points. The values
     are computed when LossGrad.value is first read, from copies of tau's
     scalars, gamma and c, so the caller may overwrite its arrays meanwhile.
     """
@@ -228,8 +229,12 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     unbiased = cfg.formulation == "unbiased"
     if unbiased and (c is None or c.shape != (K, n_pos * tpauc + len(batch.neg_ids))):
         raise ObjectiveError("c must hold one weight per hinged batch id at each point")
-    p, q = cfg.prior_p, 1.0 - cfg.prior_p
     omega, B = cfg.omega, batch.size
+    # each class's terms are weighted by its share of this batch, so the batch
+    # mean is a stratified estimate of the whole split's value; a class-pure
+    # batch (a trace record's row block) keeps the split's prior
+    p = n_pos / B if 0 < n_pos < B else cfg.prior_p
+    q = 1.0 - p
     # the flat-layout scalars as (K, 1) columns, gamma likewise
     a, b, s, sp, ta, tb = tau[:, -len(FLAT_SCALARS):, None].transpose(1, 0, 2).copy()
     gamma = gamma.copy()

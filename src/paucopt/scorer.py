@@ -179,9 +179,12 @@ def score_with_pullback(dims, weights: np.ndarray, x: np.ndarray):
     return f, lambda dz: backprop_logit(layers, acts, dz)
 
 
+WARMUP_BATCH = 256
+
+
 def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
-                    batch_size: int = 256, seed: int = 0) -> ScorerParams:
-    """Minibatch gradient descent on binary cross-entropy."""
+                    seed: int = 0) -> ScorerParams:
+    """Minibatch gradient descent on binary cross-entropy, WARMUP_BATCH rows a batch."""
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
     if epochs == 0 or lr == 0:
@@ -190,8 +193,8 @@ def warmup_logistic(params: ScorerParams, ds, epochs: int, lr: float,
     w = params.weights.copy()
     for _ in range(epochs):
         order = rng.permutation(ds.n)
-        for start in range(0, ds.n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, ds.n, WARMUP_BATCH):
+            idx = order[start:start + WARMUP_BATCH]
             x = ds.features.take(idx, axis=0)
             y = ds.labels.take(idx).astype(np.float64)
             f, pullback = score_with_pullback(params.layer_dims, w[None], x)

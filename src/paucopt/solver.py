@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Minibatch, row_blocks, stratified_sample
-from .metrics import PaucReport, empirical_opauc, empirical_tpauc
+from .metrics import MetricError, PaucReport, _count, empirical_opauc, empirical_tpauc
 from .objectives import MaxVars, MinVars, ObjectiveConfig, evaluate, hinged_ids
 from .scorer import ScorerParams, score_batch, warmup_logistic
 
@@ -33,8 +33,6 @@ class SolverConfig:
     lam: float = 0.5           # max-side step
     k_coef: float = 2.0
     m_coef: float = 10.0
-    iota1: float = 1.0
-    iota2: float = 1.0
     T: int = 500
     batch_pos: int = 32
     batch_neg: int = 224
@@ -48,9 +46,8 @@ class SolverConfig:
         # bound; written so that NaN, which compares False, fails
         for name, bound, strict in (
                 ("nu", 0, False), ("lam", 0, False), ("k_coef", 0, True), ("m_coef", 2, False),
-                ("iota1", 0, True), ("iota2", 0, True), ("T", 0, False), ("batch_pos", 1, False),
-                ("batch_neg", 1, False), ("seed", 0, False), ("warmup_epochs", 0, False),
-                ("eval_every", 1, False)):
+                ("T", 0, False), ("batch_pos", 1, False), ("batch_neg", 1, False),
+                ("seed", 0, False), ("warmup_epochs", 0, False), ("eval_every", 1, False)):
             value = getattr(self, name)
             if not (value > bound if strict else value >= bound):
                 raise SolverError(f"{name} must be {'above' if strict else 'at least'} "
@@ -174,12 +171,12 @@ def asgda_step(state: SolverState, cfg: SolverConfig,
     lg = evaluate(obj_cfg, np.array([tau, state.tau]), np.array([gamma, state.gamma]),
                   batch, ds, np.array([c_old, state.c[ids]]), dims=state.scorer.layer_dims)
 
-    rho = cfg.iota1 * eta ** 2
-    xi = cfg.iota2 * eta ** 2
-    state.v = _storm(state.v, *lg.grad_min, rho)
-    state.w_gamma = _storm(state.w_gamma, *lg.grad_max_gamma.tolist(), xi)
+    # every momentum decays by eta^2, Acc-MDA's rho_t = iota*eta_t^2 at iota = 1
+    decay = eta ** 2
+    state.v = _storm(state.v, *lg.grad_min, decay)
+    state.w_gamma = _storm(state.w_gamma, *lg.grad_max_gamma.tolist(), decay)
     if len(ids):
-        state.w_c[ids] = _storm(state.w_c[ids], *lg.grad_max_c, xi)
+        state.w_c[ids] = _storm(state.w_c[ids], *lg.grad_max_c, decay)
     state.active_c = ids
     state.t += 1
 
@@ -207,6 +204,18 @@ def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> PaucRe
     if obj_cfg.metric_kind == "TPAUC":
         return empirical_tpauc(pos, neg, obj_cfg.alpha, obj_cfg.beta)
     return empirical_opauc(pos, neg, obj_cfg.beta)
+
+
+def check_val_counts(ds_val: Dataset, obj_cfg: ObjectiveConfig) -> None:
+    """Raise a SolverError that opens with alpha or beta when the exact
+    metric _val_pauc takes on ds_val would select no positive or no
+    negative, by the count rule every metric call applies."""
+    selections = [("alpha", ds_val.n_pos, "pos")] if obj_cfg.metric_kind == "TPAUC" else []
+    for name, n, side in [*selections, ("beta", ds_val.n_neg, "neg")]:
+        try:
+            _count(n, getattr(obj_cfg, name), side, name)
+        except MetricError as exc:
+            raise SolverError(f"{name} selects no validation instance: {exc}") from None
 
 
 # A trace record's evaluate calls take row_blocks of two cells a row: 16384
@@ -247,8 +256,11 @@ def train(ds_train: Dataset, ds_val: Dataset | None,
     Returns (MinVars, MaxVars, TrainTrace). The trace records objective and
     stationarity-proxy values over the whole training split (from
     _record_value_grad) every cfg.eval_every iterations and at the final
-    step, and tracks the best validation partial AUC seen.
+    step, and tracks the best validation partial AUC seen. A ds_val on which
+    that metric would select no instance of a class fails before the warm-up.
     """
+    if ds_val is not None:
+        check_val_counts(ds_val, obj_cfg)
     scorer = warmup_logistic(scorer_init, ds_train, cfg.warmup_epochs,
                              cfg.nu, seed=cfg.seed)
     state = init_state(ds_train, scorer, cfg, obj_cfg)

@@ -118,7 +118,7 @@ def test_4_gradient_fidelity():
                               float(rng.uniform(0.2, 1.0)),
                               float(rng.uniform(0.2, 1.0)),
                               float(rng.uniform(1, 8)),
-                              float(rng.uniform(0, 2)), 1e9, ds.prior_p)
+                              float(rng.uniform(0, 2)), ds.prior_p)
         mv = MinVars(theta, a=float(rng.uniform(0, 1)),
                      b=float(rng.uniform(0, 1)),
                      s=float(rng.uniform(-4, 1)),
@@ -218,7 +218,7 @@ def test_7_quantile_deviation_ordering():
 
 
 def test_8_linear_per_iteration_cost():
-    rows = bench_rows(batch_sizes=(64, 128, 256, 512), reps=15, seed=0)
+    rows = bench_rows(seed=0)
     med = {(kind, 2 * bp): m for bp, bn, m, p90, kind in rows}
     ok = True
     for small, big in ((64, 128), (128, 256), (256, 512)):
@@ -257,7 +257,7 @@ def test_9_degenerations():
         c[ds.pos_ids] = (P - s > 0).astype(float)
         batch = Minibatch(ds.pos_ids, ds.neg_ids)
         kw = dict(alpha=1.0, beta=0.5, kappa=2.0, omega=0.0,
-                  lagrange_cap=1e9, prior_p=ds.prior_p)
+                  prior_p=ds.prior_p)
         tp = ObjectiveConfig("TPAUC", "unbiased", **kw)
         op = ObjectiveConfig("OPAUC", "unbiased", **kw)
         v_tp = evaluate_at(tp, MinVars(theta, a=a, b=b, s=s, s_prime=sp),

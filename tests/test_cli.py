@@ -165,6 +165,11 @@ class TestTrain:
         ("solver", {"seed": 4}, "seed"),
         # batch_pos and batch_neg are the batch; no key sets both
         ("solver", {"batch": 64}, "batch"),
+        # fixed: every momentum decays by eta^2, and the multipliers' cap is
+        # ObjectiveConfig.lagrange_cap
+        ("solver", {"iota1": 1.0}, "iota1"),
+        ("solver", {"iota2": 1.0}, "iota2"),
+        ("objective", {"lagrange_cap": 1e9}, "lagrange_cap"),
     ])
     def test_unknown_key_usage_error(self, tmp_path, capsys, section, entry,
                                      bad_key):
@@ -213,13 +218,27 @@ class TestTrain:
         assert f"config {name} has no effect" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("objective,name", [
+        ({"metric": "OPAUC", "beta": 0.003}, "beta"),
+        ({"metric": "TPAUC", "alpha": 0.01, "beta": 0.3}, "alpha")])
+    def test_selecting_no_validation_instance_usage_error(self, tmp_path, capsys, calls,
+                                                           objective, name):
+        # the validation split holds 12 positives and 48 negatives; the
+        # count is checked before --out is made and the scorer is warmed
+        cfg = self.write_config(tmp_path, objective=objective)
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config objective.{name} selects no validation instance: ")
+        assert not (tmp_path / "x").exists()
+        assert calls["warmup_logistic"] == calls["train"] == 0
+
     @pytest.mark.parametrize("section,entry,name", [
         ("objective", {"omega": float("nan")}, "omega"),
         ("objective", {"kappa": float("nan")}, "kappa"),
-        ("objective", {"lagrange_cap": float("nan")}, "lagrange_cap"),
-        ("objective", {"lagrange_cap": -1}, "lagrange_cap"),
+        ("objective", {"kappa": float("inf")}, "kappa"),
+        ("solver", {"lambda": float("nan")}, "lambda"),
         ("solver", {"nu": float("nan")}, "nu"),
-        ("solver", {"iota2": float("nan")}, "iota2"),
     ])
     def test_out_of_range_value_usage_error(self, tmp_path, capsys, section, entry, name):
         # json reads NaN; a range check must reject it rather than let the
@@ -309,9 +328,9 @@ class TestTrain:
     @pytest.mark.parametrize("section,key,value", [
         ("split", "train_frac", 0), ("split", "val_frac", 0), ("split", "test_frac", 0),
         ("objective", "alpha", 0), ("objective", "beta", 0), ("objective", "kappa", 0),
-        ("objective", "omega", -1), ("objective", "lagrange_cap", -1),
+        ("objective", "omega", -1),
         ("solver", "nu", -1), ("solver", "lambda", -1), ("solver", "k", 0), ("solver", "m", 1),
-        ("solver", "iota1", 0), ("solver", "iota2", 0), ("solver", "T", -1),
+        ("solver", "T", -1),
         ("solver", "batch_pos", 0), ("solver", "batch_neg", 0), ("solver", "eval_every", 0),
         ("solver", "warmup_epochs", -1),
     ])
@@ -372,7 +391,7 @@ class TestTrain:
         cfg = self.write_config(
             tmp_path, solver=big,
             objective={"metric": "TPAUC", "alpha": 0.5, "beta": 0.3,
-                       "formulation": "unbiased", "lagrange_cap": 1e308})
+                       "formulation": "unbiased"})
         out = tmp_path / "out"
         with np.errstate(all="ignore"):
             rc = run_cli("train", "--config", str(cfg), "--out", str(out))
@@ -429,8 +448,8 @@ class TestRunConfigSchema:
             generate_synthetic(2000, 0.1, 5, 4.0, 0), SplitSpec(0.7, 0.15, 0.15, 0),
             (1400, 300, 300), init_scorer("linear", 5, (8,), seed=0),
             ObjectiveConfig("OPAUC", "surrogate", alpha=1.0, beta=0.3, kappa=4.0,
-                            omega=0.0, lagrange_cap=1e9, prior_p=140 / 1400),
-            SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0, iota1=1.0, iota2=1.0,
+                            omega=0.0, prior_p=140 / 1400),
+            SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0,
                          T=500, batch_pos=32, batch_neg=224, seed=0, warmup_epochs=0,
                          eval_every=50, freeze_theta=False))
 
@@ -443,8 +462,8 @@ class TestRunConfigSchema:
             generate_synthetic(2000, 0.1, 5, 4.0, 7), SplitSpec(0.7, 0.15, 0.15, 7),
             (1400, 300, 300), init_scorer("linear", 5, seed=7),
             ObjectiveConfig("OPAUC", "unbiased", alpha=1.0, beta=0.3, kappa=4.0,
-                            omega=0.1, lagrange_cap=1e9, prior_p=140 / 1400),
-            SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0, iota1=1.0, iota2=1.0,
+                            omega=0.1, prior_p=140 / 1400),
+            SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0,
                          T=300, batch_pos=32, batch_neg=224, seed=7, warmup_epochs=2,
                          eval_every=50))
 
@@ -455,9 +474,9 @@ class TestRunConfigSchema:
             "split": {"train_frac": 0.5, "val_frac": 0.3, "test_frac": 0.2, "seed": 9},
             "scorer": {"kind": "mlp", "hidden": [4, 3]},
             "objective": {"metric": "TPAUC", "formulation": "unbiased", "alpha": 0.5,
-                          "beta": 0.4, "kappa": 8.0, "omega": 0.2, "lagrange_cap": 100},
-            "solver": {"nu": 0.3, "lambda": 0.2, "k": 1.5, "m": 8.0, "iota1": 0.7,
-                       "iota2": 0.9, "T": 40, "batch_pos": 5, "batch_neg": 20,
+                          "beta": 0.4, "kappa": 8.0, "omega": 0.2},
+            "solver": {"nu": 0.3, "lambda": 0.2, "k": 1.5, "m": 8.0,
+                       "T": 40, "batch_pos": 5, "batch_neg": 20,
                        "warmup_epochs": 1, "eval_every": 10},
             "seed": 3,
         }
@@ -466,8 +485,8 @@ class TestRunConfigSchema:
             generate_synthetic(600, 0.25, 3, 3.0, 4), SplitSpec(0.5, 0.3, 0.2, 9),
             (300, 180, 120), init_scorer("mlp", 3, (4, 3), seed=3),
             ObjectiveConfig("TPAUC", "unbiased", alpha=0.5, beta=0.4, kappa=8.0,
-                            omega=0.2, lagrange_cap=100.0, prior_p=75 / 300),
-            SolverConfig(nu=0.3, lam=0.2, k_coef=1.5, m_coef=8.0, iota1=0.7, iota2=0.9,
+                            omega=0.2, prior_p=75 / 300),
+            SolverConfig(nu=0.3, lam=0.2, k_coef=1.5, m_coef=8.0,
                          T=40, batch_pos=5, batch_neg=20, seed=3, warmup_epochs=1,
                          eval_every=10))
 
@@ -572,10 +591,6 @@ def test_negative_t_flag_is_named_as_the_flag(tmp_path, capsys):
 
 # a flag value outside its range, with the error that names the flag
 BAD_FLAGS = [
-    (["bench", "--reps", "0"], "--reps must be at least 1, got 0"),
-    (["bench", "--steps", "0", "--label", "x"], "--steps must be at least 1, got 0"),
-    (["bench", "--steps", "5"], "--steps has no effect without --label"),
-    (["bench", "--batch-sizes", "64", "1"], "--batch-sizes must be at least 2, got 1"),
     (["verify", "--trials", "-3"], "--trials must be at least 1, got -3"),
     (["sweep", "--T", "-1"], "--T must be at least 0, got -1"),
     (["sweep", "--kappas", "2", "0"], "--kappas must be positive, got 0.0"),
@@ -595,9 +610,7 @@ BAD_FLAGS = [
 
 
 @pytest.mark.parametrize("argv,message", BAD_FLAGS,
-                         ids=[argv[0] + message.split()[0]
-                              + ("-alone" if "no effect" in message else "")
-                              for argv, message in BAD_FLAGS])
+                         ids=[argv[0] + message.split()[0] for argv, message in BAD_FLAGS])
 def test_out_of_range_flag_usage_error_names_the_flag(tmp_path, capsys, monkeypatch,
                                                       argv, message):
     # each flag is checked by the dataclass or function that takes its value,
@@ -608,6 +621,18 @@ def test_out_of_range_flag_usage_error_names_the_flag(tmp_path, capsys, monkeypa
     out = ["--output", "x.csv"] if argv[0] == "generate" else ["--out", "x"]
     assert run_cli(*argv, *out) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--batch-sizes", "--reps", "--steps"])
+def test_bench_takes_no_size_flag(tmp_path, capsys, monkeypatch, flag):
+    # bench times fixed batch sizes, rounds and steps, so every BENCH file
+    # compares with the others
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", flag, "5", "--out", "x")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -974,8 +999,7 @@ class TestSweep:
 class TestBench:
     def test_csv_columns_and_ratios(self, tmp_path, capsys):
         out = tmp_path / "b"
-        rc = run_cli("bench", "--batch-sizes", "64", "128", "--reps", "9",
-                     "--out", str(out))
+        rc = run_cli("bench", "--out", str(out))
         assert rc == 0
         with open(out / "timings.csv") as fh:
             rows = list(csv.reader(fh))
@@ -991,11 +1015,10 @@ class TestBench:
             in zip(paucopt.bench.TRAIN_RUNS, (400, 500, 600))))
         monkeypatch.setattr(paucopt.bench, "EVALUATE_ROWS", (300, 600))
         out = tmp_path / "b"
-        rc = run_cli("bench", "--batch-sizes", "64", "128", "--reps", "3",
-                     "--steps", "5", "--label", "t1", "--out", str(out))
+        rc = run_cli("bench", "--label", "t1", "--out", str(out))
         assert rc == 0
         doc = json.loads((out / "BENCH_t1.json").read_text())
-        assert (doc["label"], doc["seed"], doc["reps"], doc["steps"]) == ("t1", 0, 3, 5)
+        assert (doc["label"], doc["seed"], doc["reps"], doc["steps"]) == ("t1", 0, 15, 200)
         assert doc["versions"]["numpy"] == np.__version__
         src = Path(paucopt.cli.__file__).parent
         assert doc["src_paucopt_lines"] == sum(

@@ -122,6 +122,14 @@ def _check_batch(batch: Minibatch):
         raise ObjectiveError("empty batch")
 
 
+def class_shares(cfg: ObjectiveConfig, batch: Minibatch) -> tuple:
+    """(p, q): the batch's positive share and 1 - p; the prior for a
+    class-pure batch."""
+    n_pos = len(batch.pos_ids)
+    p = n_pos / batch.size if 0 < n_pos < batch.size else cfg.prior_p
+    return p, 1.0 - p
+
+
 def _assemble(mv: MinVars, ga, gb, gs, gsp, theta_weights_pos, theta_weights_neg,
               x_pos, x_neg, cfg: ObjectiveConfig, gamma: float):
     """Finish an evaluation: Lagrangian terms, theta backprop, flat gradient."""
@@ -151,7 +159,7 @@ def eval_surrogate(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
     if cfg.formulation != "surrogate":
         raise ObjectiveError("eval_surrogate requires formulation='surrogate'")
     _check_batch(batch)
-    p, q = cfg.prior_p, 1.0 - cfg.prior_p
+    p, q = class_shares(cfg, batch)
     alpha, beta, kappa, omega = cfg.alpha, cfg.beta, cfg.kappa, cfg.omega
     gamma = xv.gamma
     B = batch.size
@@ -207,7 +215,7 @@ def eval_unbiased(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
     _check_batch(batch)
     if len(xv.c) < ds.n:
         raise ObjectiveError("c must carry one entry per dataset instance")
-    p, q = cfg.prior_p, 1.0 - cfg.prior_p
+    p, q = class_shares(cfg, batch)
     alpha, beta, omega = cfg.alpha, cfg.beta, cfg.omega
     gamma = xv.gamma
     B = batch.size
@@ -311,15 +319,14 @@ def asgda_step_oracle(state: OracleState, cfg: SolverConfig,
     lg_new = evaluate_oracle(obj_cfg, tau_new, max_new, batch, ds)
     lg_old = evaluate_oracle(obj_cfg, tau_old, max_old, batch, ds)
 
-    rho = cfg.iota1 * eta ** 2
-    xi = cfg.iota2 * eta ** 2
-    v_next = lg_new.grad_min + (1.0 - rho) * (state.v - lg_old.grad_min)
+    decay = eta ** 2
+    v_next = lg_new.grad_min + (1.0 - decay) * (state.v - lg_old.grad_min)
     w_gamma_next = (lg_new.grad_max_gamma
-                    + (1.0 - xi) * (state.w_gamma - lg_old.grad_max_gamma))
+                    + (1.0 - decay) * (state.w_gamma - lg_old.grad_max_gamma))
     w_c_next = dict(state.w_c)
     for idx, g_new in lg_new.grad_max_c.items():
         g_old = lg_old.grad_max_c[idx]
-        w_c_next[idx] = g_new + (1.0 - xi) * (w_c_next.get(idx, 0.0) - g_old)
+        w_c_next[idx] = g_new + (1.0 - decay) * (w_c_next.get(idx, 0.0) - g_old)
 
     return OracleState(tau=tau_new, gamma_block=max_new, v=v_next,
                        w_gamma=w_gamma_next, w_c=w_c_next,
@@ -340,7 +347,7 @@ def test_evaluate_matches_two_evaluator_oracle(metric, formulation, kind):
         theta = init_scorer(kind, d, (4,), seed=seed)
         cfg = ObjectiveConfig(metric, formulation, float(rng.uniform(0.1, 1.0)),
                               float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 16)),
-                              float(rng.uniform(0, 2)) * (seed % 3 > 0), 1e9,
+                              float(rng.uniform(0, 2)) * (seed % 3 > 0),
                               ds.prior_p)
         mv = MinVars(theta, *(float(v) for v in rng.uniform(
             [0, 0, -4, 0, 0, 0], [1, 1, 1, 5, 3, 3])))

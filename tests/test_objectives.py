@@ -116,14 +116,12 @@ NAN = float("nan")
     (lambda: ObjectiveConfig(kappa=NAN), "kappa must be positive"),
     (lambda: ObjectiveConfig(omega=-0.1), "omega must be nonnegative"),
     (lambda: ObjectiveConfig(omega=NAN), "omega must be nonnegative, got nan"),
-    (lambda: ObjectiveConfig(lagrange_cap=-1.0), "lagrange_cap must be nonnegative"),
-    (lambda: ObjectiveConfig(lagrange_cap=NAN), "lagrange_cap must be nonnegative"),
     (lambda: ObjectiveConfig(prior_p=1.0), "prior_p must lie in"),
     (lambda: MinVars(init_scorer("linear", 2, seed=0)).with_flat(np.zeros(8)),
      "flat vector length"),
     (_empty_batch_evaluate, "empty batch"),
 ], ids=["metric", "alpha", "beta", "beta-nan", "kappa-nan", "omega", "omega-nan",
-        "lagrange_cap", "lagrange_cap-nan", "prior_p", "with_flat", "evaluate-empty"])
+        "prior_p", "with_flat", "evaluate-empty"])
 def test_invalid_input_raises(make, message):
     with pytest.raises(ObjectiveError, match=message):
         make()
@@ -181,7 +179,7 @@ class TestProjection:
 class TestSurrogateValues:
     def test_single_negative_hand_value(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
-        cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
+        cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 0.5)
         mv = MinVars(theta, a=1.0, b=0.5, s_prime=1.0)
         lg = evaluate_at(cfg, mv, MaxVars(0.0, np.ones(2)),
                          Minibatch(np.array([], int), np.array([1])), ds)
@@ -189,7 +187,7 @@ class TestSurrogateValues:
 
     def test_positive_a_gradient(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
-        cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
+        cfg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 0.5)
         mv = MinVars(theta, a=0.65)
         lg = evaluate_at(cfg, mv, MaxVars(0.0, np.ones(2)),
                          Minibatch(np.array([0]), np.array([], int)), ds)
@@ -200,8 +198,8 @@ class TestSurrogateValues:
         batch = Minibatch(np.array([0]), np.array([1]))
         xv = MaxVars(0.3, np.ones(2))
         mv = MinVars(theta)
-        base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
-        reg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 1.5, 1e9, 0.5)
+        base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 0.0, 0.5)
+        reg = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.5, 2.0, 1.5, 0.5)
         g0 = evaluate_at(base, mv, xv, batch, ds).grad_max_gamma
         g1 = evaluate_at(reg, mv, xv, batch, ds).grad_max_gamma
         assert g1 - g0 == pytest.approx(-2 * 1.5 * 0.3)
@@ -241,7 +239,7 @@ class TestSurrogateValues:
 class TestUnbiasedValues:
     def test_single_negative_hand_value(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
-        cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.0, 1e9, 0.5)
+        cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.0, 0.5)
         mv = MinVars(theta, b=0.5, s_prime=0.5)
         lg = evaluate_at(cfg, mv, MaxVars(0.0, np.ones(2)),
                          Minibatch(np.array([], int), np.array([1])), ds)
@@ -250,7 +248,7 @@ class TestUnbiasedValues:
     def test_c_grad_at_zero_multiplicand(self):
         # N - s' = 0: value has no data dependence on c, only the regularizer
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
-        cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.8, 1e9, 0.5)
+        cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.8, 0.5)
         mv = MinVars(theta, b=0.5, s_prime=1.0)  # N = 1.0 exactly
         c = np.full(2, 0.6)
         lg = evaluate_at(cfg, mv, MaxVars(0.0, c),
@@ -318,7 +316,7 @@ class TestDegeneration:
             c[ds.pos_ids] = (P - s > 0).astype(float)
             batch = Minibatch(ds.pos_ids, ds.neg_ids)
             kw = dict(alpha=1.0, beta=0.5, kappa=2.0, omega=0.0,
-                      lagrange_cap=1e9, prior_p=ds.prior_p)
+                      prior_p=ds.prior_p)
             tp = ObjectiveConfig("TPAUC", "unbiased", **kw)
             op = ObjectiveConfig("OPAUC", "unbiased", **kw)
             mv_tp = MinVars(theta, a=a, b=b, s=s, s_prime=sp)
@@ -366,7 +364,7 @@ class TestGradientFidelity:
                                   float(rng.uniform(0.2, 1.0)),
                                   float(rng.uniform(0.2, 1.0)),
                                   float(rng.uniform(1, 8)),
-                                  float(rng.uniform(0, 2)), 1e9, ds.prior_p)
+                                  float(rng.uniform(0, 2)), ds.prior_p)
             mv = MinVars(theta, a=float(rng.uniform(0, 1)),
                          b=float(rng.uniform(0, 1)),
                          s=float(rng.uniform(-4, 1)),
@@ -405,3 +403,27 @@ class TestGradientFidelity:
                                      ds).value) / (2 * h)
                 worst = max(worst, abs(num - g) / max(abs(num), abs(g), 1e-3))
         assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+@pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+def test_class_weighted_batches_average_to_the_full_batch(metric, formulation):
+    # 16 batches of 10 + 10 cover each of 40 positives 4 times and each of 160
+    # negatives once. Weighted by its own class shares, each batch estimates
+    # each class's mean, so the batches' mean partials are the full batch's;
+    # weighted by the split's 0.2 prior, the positives would weigh 2.5 times
+    # too much
+    rng = np.random.default_rng(3)
+    labels = np.repeat([1, 0], [40, 160])
+    ds = Dataset(rng.normal(size=(200, 3)) + labels[:, None], labels)
+    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    theta = init_scorer("mlp", 3, (4,), seed=3)
+    mv = project_min(MinVars(theta, 0.6, 0.3, -0.5, 0.8, 0.4, 0.2), cfg)
+    xv = MaxVars(0.25, rng.uniform(0, 1, ds.n))
+    batches = [Minibatch(ds.pos_ids[10 * k % 40:][:10], ds.neg_ids[10 * k:][:10])
+               for k in range(16)]
+    parts = [evaluate_at(cfg, mv, xv, batch, ds) for batch in batches]
+    full = evaluate_at(cfg, mv, xv, Minibatch(ds.pos_ids, ds.neg_ids), ds)
+    np.testing.assert_allclose(np.mean([lg.grad_min for lg in parts], axis=0),
+                               full.grad_min, rtol=0, atol=1e-12)
+    assert abs(np.mean([lg.grad_max_gamma for lg in parts]) - full.grad_max_gamma) <= 1e-12

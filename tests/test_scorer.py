@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import paucopt.scorer
 from paucopt.data import Dataset, row_blocks
 from paucopt.scorer import (
     ScorerParams,
@@ -267,12 +268,14 @@ class TestWarmup:
     # 100 rows: 25 divides them, 32 leaves a last batch of 4
     @pytest.mark.parametrize("batch_size", [25, 32])
     @pytest.mark.parametrize("epochs", [1, 3])
-    def test_matches_fancy_index_oracle(self, kind, hidden, batch_size, epochs):
+    def test_matches_fancy_index_oracle(self, monkeypatch, kind, hidden, batch_size, epochs):
         rng = np.random.default_rng(5)
         labels = (rng.random(100) < 0.3).astype(np.int64)
         ds = Dataset(rng.normal(size=(100, 3)) + labels[:, None], labels)
         p = init_scorer(kind, 3, hidden, seed=1)
-        q = warmup_logistic(p, ds, epochs, 0.3, batch_size=batch_size, seed=7)
+        # a batch below the 100 rows, so that an epoch takes several
+        monkeypatch.setattr(paucopt.scorer, "WARMUP_BATCH", batch_size)
+        q = warmup_logistic(p, ds, epochs, 0.3, seed=7)
         assert not np.array_equal(q.weights, p.weights)
         assert np.array_equal(q.weights,
                               self.fancy_index_oracle(p, ds, epochs, 0.3, batch_size, 7))

@@ -61,8 +61,6 @@ class TestEtaSchedule:
     ("lam", -0.1, "at least 0"), ("lam", float("nan"), "at least 0"),
     ("k_coef", 0.0, "above 0"), ("k_coef", float("nan"), "above 0"),
     ("m_coef", 1.5, "at least 2"), ("m_coef", float("nan"), "at least 2"),
-    ("iota1", 0.0, "above 0"), ("iota1", float("nan"), "above 0"),
-    ("iota2", -1.0, "above 0"), ("iota2", float("nan"), "above 0"),
     ("T", -1, "at least 0"), ("batch_pos", 0, "at least 1"), ("batch_neg", 0, "at least 1"),
     ("seed", -1, "at least 0"),
 ])
@@ -242,6 +240,27 @@ class TestTrain:
             results[form] = train(tr, va, scorer, cfg, obj)[2].records[-1].val_pauc
         assert abs(results["surrogate"] - results["unbiased"]) <= 0.05
 
+    @pytest.mark.parametrize("metric,alpha,beta,name", [
+        ("OPAUC", 1.0, 0.003, "beta"), ("TPAUC", 0.01, 0.3, "alpha")])
+    def test_validation_split_selecting_no_instance_fails_first(self, monkeypatch, metric,
+                                                                alpha, beta, name):
+        # the validation metric would fail at the first trace record; the
+        # run must fail before its warm-up instead
+        ds = generate_synthetic(2000, 0.1, 5, 4.0, seed=7)
+        tr, va, _ = split(ds, SplitSpec(seed=7))
+        obj = ObjectiveConfig(metric, "surrogate", alpha, beta, prior_p=tr.prior_p)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(paucopt.solver, "warmup_logistic", no_work)
+        monkeypatch.setattr(paucopt.solver, "asgda_step", no_work)
+        cfg = SolverConfig(T=400, eval_every=200, warmup_epochs=2)
+        side = "neg" if name == "beta" else "pos"
+        with pytest.raises(SolverError, match=rf"^{name} selects no validation instance: "
+                                              rf"floor\(n_{side}\*{name}\) = 0 "):
+            train(tr, va, init_scorer("linear", 5, seed=7), cfg, obj)
+
     def test_trace_sorted_and_recorded(self, small_setup):
         ds, scorer, obj = small_setup
         cfg = SolverConfig(T=25, batch_pos=4, batch_neg=8, seed=0,
@@ -332,7 +351,7 @@ class TestStepIsBatchSized:
             asgda_step(st, cfg, obj, ds)
             assert calls == [(2, 256)]   # the old and new point, stacked
         calls.clear()
-        warmup_logistic(st.min_vars().theta, ds, 1, 0.1, batch_size=256)
+        warmup_logistic(st.min_vars().theta, ds, 1, 0.1)
         assert calls == [(1, 256)] * (ds.n // 256) + [(1, ds.n % 256)]
 
     def test_step_computes_no_value(self, monkeypatch):
