@@ -50,17 +50,22 @@ class Dataset:
     """
 
     features: np.ndarray  # (n, d) float64
-    labels: np.ndarray    # (n,) int64, values in {0, 1}
+    labels: np.ndarray    # (n,) int8, values in {0, 1}
     pos_ids: np.ndarray = field(init=False)
     neg_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if feats.ndim != 2:
             raise DataError("features must be a 2-D matrix")
         if labels.shape != (feats.shape[0],):
             raise DataError("labels length must match feature rows")
+        # strings and objects compare with 1 by rules that differ between
+        # numpy versions: refused before any comparison
+        if labels.dtype.kind not in "biuf":
+            raise DataError(f"label out of {{0,1}}: labels of dtype {labels.dtype}")
+        # every other value, 0.5, NaN and inf among them, is neither class
         is_pos, is_neg = labels == 1, labels == 0
         if np.count_nonzero(is_pos) + np.count_nonzero(is_neg) != len(labels):
             raise DataError("label out of {0,1}")
@@ -70,8 +75,10 @@ class Dataset:
         neg = np.flatnonzero(is_neg)
         if len(pos) == 0 or len(neg) == 0:
             raise SingleClassError("single-class data")
+        # one byte a label: the class mask itself, read as 0/1
+        is_pos.setflags(write=False)
+        labels = is_pos.view(np.int8)
         feats.setflags(write=False)
-        labels.setflags(write=False)
         pos.setflags(write=False)
         neg.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -198,7 +205,7 @@ def _load_csv_numpy(path, label_column: str) -> Dataset:
         raise DataError(f"{path}: no data row, or rows of another width than the header")
     n, d = table.shape[0], table.shape[1] - 1
     # taken first: the compaction below writes over the label column
-    labels = table[:, label_idx].astype(np.int64)
+    labels = table[:, label_idx].astype(np.int8)
     # The features are compacted in place, one block of rows after the other:
     # a block's rows move to lower offsets of the buffer, which the blocks
     # before it have already read, and its copy is taken before it is written.
@@ -250,7 +257,7 @@ def _load_csv_rows(path, label_column: str = "label") -> Dataset:
                         "cannot be decoded") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64))
+    return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int8))
 
 
 def _is_float(s: str) -> bool:
@@ -295,7 +302,8 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
 
     `imbalance` is the positive-class fraction; deterministic per seed. Both
     blobs are drawn into one (n, d) buffer, so besides the result it holds one
-    n×d copy and the n-length permutation at once.
+    n×d copy and the n-length permutation at once; both are dropped before the
+    Dataset checks the rows.
     """
     # each condition is False for NaN, so NaN fails every check
     for name, value, ok, rule in (
@@ -318,7 +326,9 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
     feats[n_pos:] -= half
     perm = rng.permutation(n)
     # row perm[i] of feats is a positive exactly when perm[i] < n_pos
-    return Dataset(feats[perm], (perm < n_pos).astype(np.int64))
+    feats, labels = feats[perm], perm < n_pos
+    del perm
+    return Dataset(feats, labels)
 
 
 def stratified_sample(ds: Dataset, n_pos_b: int, n_neg_b: int,

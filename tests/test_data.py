@@ -267,6 +267,10 @@ def test_row_blocks_tile_the_rows_in_blocks_of_a_power_of_two(n, width):
     (lambda: Dataset(np.zeros(4), np.array([0, 1, 0, 1])), "2-D"),
     (lambda: Dataset(np.zeros((4, 1)), np.array([0, 1, 0])), "labels length"),
     (lambda: Dataset(np.zeros((2, 1)), np.array([0, 2])), "label out of"),
+    (lambda: Dataset(np.zeros((3, 1)), [0.5, 1.7, 1.0]), "label out of"),
+    (lambda: Dataset(np.zeros((3, 1)), [np.nan, 0.0, 1.0]), "label out of"),
+    (lambda: Dataset(np.zeros((3, 1)), [np.inf, 0.0, -np.inf]), "label out of"),
+    (lambda: Dataset(np.zeros((2, 1)), np.array(["0", "1"])), "label out of"),
     (lambda: Dataset(np.array([[0.0], [np.nan]]), np.array([0, 1])), "non-finite"),
     (lambda: SplitSpec(0.7, 0.2, 0.2), "split fractions"),
     (lambda: SplitSpec(1.2, -0.1, -0.1), "^val_frac must be above 0, got -0.1$"),
@@ -279,7 +283,8 @@ def test_row_blocks_tile_the_rows_in_blocks_of_a_power_of_two(n, width):
     (lambda: SplitSpec(0.7, float("nan"), 0.3), "^val_frac must be above 0, got nan$"),
     (lambda: SplitSpec(seed=-1), "^seed must be at least 0, got -1$"),
     (lambda: generate_synthetic(100, 0.5, 2, 1.0, seed=-1), "^seed must be at least 0, got -1$"),
-], ids=["1-D", "label-length", "label-value", "nan-feature", "split-sum",
+], ids=["1-D", "label-length", "label-value", "label-fraction", "label-nan", "label-inf",
+        "label-string", "nan-feature", "split-sum",
         "split-negative", "d", "separation-nan", "sample-size", "split-zero", "split-nan",
         "split-seed", "seed"])
 def test_invalid_input_raises(make, message):
@@ -465,20 +470,41 @@ class TestDataStageMemory:
     N, D = 200_000, 5
 
     @staticmethod
-    def transient(make) -> int:
+    def traced(make):
+        """make's result and tracemalloc's (current, peak) bytes over the call."""
         tracemalloc.start()
         try:
-            made = make()   # noqa: F841 -- kept alive while memory is read
-            current, peak = tracemalloc.get_traced_memory()
+            made = make()
+            return made, tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+
+    def transient(self, make) -> int:
+        _, (current, peak) = self.traced(make)
         return peak - current
 
+    def generate(self):
+        return generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0)
+
     def test_generate_synthetic_holds_one_copy_of_the_features(self):
-        got = self.transient(lambda: generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0))
+        got = self.transient(self.generate)
         # the (n, d) buffer besides the result, and the permutation with the labels
         # made from it; stacking the blobs apart would add two more n x d copies
         assert got <= self.N * self.D * 8 + 2 * self.N * 8, got
+        # The peak itself, on a call after the first (which also imports):
+        # those buffers and the result's features, each label one byte, and
+        # nothing more of n rows. With the buffer and the permutation kept
+        # alive under the Dataset's checks, and int64 labels, it read 21.2 MB.
+        _, (_, peak) = self.traced(self.generate)
+        assert peak <= 2 * self.N * self.D * 8 + self.N * 8 + self.N + 65536, peak
+
+    def test_dataset_keeps_one_byte_a_label(self):
+        self.generate()
+        ds, (current, _) = self.traced(self.generate)
+        # the features, an int8 label and an int64 id a row; an int64 label
+        # column would add 1.4 MB
+        assert ds.labels.dtype == np.int8
+        assert current <= ds.features.nbytes + 9 * self.N + 65536, current
 
     def test_split_holds_no_list_of_ids(self):
         ds = generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0)
