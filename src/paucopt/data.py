@@ -134,8 +134,9 @@ class SplitSpec:
         for name, value in zip(("train_frac", "val_frac", "test_frac"), fracs):
             if not value > 0:
                 raise DataError(f"{name} must be above 0, got {float(value)!r}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise DataError("split fractions must be nonnegative and sum to 1")
+        total = float(sum(fracs))
+        if abs(total - 1.0) > 1e-9:
+            raise DataError(f"split fractions must sum to 1, got {total!r}")
         if not self.seed >= 0:
             raise DataError(f"seed must be at least 0, got {self.seed!r}")
 
@@ -326,7 +327,7 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
     feats[n_pos:] -= half
     perm = rng.permutation(n)
     # row perm[i] of feats is a positive exactly when perm[i] < n_pos
-    feats, labels = feats[perm], perm < n_pos
+    feats, labels = feats.take(perm, axis=0), perm < n_pos
     del perm
     return Dataset(feats, labels)
 
@@ -361,25 +362,21 @@ def _allocate(count: int, fracs) -> list[int]:
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Stratified split into train/val/test with proportional per-class counts.
 
-    Each part's ids are its per-class slices of the two shuffled classes,
-    joined and sorted as arrays: besides the parts it holds those n ids and
-    one part's ids at once, and no Python list of ids.
+    Each class's shuffled ids take the part numbers 0, 1, 2 (train, val,
+    test) in runs of the part's count, in one int8 array over the rows; a
+    part's ids are then the rows of its number, in id order. Besides the
+    parts it holds that byte a row and one part's ids at once.
     """
     fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
     rng = np.random.default_rng(spec.seed)
-    buckets = [[], [], []]
+    part = np.empty(ds.n, dtype=np.int8)
     for ids in (ds.pos_ids, ds.neg_ids):
         counts = _allocate(len(ids), fracs)
         if any(c == 0 and f > 0 for c, f in zip(counts, fracs)):
             raise DataError("split too small to keep both classes in every part")
-        perm = rng.permutation(ids)
-        start = 0
-        for k, c in enumerate(counts):
-            buckets[k].append(perm[start:start + c])
-            start += c
+        part[rng.permutation(ids)] = np.repeat(np.arange(3, dtype=np.int8), counts)
     parts = []
-    for slices in buckets:
-        idx = np.concatenate(slices)
-        idx.sort()
+    for k in range(3):
+        idx = np.flatnonzero(part == k)
         parts.append(Dataset(ds.features.take(idx, axis=0), ds.labels.take(idx)))
     return tuple(parts)

@@ -232,7 +232,7 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     omega, B = cfg.omega, batch.size
     # each class's terms are weighted by its share of this batch, so the batch
     # mean is a stratified estimate of the whole split's value; a class-pure
-    # batch (a trace record's row block) keeps the split's prior
+    # batch takes cfg.prior_p, which a trace record sets to the split's
     p = n_pos / B if 0 < n_pos < B else cfg.prior_p
     q = 1.0 - p
     # the flat-layout scalars as (K, 1) columns, gamma likewise

@@ -346,7 +346,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("section,entry,message", [
         ("split", {"train_frac": 0.8, "val_frac": 0.15, "test_frac": 0.15},
-         "config split: split fractions must be nonnegative and sum to 1"),
+         "config split: split fractions must sum to 1, got 1.1"),
         ("solver", {"k": 3.0, "m": 10.0},
          "config solver: eta_0 = k/m^(1/3) must not exceed 1 (need m >= k^3)"),
     ])

@@ -435,15 +435,18 @@ class TestBlockedRecord:
     @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_matches_one_pass_evaluate(self, large, record_calls, metric, formulation, kind):
-        obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1, prior_p=large.prior_p)
         scorer = init_scorer(kind, 5, (8,), seed=1)
         cfg = SolverConfig(T=20, seed=1, eval_every=1000)
-        tau, xv, trace = train(large, None, scorer, cfg, obj)
-        assert sum(len(b.neg_ids) > 0 for b, _ in record_calls) >= 3
-        rec = trace.records[-1]
-        for got, want in zip((rec.objective, rec.grad_map_proxy),
-                             one_pass_record(large, obj, cfg, tau, xv)):
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+        # the one pass weights each class by its share of the split, so the
+        # blocks must too, whatever prior_p the caller left in the config
+        for prior_p in (large.prior_p, 0.5):
+            obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1, prior_p=prior_p)
+            tau, xv, trace = train(large, None, scorer, cfg, obj)
+            assert sum(len(b.neg_ids) > 0 for b, _ in record_calls) >= 3
+            rec = trace.records[-1]
+            for got, want in zip((rec.objective, rec.grad_map_proxy),
+                                 one_pass_record(large, obj, cfg, tau, xv)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (prior_p, got, want)
 
     @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
     @pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
