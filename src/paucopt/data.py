@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +47,14 @@ class Dataset:
     """Immutable feature matrix with binary labels.
 
     Rows carry stable integer ids 0..n-1 (their row positions) used to
-    index per-instance selection weights.
+    index per-instance selection weights. A class's ids are built on their
+    first read and kept: a Dataset that is never sampled holds 8d + 1 bytes
+    a row.
     """
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int8, values in {0, 1}
-    pos_ids: np.ndarray = field(init=False)
-    neg_ids: np.ndarray = field(init=False)
+    n_pos: int = field(init=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -66,25 +68,28 @@ class Dataset:
         if labels.dtype.kind not in "biuf":
             raise DataError(f"label out of {{0,1}}: labels of dtype {labels.dtype}")
         # every other value, 0.5, NaN and inf among them, is neither class
-        is_pos, is_neg = labels == 1, labels == 0
-        if np.count_nonzero(is_pos) + np.count_nonzero(is_neg) != len(labels):
+        is_pos = labels == 1
+        n_pos, n_neg = np.count_nonzero(is_pos), np.count_nonzero(labels == 0)
+        if n_pos + n_neg != len(labels):
             raise DataError("label out of {0,1}")
         if not np.isfinite(feats).all():
             raise DataError("non-finite feature value")
-        pos = np.flatnonzero(is_pos)
-        neg = np.flatnonzero(is_neg)
-        if len(pos) == 0 or len(neg) == 0:
+        if n_pos == 0 or n_neg == 0:
             raise SingleClassError("single-class data")
         # one byte a label: the class mask itself, read as 0/1
         is_pos.setflags(write=False)
-        labels = is_pos.view(np.int8)
         feats.setflags(write=False)
-        pos.setflags(write=False)
-        neg.setflags(write=False)
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "pos_ids", pos)
-        object.__setattr__(self, "neg_ids", neg)
+        object.__setattr__(self, "labels", is_pos.view(np.int8))
+        object.__setattr__(self, "n_pos", int(n_pos))
+
+    @cached_property
+    def pos_ids(self) -> np.ndarray:
+        return _read_only(np.flatnonzero(self.labels))
+
+    @cached_property
+    def neg_ids(self) -> np.ndarray:
+        return _read_only(np.flatnonzero(self.labels == 0))
 
     @property
     def n(self) -> int:
@@ -95,16 +100,17 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def n_pos(self) -> int:
-        return len(self.pos_ids)
-
-    @property
     def n_neg(self) -> int:
-        return len(self.neg_ids)
+        return self.n - self.n_pos
 
     @property
     def prior_p(self) -> float:
         return self.n_pos / self.n
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -362,19 +368,25 @@ def _allocate(count: int, fracs) -> list[int]:
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Stratified split into train/val/test with proportional per-class counts.
 
-    Each class's shuffled ids take the part numbers 0, 1, 2 (train, val,
+    Each class's shuffled rows take the part numbers 0, 1, 2 (train, val,
     test) in runs of the part's count, in one int8 array over the rows; a
-    part's ids are then the rows of its number, in id order. Besides the
-    parts it holds that byte a row and one part's ids at once.
+    part's ids are then the rows of its number, in id order. A class's
+    numbers reach its rows through its label mask, so neither ds nor a part
+    builds its class ids. Besides the parts it holds that byte a row and one
+    part's ids at once.
     """
     fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
     rng = np.random.default_rng(spec.seed)
     part = np.empty(ds.n, dtype=np.int8)
-    for ids in (ds.pos_ids, ds.neg_ids):
-        counts = _allocate(len(ids), fracs)
+    for label, count in ((1, ds.n_pos), (0, ds.n_neg)):
+        counts = _allocate(count, fracs)
         if any(c == 0 and f > 0 for c, f in zip(counts, fracs)):
             raise DataError("split too small to keep both classes in every part")
-        part[rng.permutation(ids)] = np.repeat(np.arange(3, dtype=np.int8), counts)
+        # the draws of rng.permutation(ids): the class's k-th row takes runs[k]
+        runs = np.empty(count, dtype=np.int8)
+        runs[rng.permutation(count)] = np.repeat(np.arange(3, dtype=np.int8), counts)
+        part[ds.labels == label] = runs
+    del runs
     parts = []
     for k in range(3):
         idx = np.flatnonzero(part == k)

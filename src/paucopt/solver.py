@@ -199,8 +199,9 @@ def grad_mapping_proxy(tau: np.ndarray, grad_min: np.ndarray, nu: float,
 def _val_pauc(tau: MinVars, ds_val: Dataset, obj_cfg: ObjectiveConfig) -> PaucReport:
     """The exact partial AUC obj_cfg trains for, of tau's scores on ds_val."""
     scores = score_batch(tau.theta, ds_val.features)
-    pos = scores[ds_val.pos_ids]
-    neg = scores[ds_val.neg_ids]
+    # by mask: ds_val is never sampled, so it need not build its class ids
+    is_pos = ds_val.labels == 1
+    pos, neg = scores[is_pos], scores[~is_pos]
     if obj_cfg.metric_kind == "TPAUC":
         return empirical_tpauc(pos, neg, obj_cfg.alpha, obj_cfg.beta)
     return empirical_opauc(pos, neg, obj_cfg.beta)

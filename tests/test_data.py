@@ -307,6 +307,35 @@ class TestDataset:
             ds.features[0, 0] = 99.0
 
 
+def built_ids(ds):
+    """The names of the class ids ds holds so far."""
+    return {"pos_ids", "neg_ids"} & vars(ds).keys()
+
+
+class TestClassIdsOnDemand:
+    def test_no_dataset_maker_builds_ids(self, tmp_path):
+        ds = generate_synthetic(200, 0.3, 2, 1.0, seed=5)
+        save_csv(ds, tmp_path / "d.csv")
+        made = [Dataset(np.zeros((3, 1)), np.array([1, 0, 1])), ds,
+                load_csv(tmp_path / "d.csv"), *split(ds, SplitSpec(seed=5))]
+        assert [built_ids(x) for x in made] == [set()] * 6
+
+    @pytest.mark.parametrize("name,label", [("pos_ids", 1), ("neg_ids", 0)])
+    def test_first_read_builds_the_ids_once(self, name, label):
+        ds = generate_synthetic(200, 0.3, 2, 1.0, seed=5)
+        ids = getattr(ds, name)
+        np.testing.assert_array_equal(ids, np.flatnonzero(ds.labels == label))
+        assert ids.dtype == np.int64
+        assert not ids.flags.writeable
+        assert getattr(ds, name) is ids
+        assert built_ids(ds) == {name}
+
+    def test_counts_build_no_ids(self):
+        ds = generate_synthetic(200, 0.3, 2, 1.0, seed=5)
+        assert (ds.n_pos, ds.n_neg, ds.prior_p) == (60, 140, 0.3)
+        assert built_ids(ds) == set()
+
+
 class TestGenerateSynthetic:
     def test_counts(self):
         ds = generate_synthetic(1000, 0.1, 5, 2.0, seed=7)
@@ -501,27 +530,30 @@ class TestDataStageMemory:
     def test_dataset_keeps_one_byte_a_label(self):
         self.generate()
         ds, (current, _) = self.traced(self.generate)
-        # the features, an int8 label and an int64 id a row; an int64 label
-        # column would add 1.4 MB
+        # the features and an int8 label a row; an int64 label column would
+        # add 1.4 MB, and class ids built with the Dataset 1.6 MB
         assert ds.labels.dtype == np.int8
-        assert current <= ds.features.nbytes + 9 * self.N + 65536, current
+        assert current <= ds.features.nbytes + self.N + 65536, current
 
     def test_split_holds_no_list_of_ids(self):
         ds = generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0)
-        parts, (current, peak) = self.traced(lambda: split(ds, SplitSpec(seed=0)))
-        got, last = peak - current, parts[-1].n
-        # a part number a row (int8), and the last part's ids with its
-        # Dataset checks' temporaries: the finite mask (a byte a cell) and two
-        # label masks. While an earlier part is made, the parts after it are
-        # not yet held, and here they keep more than its temporaries.
-        # Joining and sorting the shuffled ids read 1.9 MB; a list of numpy
-        # scalars costs about 40 bytes an id.
-        assert got <= self.N + last * (8 + self.D + 2) + 65536, got
+        parts, (_, peak) = self.traced(lambda: split(ds, SplitSpec(seed=0)))
+        last = parts[-1].n
+        # The parts' features and labels, a part number a row (int8), and the
+        # last part's ids with its Dataset checks' temporaries: the finite
+        # mask (a byte a cell) and two label masks. While an earlier part is
+        # made, the parts after it are not yet held, and here they keep more
+        # than its temporaries. Parts that built their class ids read 10.3 MB;
+        # joining and sorting the shuffled ids added 1.4 MB more, and a list
+        # of numpy scalars costs about 40 bytes an id.
+        assert peak <= self.N * (self.D * 8 + 2) + last * (8 + self.D + 2) + 65536, peak
 
     def test_load_csv_holds_no_second_copy_of_the_features(self, tmp_path):
         path = tmp_path / "d.csv"
         save_csv(generate_synthetic(self.N, 0.1, self.D, 2.0, seed=0), path)
-        got = self.transient(lambda: load_csv(path))
-        # the parsed table's label column until it is shrunk away, and one
-        # block's copy; a second n x d copy of the features would add 8 MB
-        assert got <= self.N * 8, got
+        _, (_, peak) = self.traced(lambda: load_csv(path))
+        # The parse's table, label column included, and its growth headroom:
+        # np.loadtxt grows its buffer a quarter at a time, 1.57 MB past the
+        # table at this n. The labels and one block's copy are taken after
+        # the parse. A second n x d copy of the features would add 8 MB.
+        assert peak <= self.N * ((self.D + 1) * 8 + 9), peak

@@ -261,6 +261,15 @@ class TestTrain:
                                               rf"floor\(n_{side}\*{name}\) = 0 "):
             train(tr, va, init_scorer("linear", 5, seed=7), cfg, obj)
 
+    def test_only_the_training_split_builds_class_ids(self):
+        ds = generate_synthetic(2000, 0.1, 5, 4.0, seed=7)
+        tr, va, te = split(ds, SplitSpec(seed=7))
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, prior_p=tr.prior_p)
+        cfg = SolverConfig(T=20, eval_every=10, warmup_epochs=1, seed=7)
+        train(tr, va, init_scorer("linear", 5, seed=7), cfg, obj)
+        ids = {"pos_ids", "neg_ids"}
+        assert [ids & vars(x).keys() for x in (ds, tr, va, te)] == [set(), ids, set(), set()]
+
     def test_trace_sorted_and_recorded(self, small_setup):
         ds, scorer, obj = small_setup
         cfg = SolverConfig(T=25, batch_pos=4, batch_neg=8, seed=0,
@@ -484,6 +493,8 @@ class TestBlockedRecord:
             obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
             cfg = SolverConfig(seed=3)
             st = init_state(ds, init_scorer("linear", 2, seed=3), cfg, obj)
+            # built on first read, as train's first step does, and kept
+            ds.pos_ids, ds.neg_ids
             tracemalloc.start()
             try:
                 _record_value_grad(st, obj, ds)
