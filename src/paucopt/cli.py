@@ -270,9 +270,12 @@ def cmd_evaluate(args) -> int:
     scorer = _build(ScorerParams.from_dict, {"": f"{args.checkpoint}: scorer object"}, entry)
     ds = load_csv(args.data, args.label_col)
     scores = _build(score_batch, {"": args.checkpoint}, scorer, ds.features)
-    pos, neg = scores[ds.pos_ids], scores[ds.neg_ids]
-    # the classes are copies: the data and the scores need not outlive them
-    del ds, scores
+    # the features are freed before the classes are taken, which are copies
+    # taken by the class mask: no class ids are built
+    is_pos = ds.labels.view(bool)
+    del ds
+    pos, neg = scores[is_pos], scores[~is_pos]
+    del scores, is_pos
     # each class sorted once, in place: the metrics and the ROC read a class
     # only as a multiset, and their own sorts, partitions and searchsorted
     # calls run faster on sorted input
@@ -344,14 +347,22 @@ def _metric_point(text: str) -> tuple[float, float]:
 def _roc_svg(fpr: np.ndarray, tpr: np.ndarray, size: int = 400, margin: int = 20) -> str:
     """Minimal hand-rolled polyline rendering of an ROC curve. A point whose
     printed coordinates repeat the previous point's is left out: it would
-    draw nothing."""
+    draw nothing. The points are printed one row_blocks block at a time; the
+    text kept is bounded by the grid of printed coordinates, not by n."""
     span = size - 2 * margin
-    cx, cy = _hundredths(margin + fpr * span), _hundredths(margin + (1.0 - tpr) * span)
-    keep = np.ones(len(cx), dtype=bool)
-    keep[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
-    # one row of characters per point; NUL marks a leading zero left out
-    chars = np.hstack([_decimal_chars(cx[keep], ","), _decimal_chars(cy[keep], " ")])
-    points = chars.tobytes().replace(b"\0", b"").decode("ascii")[:-1]
+    texts, last = [], None
+    for block in row_blocks(len(fpr), 2):
+        cx = _hundredths(margin + fpr[block] * span)
+        cy = _hundredths(margin + (1.0 - tpr[block]) * span)
+        keep = np.empty(len(cx), dtype=bool)
+        # the first point of a block is compared with the last of the one before
+        keep[0] = last is None or (cx[0], cy[0]) != last
+        keep[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+        last = cx[-1], cy[-1]
+        # one row of characters per point; NUL marks a leading zero left out
+        chars = np.hstack([_decimal_chars(cx[keep], ","), _decimal_chars(cy[keep], " ")])
+        texts.append(chars.tobytes().replace(b"\0", b"").decode("ascii"))
+    points = "".join(texts)[:-1]
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
         f'  <rect x="{margin}" y="{margin}" width="{span}" height="{span}" '

@@ -72,7 +72,8 @@ class Dataset:
         n_pos, n_neg = np.count_nonzero(is_pos), np.count_nonzero(labels == 0)
         if n_pos + n_neg != len(labels):
             raise DataError("label out of {0,1}")
-        if not np.isfinite(feats).all():
+        # NaN and inf reach the extremes: no mask of a byte a cell is made
+        if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
             raise DataError("non-finite feature value")
         if n_pos == 0 or n_neg == 0:
             raise SingleClassError("single-class data")
@@ -308,9 +309,9 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
     """Two unit-variance Gaussian blobs with means ±separation/2 on every axis.
 
     `imbalance` is the positive-class fraction; deterministic per seed. Both
-    blobs are drawn into one (n, d) buffer, so besides the result it holds one
-    n×d copy and the n-length permutation at once; both are dropped before the
-    Dataset checks the rows.
+    blobs are drawn into one (n, d) buffer, whose rows are then permuted in
+    place one column at a time, so besides the result it holds the n-length
+    permutation and one column.
     """
     # each condition is False for NaN, so NaN fails every check
     for name, value, ok, rule in (
@@ -333,8 +334,18 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
     feats[n_pos:] -= half
     perm = rng.permutation(n)
     # row perm[i] of feats is a positive exactly when perm[i] < n_pos
-    feats, labels = feats.take(perm, axis=0), perm < n_pos
-    del perm
+    labels = perm < n_pos
+    # Row i takes row perm[i]: column j gathers the flat offsets perm * d + j,
+    # and a column is written back only once it has been read whole. The flat
+    # source is contiguous and "clip" skips take's copy of out, so the gather
+    # makes no temporary.
+    flat, col = feats.reshape(-1), np.empty(n)
+    np.multiply(perm, d, out=perm)
+    for j in range(d):
+        np.take(flat, perm, out=col, mode="clip")
+        feats[:, j] = col
+        perm += 1
+    del perm, col
     return Dataset(feats, labels)
 
 

@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import row_blocks
+
 
 class MetricError(ValueError):
     """Raised when a metric precondition fails (empty class, bad fraction, zero floor)."""
@@ -146,12 +148,25 @@ def closed_form_optimum(scores_pos, scores_neg, alpha: float, beta: float,
                              e_a + e_b + delta ** 2 + 2.0 * delta)
 
 
-def _share_at_or_above(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """0, then for each threshold t the fraction of scores >= t; NaN is never >= t."""
-    ranked = np.sort(scores[~np.isnan(scores)])
-    share = np.zeros(len(thresholds) + 1)
-    at_or_above = len(ranked) - np.searchsorted(ranked, thresholds, side="left")
-    np.divide(at_or_above, len(scores), out=share[1:])
+def _ranked(scores: np.ndarray) -> np.ndarray:
+    """scores' non-NaN values in ascending order: scores' own head when they
+    are sorted already, as np.sort leaves them (NaN last), else a sorted copy's."""
+    head = scores[:len(scores) - np.count_nonzero(np.isnan(scores))]
+    if np.isnan(head).any() or np.any(head[1:] < head[:-1]):
+        return np.sort(scores)[:len(head)]
+    return head
+
+
+def _share_at_or_above(ranked: np.ndarray, size: int, thresholds: np.ndarray) -> np.ndarray:
+    """0, then for each threshold t the fraction of a class of size scores, whose
+    non-NaN scores are ranked, that are >= t; NaN is never >= t. The counts are
+    taken one row_blocks block at a time."""
+    share = np.empty(len(thresholds) + 1)
+    share[0] = 0.0
+    for block in row_blocks(len(thresholds), 1):
+        at_or_above = np.searchsorted(ranked, thresholds[block], side="left")
+        np.subtract(len(ranked), at_or_above, out=at_or_above)
+        np.divide(at_or_above, size, out=share[block.start + 1:block.stop + 1])
     return share
 
 
@@ -162,10 +177,20 @@ def roc_points(scores_pos, scores_neg) -> tuple[np.ndarray, np.ndarray]:
     Points run in threshold-descending order, giving exactly
     n_pos + n_neg + 1 of them; a point at a tied threshold counts every
     instance with score >= threshold as predicted positive.
+
+    Besides its inputs the call holds the thresholds and the two results,
+    three n-length arrays, and a sorted copy of a class only when that class
+    is not sorted already (cmd_evaluate passes both sorted).
     """
     pos, neg = _as_scores(scores_pos), _as_scores(scores_neg)
-    thresholds = -np.sort(-np.concatenate([pos, neg]))
-    return _share_at_or_above(neg, thresholds), _share_at_or_above(pos, thresholds)
+    ranked_pos, ranked_neg = _ranked(pos), _ranked(neg)
+    # descending, NaN last: the negated scores sorted in place, negated back
+    thresholds = np.concatenate([pos, neg])
+    np.negative(thresholds, out=thresholds)
+    thresholds.sort()
+    np.negative(thresholds, out=thresholds)
+    return (_share_at_or_above(ranked_neg, len(neg), thresholds),
+            _share_at_or_above(ranked_pos, len(pos), thresholds))
 
 
 def roc_curve(scores_pos, scores_neg) -> list[tuple[float, float]]:

@@ -1,4 +1,6 @@
 import resource
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,3 +27,30 @@ def test_peak_is_the_command_s_own(monkeypatch):
     parent_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rows = end_to_end(seed=0)
     assert all(0 < row["ru_maxrss_mb"] < parent_mb - 100 for row in rows[1:]), (parent_mb, rows)
+
+
+def test_timed_children_read_bytecode_from_one_prefix(monkeypatch):
+    # A tree with __pycache__ and one without read alike: every child reads
+    # and writes bytecode under the run's own prefix, whatever
+    # PYTHONDONTWRITEBYTECODE says, and an untimed first command compiles all
+    # that a timed one imports.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(paucopt.bench, "TRAIN_RUNS", (paucopt.bench.README_CONFIG,))
+    monkeypatch.setattr(paucopt.bench, "EVALUATE_ROWS", (300,))
+    envs, compiled = [], []
+
+    def run(argv, env, **kwargs):
+        envs.append(env)
+        done = real_run(argv, env=env, **kwargs)
+        compiled.append(sorted(Path(env["PYTHONPYCACHEPREFIX"]).rglob("*.pyc")))
+        return done
+
+    real_run = subprocess.run
+    monkeypatch.setattr(paucopt.bench.subprocess, "run", run)
+    rows = end_to_end(seed=0)
+    assert [row["command"] for row in rows[1:]] == ["train", "generate", "evaluate"]
+    assert len(envs) == 4
+    assert all("PYTHONDONTWRITEBYTECODE" not in env for env in envs)
+    assert len({env["PYTHONPYCACHEPREFIX"] for env in envs}) == 1
+    assert any(path.name.startswith("cli.") for path in compiled[0])
+    assert compiled[1:] == compiled[:1] * 3

@@ -776,10 +776,36 @@ class TestEvaluate:
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # ~73 bytes a row: the scores, the sorted classes, the ROC's two float
-        # arrays and roc.svg's whole-array passes; a list of (fpr, tpr) tuples
-        # would add ~110 more
-        assert (peaks[200_000] - peaks[20_000]) / 180_000 < 100, peaks
+        # ~27 bytes a row: the sorted classes and the ROC's thresholds and two
+        # float arrays, less the block temporaries that 2e4 rows already fill.
+        # With class ids and roc.svg's whole-array passes it read ~73; a list
+        # of (fpr, tpr) tuples would add ~110 more
+        assert (peaks[200_000] - peaks[20_000]) / 180_000 < 40, peaks
+
+    def test_out_frees_the_features_before_the_classes(self, tmp_path, monkeypatch):
+        n, d = 200_000, 5
+        source = generate_synthetic(n, 0.1, d, 1.0, seed=5)
+        ckpt = write_checkpoint(tmp_path / "checkpoint.json", d)
+
+        def load(*args):
+            # a copy of the features that only the command holds, traced from here
+            ds = Dataset(source.features.copy(), source.labels)
+            tracemalloc.reset_peak()
+            return ds
+
+        monkeypatch.setattr(paucopt.cli, "load_csv", load)
+        tracemalloc.start()
+        try:
+            assert run_cli("evaluate", "--data", "unread.csv", "--checkpoint", str(ckpt),
+                           "--out", str(tmp_path / "eval")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The features and the scores while the rows are scored, with the
+        # label mask and one block's temporaries; the classes, the ROC and
+        # roc.svg come after the features are freed. The features beside the
+        # classes would add 8 bytes a row, and the class ids 8 more.
+        assert peak <= n * d * 8 + n * 8 + n + (1 << 20), peak
 
     def test_data_is_freed_before_the_roc(self, tmp_path, monkeypatch):
         # the sorted classes are all the ROC reads, so the loaded data, which
@@ -1075,6 +1101,24 @@ def roc_svg_points_oracle(rows, size=400, margin=20):
             for fpr, tpr in rows]
 
 
+def roc_svg_one_pass(rows, size=400, margin=20):
+    """The whole SVG written in one pass over the rows: each point by
+    f"{v:.2f}", and a point that prints as the one before it left out."""
+    every = roc_svg_points_oracle(rows, size, margin)
+    points = " ".join(p for i, p in enumerate(every) if i == 0 or p != every[i - 1])
+    span = size - 2 * margin
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
+        f'  <rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
+        f'fill="none" stroke="black"/>\n'
+        f'  <line x1="{margin}" y1="{size - margin}" x2="{size - margin}" '
+        f'y2="{margin}" stroke="gray" stroke-dasharray="4"/>\n'
+        f'  <polyline points="{points}" fill="none" stroke="crimson" '
+        f'stroke-width="1.5"/>\n'
+        f"</svg>\n"
+    )
+
+
 class TestRocSvg:
     @staticmethod
     def points(svg):
@@ -1122,6 +1166,37 @@ class TestRocSvg:
         self.check(rows)
         assert self.points(paucopt.cli._roc_svg(*np.array(rows).T)) == [
             "20.00,380.00", "20.00,20.00", "380.00,20.00"]
+
+    def test_bytes_match_one_pass_writer_across_blocks(self):
+        # scores on a coarse grid: long runs of tied thresholds repeat one
+        # point, and every block boundary falls inside such a run
+        rng = np.random.default_rng(6)
+        scores = np.round(rng.standard_normal(60_000), 1)
+        rows = roc_curve(np.sort(scores[:6_000] + 0.3), np.sort(scores[6_000:]))
+        blocks = list(row_blocks(len(rows), 2))
+        assert len(blocks) >= 3
+        assert all(rows[b.start - 1] == rows[b.start] for b in blocks[1:])
+        assert paucopt.cli._roc_svg(*np.array(rows).T) == roc_svg_one_pass(rows)
+        # and on 40 001 distinct rows, the last block's first unlike the one before
+        rows = list(zip(np.linspace(0.0, 1.0, 40_001).tolist(),
+                        (np.linspace(0.0, 1.0, 40_001) ** 0.5).tolist()))
+        assert paucopt.cli._roc_svg(*np.array(rows).T) == roc_svg_one_pass(rows)
+
+    def test_peak_allocation_does_not_grow_with_n(self):
+        # one curve of 1001 points, each repeated: the same points are printed
+        # at every n, so only what a pass holds per row could grow
+        base = np.linspace(0.0, 1.0, 1001)
+        peaks = []
+        for n in (20_000, 200_000):
+            fpr, tpr = (np.repeat(v, n // 1000 + 1)[:n + 1] for v in (base, base ** 0.5))
+            tracemalloc.start()
+            try:
+                paucopt.cli._roc_svg(fpr, tpr)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one n-length float pass at n = 2e5 would add 1.6 MB
+        assert peaks[1] <= peaks[0] + (1 << 20), peaks
 
 
 # scores on a coarse grid, so ties are common, and NaN, which ranks below every score

@@ -155,6 +155,8 @@ EDGE_CASES = {
     "header only": (f"{H}\n", False),
     # np.loadtxt reads a (0, 1) table, the header's width
     "label column only, no rows": ("label\n", False),
+    # no feature column: the finiteness check has no cell to read
+    "label column only": ("label\n1\n0\n", True),
     "only blank lines": (f"{H}\n\n\n", False),
     "empty file": ("", False),
     "missing label column": ("x0,x1,y\n1.5,-2,1\n0.25,3e-3,0\n", False),
@@ -272,6 +274,9 @@ def test_row_blocks_tile_the_rows_in_blocks_of_a_power_of_two(n, width):
     (lambda: Dataset(np.zeros((3, 1)), [np.inf, 0.0, -np.inf]), "label out of"),
     (lambda: Dataset(np.zeros((2, 1)), np.array(["0", "1"])), "label out of"),
     (lambda: Dataset(np.array([[0.0], [np.nan]]), np.array([0, 1])), "non-finite"),
+    (lambda: Dataset(np.array([[0.0, np.inf], [1.0, 2.0]]), np.array([0, 1])), "non-finite"),
+    (lambda: Dataset(np.array([[-np.inf], [np.nan], [np.inf]]), np.array([0, 1, 0])),
+     "^non-finite feature value$"),
     (lambda: SplitSpec(0.7, 0.2, 0.2), "split fractions"),
     (lambda: SplitSpec(1.2, -0.1, -0.1), "^val_frac must be above 0, got -0.1$"),
     (lambda: generate_synthetic(100, 0.5, 0, 1.0, seed=0), "d must be at least 1"),
@@ -284,7 +289,7 @@ def test_row_blocks_tile_the_rows_in_blocks_of_a_power_of_two(n, width):
     (lambda: SplitSpec(seed=-1), "^seed must be at least 0, got -1$"),
     (lambda: generate_synthetic(100, 0.5, 2, 1.0, seed=-1), "^seed must be at least 0, got -1$"),
 ], ids=["1-D", "label-length", "label-value", "label-fraction", "label-nan", "label-inf",
-        "label-string", "nan-feature", "split-sum",
+        "label-string", "nan-feature", "inf-feature", "mixed-non-finite-features", "split-sum",
         "split-negative", "d", "separation-nan", "sample-size", "split-zero", "split-nan",
         "split-seed", "seed"])
 def test_invalid_input_raises(make, message):
@@ -517,15 +522,16 @@ class TestDataStageMemory:
 
     def test_generate_synthetic_holds_one_copy_of_the_features(self):
         got = self.transient(self.generate)
-        # the (n, d) buffer besides the result, and the permutation with the labels
-        # made from it; stacking the blobs apart would add two more n x d copies
-        assert got <= self.N * self.D * 8 + 2 * self.N * 8, got
+        # the permutation and one column: the rows are permuted in place, a
+        # column at a time; a permuted copy of the (n, d) buffer would add 8 MB
+        assert got <= 2 * self.N * 8 + 65536, got
         # The peak itself, on a call after the first (which also imports):
-        # those buffers and the result's features, each label one byte, and
-        # nothing more of n rows. With the buffer and the permutation kept
-        # alive under the Dataset's checks, and int64 labels, it read 21.2 MB.
+        # the result's features, the permutation, one column and a byte a
+        # label, and nothing more of n rows. The permuted copy beside the draw
+        # buffer read 17.6 MB; kept alive under the Dataset's checks, with
+        # int64 labels, 21.2 MB.
         _, (_, peak) = self.traced(self.generate)
-        assert peak <= 2 * self.N * self.D * 8 + self.N * 8 + self.N + 65536, peak
+        assert peak <= self.N * self.D * 8 + 2 * self.N * 8 + self.N + 65536, peak
 
     def test_dataset_keeps_one_byte_a_label(self):
         self.generate()
@@ -540,13 +546,21 @@ class TestDataStageMemory:
         parts, (_, peak) = self.traced(lambda: split(ds, SplitSpec(seed=0)))
         last = parts[-1].n
         # The parts' features and labels, a part number a row (int8), and the
-        # last part's ids with its Dataset checks' temporaries: the finite
-        # mask (a byte a cell) and two label masks. While an earlier part is
+        # last part's ids with its Dataset checks' temporaries: two label
+        # masks; the finiteness check makes no mask. While an earlier part is
         # made, the parts after it are not yet held, and here they keep more
         # than its temporaries. Parts that built their class ids read 10.3 MB;
         # joining and sorting the shuffled ids added 1.4 MB more, and a list
         # of numpy scalars costs about 40 bytes an id.
-        assert peak <= self.N * (self.D * 8 + 2) + last * (8 + self.D + 2) + 65536, peak
+        assert peak <= self.N * (self.D * 8 + 2) + last * (8 + 2) + 65536, peak
+
+    def test_dataset_checks_finiteness_without_a_mask(self):
+        raw = self.generate()
+        feats, labels = raw.features.copy(), raw.labels.copy()
+        _, (_, peak) = self.traced(lambda: Dataset(feats, labels))
+        # the two label masks, a byte a row each; np.isfinite's mask would add
+        # a byte a cell, 1 MB here
+        assert peak <= 2 * self.N + 65536, peak
 
     def test_load_csv_holds_no_second_copy_of_the_features(self, tmp_path):
         path = tmp_path / "d.csv"

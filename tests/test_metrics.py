@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,42 @@ class TestClosedFormOptimum:
             risk = pairwise_surrogate_risk(pos, neg, al, beta, kind)
             opt = closed_form_optimum(pos, neg, al, beta, kind)
             assert risk == pytest.approx(1.0 + opt.min_value, abs=1e-10)
+
+
+# a coarse grid, so ties are common, with both zeros, NaN and the infinities
+_ROC_GRID = st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan, np.inf,
+                                      -np.inf]), min_size=1, max_size=40)
+
+
+class TestRocPoints:
+    @given(_ROC_GRID, _ROC_GRID)
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_and_unsorted_classes_match_oracle(self, pos, neg):
+        pos, neg = np.array(pos), np.array(neg)
+        given_bits = [pos.tobytes(), neg.tobytes()]
+        assert_roc_points_match_oracle(pos, neg)
+        # sorted as cmd_evaluate passes them, NaN last
+        assert_roc_points_match_oracle(np.sort(pos), np.sort(neg))
+        assert [pos.tobytes(), neg.tobytes()] == given_bits
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["sorted", "unsorted"])
+    def test_peak_allocation_beside_its_inputs(self, ordered):
+        n = 200_000
+        scores = np.random.default_rng(7).standard_normal(n)
+        pos, neg = scores[:n // 10], scores[n // 10:]
+        if ordered:
+            pos, neg = np.sort(pos), np.sort(neg)
+        tracemalloc.start()
+        try:
+            roc_points(pos, neg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The thresholds and the two results, three n-length float arrays, and
+        # one block's counts (under 1 MB); unsorted classes add their sorted
+        # copies, n floats in all. Five n-length arrays at once read 8 MB.
+        arrays = 3 if ordered else 4
+        assert peak <= arrays * 8 * (n + 1) + (1 << 20), peak
 
 
 class TestRocCurve:
