@@ -308,10 +308,12 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
                        separation: float = 2.0, seed: int = 0) -> Dataset:
     """Two unit-variance Gaussian blobs with means ±separation/2 on every axis.
 
-    `imbalance` is the positive-class fraction; deterministic per seed. Both
-    blobs are drawn into one (n, d) buffer, whose rows are then permuted in
-    place one column at a time, so besides the result it holds the n-length
-    permutation and one column.
+    `imbalance` is the positive-class fraction; deterministic per seed. The
+    rng draws each row's class first (row i is a positive when entry i of a
+    permutation of 0..n-1 is below round(n * imbalance)), then every row's
+    features in row order, which are shifted in place through the class
+    mask. Besides the result it holds the n-length permutation while the
+    classes are drawn, and then a byte a row: the negated mask.
     """
     # each condition is False for NaN, so NaN fails every check
     for name, value, ok, rule in (
@@ -326,26 +328,11 @@ def generate_synthetic(n: int, imbalance: float, d: int = 5,
     n_pos = min(max(n_pos, 1), n - 1)
     rng = np.random.default_rng(seed)
     half = separation / 2.0
-    feats = np.empty((n, d))
-    # positives first, then negatives: one draw per blob, as the stream runs
-    rng.standard_normal(out=feats[:n_pos])
-    rng.standard_normal(out=feats[n_pos:])
-    feats[:n_pos] += half
-    feats[n_pos:] -= half
-    perm = rng.permutation(n)
-    # row perm[i] of feats is a positive exactly when perm[i] < n_pos
-    labels = perm < n_pos
-    # Row i takes row perm[i]: column j gathers the flat offsets perm * d + j,
-    # and a column is written back only once it has been read whole. The flat
-    # source is contiguous and "clip" skips take's copy of out, so the gather
-    # makes no temporary.
-    flat, col = feats.reshape(-1), np.empty(n)
-    np.multiply(perm, d, out=perm)
-    for j in range(d):
-        np.take(flat, perm, out=col, mode="clip")
-        feats[:, j] = col
-        perm += 1
-    del perm, col
+    labels = rng.permutation(n) < n_pos
+    feats = rng.standard_normal((n, d))
+    # through the mask: neither class's rows are copied
+    np.add(feats, half, out=feats, where=labels[:, None])
+    np.subtract(feats, half, out=feats, where=~labels[:, None])
     return Dataset(feats, labels)
 
 

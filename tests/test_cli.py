@@ -201,6 +201,15 @@ class TestTrain:
         assert f"config {name} must be" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_top_level_not_an_object_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[]")
+        assert run_cli("train", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: config top-level must be a JSON object", err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("dataset,name", [
         ({"label_col": "y"}, "dataset.label_col"),
         ({"label_col": "y", "synthetic": {"n": 400}}, "dataset.label_col"),
@@ -723,13 +732,21 @@ class TestEvaluate:
         assert (out / "roc.csv").read_bytes() == oracle.read_bytes()
 
     def test_roc_csv_bytes_match_csv_writer_across_blocks(self, tmp_path):
-        # features on a coarse grid tie many scores, and every block boundary
-        # of the roc.csv writer falls between two rows of one tied threshold
+        # features on a coarse grid tie many scores
         raw = generate_synthetic(60_000, 0.1, 5, 1.0, seed=4)
-        ds = Dataset(np.round(raw.features), raw.labels)
+        feats = np.round(raw.features)
+        scorer = init_scorer("mlp", 5, (8,), seed=4)
+        # Every block boundary of the roc.csv writer falls between two rows of
+        # one tied threshold, by construction: row k of the curve is the point
+        # past the k-th highest score, so rows b - 1 and b tie when the scores
+        # ranked b - 2 and b - 1 do. The row ranked b - 2 takes the features,
+        # and so the score, of the row ranked b - 1; no rank moves.
+        order = np.argsort(-score_batch(scorer, feats), kind="stable")
+        for b in list(row_blocks(len(feats) + 1, 2))[1:]:
+            feats[order[b.start - 2]] = feats[order[b.start - 1]]
+        ds = Dataset(feats, raw.labels)
         data, ckpt = tmp_path / "ties.csv", tmp_path / "checkpoint.json"
         save_csv(ds, data)
-        scorer = init_scorer("mlp", 5, (8,), seed=4)
         ckpt.write_text(json.dumps({"scorer": scorer.to_dict()}))
         out = tmp_path / "eval"
         assert run_cli("evaluate", "--data", str(data), "--checkpoint", str(ckpt),

@@ -362,6 +362,22 @@ class TestGenerateSynthetic:
         auc = (pos[:, None] > neg[None, :]).mean()
         assert abs(auc - 0.5) < 0.05
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("imbalance", [0.1, 0.5])
+    def test_each_class_is_its_blob(self, imbalance, seed):
+        # against the distribution, not a second draw of the same stream: a
+        # sign or shift slip shared by the code and its stream oracle shows here
+        n, d, separation = 200_000, 5, 2.0
+        ds = generate_synthetic(n, imbalance, d, separation, seed=seed)
+        want_pos = min(max(round(n * imbalance), 1), n - 1)
+        assert (ds.n_pos, ds.n_neg) == (want_pos, n - want_pos)
+        for label, center in ((1, separation / 2), (0, -separation / 2)):
+            rows = ds.features[ds.labels == label]
+            m = len(rows)
+            # standard errors of a unit normal's sample mean and variance
+            assert np.all(np.abs(rows.mean(axis=0) - center) <= 5 / np.sqrt(m))
+            assert np.all(np.abs(rows.var(axis=0, ddof=1) - 1.0) <= 5 * np.sqrt(2 / (m - 1)))
+
     def test_degenerate_params(self):
         with pytest.raises(DataError):
             generate_synthetic(2, 0.5, 2, 1.0, seed=0)
@@ -434,16 +450,14 @@ class TestSplit:
 
 
 def generate_synthetic_oracle(n, imbalance, d, separation, seed):
-    """generate_synthetic as two blobs stacked, then rows and labels permuted."""
+    """generate_synthetic as a loop over the rows: the classes from one
+    permutation, then each row's features drawn and shifted on their own."""
     n_pos = min(max(int(round(n * imbalance)), 1), n - 1)
     rng = np.random.default_rng(seed)
     half = separation / 2.0
-    pos = rng.standard_normal((n_pos, d)) + half
-    neg = rng.standard_normal((n - n_pos, d)) - half
-    labels = np.concatenate([np.ones(n_pos, dtype=np.int64),
-                             np.zeros(n - n_pos, dtype=np.int64)])
-    perm = rng.permutation(n)
-    return Dataset(np.vstack([pos, neg])[perm], labels[perm])
+    labels = [int(k < n_pos) for k in rng.permutation(n).tolist()]
+    rows = [rng.standard_normal(d) + (half if label else -half) for label in labels]
+    return Dataset(np.array(rows), np.array(labels, dtype=np.int64))
 
 
 def split_oracle(ds, spec):
@@ -522,16 +536,16 @@ class TestDataStageMemory:
 
     def test_generate_synthetic_holds_one_copy_of_the_features(self):
         got = self.transient(self.generate)
-        # the permutation and one column: the rows are permuted in place, a
-        # column at a time; a permuted copy of the (n, d) buffer would add 8 MB
+        # the features are drawn in place and shifted through the class mask;
+        # a copy of a class's rows would add up to 8 MB
         assert got <= 2 * self.N * 8 + 65536, got
         # The peak itself, on a call after the first (which also imports):
-        # the result's features, the permutation, one column and a byte a
-        # label, and nothing more of n rows. The permuted copy beside the draw
-        # buffer read 17.6 MB; kept alive under the Dataset's checks, with
-        # int64 labels, 21.2 MB.
+        # the result's features and, beside them, bytes a row only: the class
+        # mask, its negation while the negatives are shifted, and the
+        # Dataset's label masks, 3.3 bytes a row here. The permutation that
+        # deals the classes is freed before the features are drawn.
         _, (_, peak) = self.traced(self.generate)
-        assert peak <= self.N * self.D * 8 + 2 * self.N * 8 + self.N + 65536, peak
+        assert peak <= self.N * self.D * 8 + 4 * self.N + 65536, peak
 
     def test_dataset_keeps_one_byte_a_label(self):
         self.generate()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -299,6 +300,19 @@ class TestGradMappingProxy:
         lg = evaluate_at(obj, st.min_vars(), st.max_vars(), Minibatch(ds.pos_ids, ds.neg_ids), ds)
         proxy = grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box)
         assert proxy == pytest.approx(np.linalg.norm(lg.grad_min), rel=1e-6)
+
+    def test_zero_nu_reads_zero(self, small_setup):
+        # (1/nu) * ||tau - P(tau)|| is 0/0 at nu = 0: it reads 0.0, and a run
+        # with nu = 0 records it without a numpy warning
+        ds, scorer, obj = small_setup
+        cfg = SolverConfig(nu=0.0, T=20, batch_pos=4, batch_neg=8, seed=0, eval_every=10)
+        st = init_state(ds, scorer, cfg, obj)
+        lg = evaluate_at(obj, st.min_vars(), st.max_vars(), Minibatch(ds.pos_ids, ds.neg_ids), ds)
+        assert grad_mapping_proxy(st.tau, lg.grad_min, cfg.nu, st.box) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, trace = train(ds, None, scorer, cfg, obj)
+        assert [(r.t, r.grad_map_proxy) for r in trace.records] == [(10, 0.0), (20, 0.0)]
 
     def test_convex_toy_proxy_decreases(self):
         # frozen scorer: only (a, b, s', ...) move -> effectively convex
