@@ -64,8 +64,7 @@ def bench_rows(seed: int = 0):
     n = 2 * max(BATCH_SIZES) + 4
     ds = generate_synthetic(n, 0.5, 5, 2.0, seed)
     scorer = init_scorer("linear", 5, seed=seed)
-    obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate",
-                              beta=0.3, prior_p=ds.prior_p)
+    obj_cfg = ObjectiveConfig(metric_kind="OPAUC", formulation="surrogate", beta=0.3)
     tau, gamma = MinVars(theta=scorer).flat()[None], np.zeros(1)
     steps, calls = [], []     # (half batch, kind) and the step of each
     for bs in BATCH_SIZES:
@@ -94,7 +93,7 @@ def step_sweep(seed: int = 0):
     for n in (2_000, 200_000, 2_000_000):
         ds = generate_synthetic(n, 0.1, 5, 4.0, seed)
         for form in ("surrogate", "unbiased"):
-            obj = ObjectiveConfig("OPAUC", form, 1.0, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+            obj = ObjectiveConfig("OPAUC", form, 1.0, 0.3, 4.0, 0.1)
             state = init_state(ds, init_scorer("linear", 5, seed=seed), cfg, obj)
             runs.append((form, n))
             calls.append(functools.partial(asgda_step, state, cfg, obj, ds))

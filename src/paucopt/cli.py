@@ -72,8 +72,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# Run-config sections read into a dataclass, less the fields the command sets;
-# the dataclass gives each key its type and default.
+# Run-config sections read into a dataclass, less the fields the command sets
+# or nothing reads; the dataclass gives each key its type and default.
 _DATACLASS_SECTIONS = {"split": (SplitSpec, ()), "objective": (ObjectiveConfig, ("prior_p",)),
                        "solver": (SolverConfig, ("seed", "freeze_theta"))}
 # Run-config spellings of the fields whose key differs from the name.
@@ -214,7 +214,6 @@ def _load_run_config(args):
     # train checks this too, but after cmd_train has made --out
     _build(check_val_counts, _CONFIG_NAMES["objective"], ds_val, obj_cfg)
     scorer = init_scorer(sc["kind"], ds.dim, tuple(sc["hidden"]), seed=seed)
-    obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
     return ds_train, ds_val, ds_test, scorer, obj_cfg, solver_cfg
 
 
@@ -454,7 +453,6 @@ def cmd_sweep(args) -> int:
     # distribution, which a still-moving scorer would pull from under it
     scorer = warmup_logistic(init_scorer("linear", ds.dim, seed=seed),
                              ds_train, 2, 0.3, seed=seed)
-    obj_cfg = replace(obj_cfg, prior_p=ds_train.prior_p)
     rows = run_bias_sweep(ds_train, scorer, args.kappas, obj_cfg, solver_cfg)
     # strict JSON: a non-finite value is a ValueError (exit 2), not a bare NaN
     text = json.dumps(rows, indent=2, allow_nan=False)

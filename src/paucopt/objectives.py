@@ -55,6 +55,8 @@ class ObjectiveConfig:
     beta: float = 0.3
     kappa: float = 4.0
     omega: float = 0.0
+    # unused: evaluate weighs each class by its batch share, a one-class
+    # batch by its dataset's; kept while perfbench passes it
     prior_p: float = 0.5
     # the Lagrange multipliers' upper bound: not a field, so nothing sets it
     lagrange_cap = 1e9
@@ -151,11 +153,9 @@ class LossGrad:
 
 def softplus(x, kappa: float):
     """log(1 + exp(kappa*x)) / kappa, safe against overflow."""
-    x = np.asarray(x, dtype=np.float64)
     # logaddexp(0, k*x) = log(1+e^{kx}) without overflow; for kx > 30 it
     # reduces to kx + log1p(e^{-kx}) internally, i.e. ~x after division
-    out = np.logaddexp(0.0, kappa * x) / kappa
-    return out if out.ndim else float(out)
+    return np.logaddexp(0.0, kappa * x) / kappa
 
 
 def pos_branch_P(f_x, a: float, gamma: float):
@@ -232,8 +232,8 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     omega, B = cfg.omega, batch.size
     # each class's terms are weighted by its share of this batch, so the batch
     # mean is a stratified estimate of the whole split's value; a class-pure
-    # batch takes cfg.prior_p, which a trace record sets to the split's
-    p = n_pos / B if 0 < n_pos < B else cfg.prior_p
+    # batch takes its dataset's share
+    p = n_pos / B if 0 < n_pos < B else ds.prior_p
     q = 1.0 - p
     # the flat-layout scalars as (K, 1) columns, gamma likewise
     a, b, s, sp, ta, tb = tau[:, -len(FLAT_SCALARS):, None].transpose(1, 0, 2).copy()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -230,12 +230,10 @@ def _record_value_grad(st: SolverState, obj_cfg: ObjectiveConfig, ds: Dataset) -
     in blocks, which never mix classes. A call averages over its own batch
     and adds the gamma and Lagrangian terms once, so its results weighted
     by batch.size / ds.n sum to the whole split's up to rounding, and with
-    one call, weight 1, to its bits. A class-pure block takes ds's own
-    prior, as the whole split's batch does, whatever obj_cfg.prior_p says."""
+    one call, weight 1, to its bits."""
     if next(row_blocks(ds.n, _RECORD_WIDTH)).stop == ds.n:
         batches = [Minibatch(ds.pos_ids, ds.neg_ids)]
     else:
-        obj_cfg = replace(obj_cfg, prior_p=ds.prior_p)
         # lazy: only one block's ids are held at a time
         none = ds.pos_ids[:0]
         batches = itertools.chain(

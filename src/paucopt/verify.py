@@ -191,7 +191,7 @@ def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> Verificati
         theta = ScorerParams("linear", (2, 1), rng.normal(size=3))
         p = ds.prior_p
         cfg = ObjectiveConfig(("OPAUC", "TPAUC")[trial % 2], "unbiased",
-                              float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1)), prior_p=p)
+                              float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1)))
         box = cfg.boxes
         mv = MinVars(theta, *(float(rng.uniform(*box[k])) for k in ("a", "b", "s", "s_prime")))
         gamma = float(rng.uniform(*box["gamma"]))

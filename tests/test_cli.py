@@ -457,7 +457,7 @@ class TestRunConfigSchema:
             generate_synthetic(2000, 0.1, 5, 4.0, 0), SplitSpec(0.7, 0.15, 0.15, 0),
             (1400, 300, 300), init_scorer("linear", 5, (8,), seed=0),
             ObjectiveConfig("OPAUC", "surrogate", alpha=1.0, beta=0.3, kappa=4.0,
-                            omega=0.0, prior_p=140 / 1400),
+                            omega=0.0),
             SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0,
                          T=500, batch_pos=32, batch_neg=224, seed=0, warmup_epochs=0,
                          eval_every=50, freeze_theta=False))
@@ -471,7 +471,7 @@ class TestRunConfigSchema:
             generate_synthetic(2000, 0.1, 5, 4.0, 7), SplitSpec(0.7, 0.15, 0.15, 7),
             (1400, 300, 300), init_scorer("linear", 5, seed=7),
             ObjectiveConfig("OPAUC", "unbiased", alpha=1.0, beta=0.3, kappa=4.0,
-                            omega=0.1, prior_p=140 / 1400),
+                            omega=0.1),
             SolverConfig(nu=0.5, lam=0.5, k_coef=2.0, m_coef=10.0,
                          T=300, batch_pos=32, batch_neg=224, seed=7, warmup_epochs=2,
                          eval_every=50))
@@ -494,7 +494,7 @@ class TestRunConfigSchema:
             generate_synthetic(600, 0.25, 3, 3.0, 4), SplitSpec(0.5, 0.3, 0.2, 9),
             (300, 180, 120), init_scorer("mlp", 3, (4, 3), seed=3),
             ObjectiveConfig("TPAUC", "unbiased", alpha=0.5, beta=0.4, kappa=8.0,
-                            omega=0.2, prior_p=75 / 300),
+                            omega=0.2),
             SolverConfig(nu=0.3, lam=0.2, k_coef=1.5, m_coef=8.0,
                          T=40, batch_pos=5, batch_neg=20, seed=3, warmup_epochs=1,
                          eval_every=10))
@@ -506,7 +506,7 @@ class TestRunConfigSchema:
             load_config(tmp_path, {"scorer": {"kind": "mlp"}, "seed": 5}),
             generate_synthetic(2000, 0.1, 5, 4.0, 5), SplitSpec(0.7, 0.15, 0.15, 5),
             (1400, 300, 300), init_scorer("mlp", 5, (8,), seed=5),
-            ObjectiveConfig(prior_p=140 / 1400), SolverConfig(seed=5))
+            ObjectiveConfig(), SolverConfig(seed=5))
 
     def test_csv_and_command_values(self, tmp_path, synth_csv):
         ds = load_csv(synth_csv)
@@ -518,7 +518,7 @@ class TestRunConfigSchema:
             load_config(tmp_path, doc, seed=11, T=9),
             ds, SplitSpec(0.7, 0.15, 0.15, 11), (210, 45, 45),
             init_scorer("linear", ds.dim, seed=11),
-            ObjectiveConfig(prior_p=42 / 210), SolverConfig(T=9, seed=11))
+            ObjectiveConfig(), SolverConfig(T=9, seed=11))
 
     @pytest.mark.parametrize("solver,sizes", [
         ({"batch_pos": 8, "batch_neg": 56}, (8, 56)),
@@ -1089,6 +1089,19 @@ def test_key_error_is_not_a_usage_error(tmp_path, monkeypatch):
     with pytest.raises(KeyError, match="x"):
         run_cli("generate", "--n", "50", "--imbalance", "0.1",
                 "--output", str(tmp_path / "x.csv"))
+
+
+def test_build_reraises_an_error_naming_no_field():
+    # no field to rename and no prefix for such an error: it passes unchanged
+    exc = ValueError("n_pos must be positive")
+
+    def fn():
+        raise exc
+
+    with pytest.raises(ValueError) as info:
+        paucopt.cli._build(fn, {"beta": "--beta"})
+    assert info.value is exc
+    assert str(info.value) == "n_pos must be positive"
 
 
 def test_cli_import_loads_no_scipy():

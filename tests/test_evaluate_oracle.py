@@ -122,11 +122,11 @@ def _check_batch(batch: Minibatch):
         raise ObjectiveError("empty batch")
 
 
-def class_shares(cfg: ObjectiveConfig, batch: Minibatch) -> tuple:
-    """(p, q): the batch's positive share and 1 - p; the prior for a
+def class_shares(ds: Dataset, batch: Minibatch) -> tuple:
+    """(p, q): the batch's positive share and 1 - p; ds's share for a
     class-pure batch."""
     n_pos = len(batch.pos_ids)
-    p = n_pos / batch.size if 0 < n_pos < batch.size else cfg.prior_p
+    p = n_pos / batch.size if 0 < n_pos < batch.size else ds.prior_p
     return p, 1.0 - p
 
 
@@ -159,7 +159,7 @@ def eval_surrogate(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
     if cfg.formulation != "surrogate":
         raise ObjectiveError("eval_surrogate requires formulation='surrogate'")
     _check_batch(batch)
-    p, q = class_shares(cfg, batch)
+    p, q = class_shares(ds, batch)
     alpha, beta, kappa, omega = cfg.alpha, cfg.beta, cfg.kappa, cfg.omega
     gamma = xv.gamma
     B = batch.size
@@ -215,7 +215,7 @@ def eval_unbiased(cfg: ObjectiveConfig, mv: MinVars, xv: MaxVars,
     _check_batch(batch)
     if len(xv.c) < ds.n:
         raise ObjectiveError("c must carry one entry per dataset instance")
-    p, q = class_shares(cfg, batch)
+    p, q = class_shares(ds, batch)
     alpha, beta, omega = cfg.alpha, cfg.beta, cfg.omega
     gamma = xv.gamma
     B = batch.size

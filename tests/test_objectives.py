@@ -236,6 +236,27 @@ class TestSurrogateValues:
                                             abs=1e-12)
 
 
+@pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+@pytest.mark.parametrize("formulation", ["surrogate", "unbiased"])
+def test_one_class_batch_takes_its_dataset_share(metric, formulation):
+    # a one-class batch has no share of its own to weigh its class by:
+    # it takes ds's, so cfg.prior_p moves no bit
+    ds = generate_synthetic(40, 0.3, 3, 1.0, seed=1)
+    theta = init_scorer("mlp", 3, (3,), seed=1)
+    tau = MinVars(theta, a=0.6, b=0.3, s=-0.5, s_prime=0.8, theta_b=0.7).flat()[None]
+    none = ds.pos_ids[:0]
+    for batch in (Minibatch(ds.pos_ids[:5], none), Minibatch(none, ds.neg_ids[:7])):
+        runs = []
+        for prior_p in (0.2, 0.5, 0.9):
+            cfg = ObjectiveConfig(metric, formulation, 0.5, 0.4, 3.0, 0.2, prior_p)
+            c = np.linspace(0.1, 0.9, len(hinged_ids(cfg, batch)))[None]
+            lg = evaluate(cfg, tau, np.array([0.2]), batch, ds, c, dims=theta.layer_dims)
+            runs.append((lg.value, lg.grad_min, lg.grad_max_gamma, lg.grad_max_c))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                np.testing.assert_array_equal(got, want)
+
+
 class TestUnbiasedValues:
     def test_single_negative_hand_value(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))

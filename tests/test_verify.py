@@ -6,7 +6,7 @@ import pytest
 
 from paucopt.data import generate_synthetic, split, SplitSpec
 from paucopt.metrics import closed_form_optimum, pairwise_surrogate_risk
-from paucopt.objectives import ObjectiveConfig
+from paucopt.objectives import ObjectiveConfig, softplus
 from paucopt.scorer import init_scorer, warmup_logistic
 from paucopt.solver import SolverConfig
 from paucopt.verify import (
@@ -76,6 +76,31 @@ class TestSoftplusGap:
     def test_full_check_passes(self):
         rep = check_softplus_gap(trials=100, seed=0)
         assert rep.passed
+
+    @pytest.mark.parametrize("kappa", [2.0, 32.0])
+    def test_losses_above_the_box_take_its_upper_end(self, kappa):
+        # every loss lies far above s' = 5, so the derivative is negative on
+        # the whole box and the minimum sits at its upper end
+        losses, beta = np.full(10, 100.0), 0.3
+        lo, hi = ObjectiveConfig().boxes["s_prime"]
+        soft = _threshold_objective_min_soft(losses, beta, kappa)
+        assert soft == beta * hi + np.mean(softplus(losses - hi, kappa))
+        grid = np.linspace(lo, hi, 5001)
+        on_grid = beta * grid + np.mean(softplus(losses[None, :] - grid[:, None], kappa), axis=1)
+        assert soft <= on_grid.min()
+
+    def test_growing_gap_fails_the_check(self, monkeypatch):
+        # a gap of 0.001*k at the k-th kappa stays below ln2/kappa throughout,
+        # so only the rule that it must not grow along the sweep can fail it
+        step = {2: 1, 4: 2, 8: 3, 16: 4, 32: 5}
+
+        def growing(losses, beta, kappa):
+            return _threshold_objective_min_hinge(losses, beta) + 0.001 * step[kappa]
+
+        monkeypatch.setattr("paucopt.verify._threshold_objective_min_soft", growing)
+        rep = check_softplus_gap(trials=3, seed=0)
+        assert not rep.passed
+        assert rep.max_deviation == pytest.approx(0.001, abs=1e-12)
 
 
 class TestSmallChecks:
