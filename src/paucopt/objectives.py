@@ -13,7 +13,8 @@ treated:
 * unbiased: c*(x - threshold) with selection weight c in [0,1], exact at
   the inner maximum only at omega = 0, since [x]_+ = max_c c*x. For g the
   gap over its branch's frac*prior, max_c c*g - omega*c^2 is g - omega
-  for g >= 2*omega, g^2/(4*omega) for 0 <= g < 2*omega and 0 below.
+  for g >= 2*omega, g^2/(4*omega) for 0 <= g < 2*omega and 0 below, at
+  the c* that best_response computes over a whole split.
 
 Both carry the strong-concavity regularizer -omega*gamma^2, which shrinks
 the unclamped gamma maximizer from its omega = 0 value Delta to
@@ -32,7 +33,7 @@ from typing import Callable, Literal, get_args
 
 import numpy as np
 
-from .data import Dataset, Minibatch
+from .data import Dataset, Minibatch, row_blocks
 from .scorer import ScorerParams, expit, score_with_pullback
 
 # The MinVars scalars in flat-layout order, after theta.
@@ -289,3 +290,43 @@ def evaluate(cfg: ObjectiveConfig, tau: np.ndarray, gamma: np.ndarray,
     grad_min = np.concatenate([g_theta, ga, gb, gs, gsp, g_theta_a, 1.0 + g - b], axis=-1)
     grad_c = np.concatenate([gc_pos, gc_neg], axis=-1) if unbiased else np.zeros((K, 0))
     return LossGrad(grad_min, g_gamma + (ta + tb)[:, 0], grad_c, value)
+
+
+# A whole-split pass takes row_blocks of two cells a row: 16384 rows, which
+# timed fastest for a trace record at 1.4e5 training rows (4096 to 32768 tried).
+_RECORD_WIDTH = 2
+
+
+def covering_batches(ds: Dataset):
+    """Minibatches that cover ds once: ds whole when it fits one row_blocks
+    block, else each class in blocks, which never mix classes. Lazy, so only
+    one block's ids are held at a time."""
+    if next(row_blocks(ds.n, _RECORD_WIDTH)).stop == ds.n:
+        yield Minibatch(ds.pos_ids, ds.neg_ids)
+        return
+    none = ds.pos_ids[:0]
+    for b in row_blocks(ds.n_pos, _RECORD_WIDTH):
+        yield Minibatch(ds.pos_ids[b], none)
+    for b in row_blocks(ds.n_neg, _RECORD_WIDTH):
+        yield Minibatch(none, ds.neg_ids[b])
+
+
+def best_response(cfg: ObjectiveConfig, tau: MinVars, gamma: float, ds: Dataset) -> np.ndarray:
+    """The c that maximizes the value over ds at (tau, gamma), laid out as
+    SolverState.c: c* at every hinged id, 0 at the others, which no value
+    reads, and empty for the surrogate, which has no c.
+
+    The value is separable and concave in c: c*g - omega*c^2 per instance,
+    for g the gap over its branch's frac*prior. g is read from evaluate's
+    partial in c at c = 0, times the batch size, so no second hinge formula
+    is written: c* = 1{g > 0} at omega = 0, else clip(g/(2*omega), 0, 1).
+    """
+    if cfg.formulation == "surrogate":
+        return np.zeros(0)
+    c, flat = np.zeros(ds.n), tau.flat()[None]
+    for batch in covering_batches(ds):
+        ids = hinged_ids(cfg, batch)
+        g = batch.size * evaluate(cfg, flat, np.array([gamma]), batch, ds, np.zeros((1, len(ids))),
+                                  dims=tau.theta.layer_dims).grad_max_c[0]
+        c[ids] = g > 0 if cfg.omega == 0 else np.clip(g / (2.0 * cfg.omega), 0.0, 1.0)
+    return c

@@ -11,15 +11,14 @@ MinVars and MaxVars are built only for the trace and the return value.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Minibatch, row_blocks, stratified_sample
+from .data import Dataset, stratified_sample
 from .metrics import MetricError, PaucReport, _count, empirical_opauc, empirical_tpauc
-from .objectives import MaxVars, MinVars, ObjectiveConfig, evaluate, hinged_ids
+from .objectives import MaxVars, MinVars, ObjectiveConfig, covering_batches, evaluate, hinged_ids
 from .scorer import ScorerParams, score_batch, warmup_logistic
 
 
@@ -219,28 +218,14 @@ def check_val_counts(ds_val: Dataset, obj_cfg: ObjectiveConfig) -> None:
             raise SolverError(f"{name} selects no validation instance: {exc}") from None
 
 
-# A trace record's evaluate calls take row_blocks of two cells a row: 16384
-# rows, which timed fastest at 1.4e5 training rows (4096 to 32768 tried).
-_RECORD_WIDTH = 2
-
-
 def _record_value_grad(st: SolverState, obj_cfg: ObjectiveConfig, ds: Dataset) -> tuple:
-    """The objective value and grad_min at st over ds, from evaluate calls
-    over ds whole when it fits one row_blocks block, else over each class
-    in blocks, which never mix classes. A call averages over its own batch
-    and adds the gamma and Lagrangian terms once, so its results weighted
-    by batch.size / ds.n sum to the whole split's up to rounding, and with
-    one call, weight 1, to its bits."""
-    if next(row_blocks(ds.n, _RECORD_WIDTH)).stop == ds.n:
-        batches = [Minibatch(ds.pos_ids, ds.neg_ids)]
-    else:
-        # lazy: only one block's ids are held at a time
-        none = ds.pos_ids[:0]
-        batches = itertools.chain(
-            (Minibatch(ds.pos_ids[b], none) for b in row_blocks(ds.n_pos, _RECORD_WIDTH)),
-            (Minibatch(none, ds.neg_ids[b]) for b in row_blocks(ds.n_neg, _RECORD_WIDTH)))
+    """The objective value and grad_min at st over ds, from one evaluate call
+    per covering_batches batch. A call averages over its own batch and adds
+    the gamma and Lagrangian terms once, so its results weighted by
+    batch.size / ds.n sum to the whole split's up to rounding, and with one
+    call, weight 1, to its bits."""
     value, grad_min = 0.0, np.zeros_like(st.tau)
-    for batch in batches:
+    for batch in covering_batches(ds):
         lg = evaluate(obj_cfg, st.tau[None], np.array([st.gamma]), batch, ds,
                       st.c[hinged_ids(obj_cfg, batch)][None], dims=st.scorer.layer_dims)
         weight = batch.size / ds.n

@@ -18,6 +18,7 @@ from .metrics import closed_form_optimum, pairwise_surrogate_risk
 from .objectives import (
     MinVars,
     ObjectiveConfig,
+    best_response,
     evaluate,
     hinged_ids,
     neg_branch_N,
@@ -199,27 +200,18 @@ def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> Verificati
         f = score_batch(theta, ds.features)
         P = pos_branch_P(f[ds.pos_ids], mv.a, gamma)
         N = neg_branch_N(f[ds.neg_ids], mv.b, gamma)
-        c_star = np.zeros(ds.n)
-        c_star[ds.neg_ids] = N > mv.s_prime
         hinge = np.sum((cfg.beta * mv.s_prime + np.maximum(N - mv.s_prime, 0.0))
                        / (cfg.beta * (1 - p)))
         if cfg.metric_kind == "TPAUC":
-            c_star[ds.pos_ids] = P > mv.s
             hinge += np.sum((cfg.alpha * mv.s + np.maximum(P - mv.s, 0.0)) / (cfg.alpha * p))
         else:
             hinge += np.sum(P / p)
         batch = Minibatch(ds.pos_ids, ds.neg_ids)
-        lg = evaluate(cfg, mv.flat()[None], np.array([gamma]), batch, ds,
-                      c_star[hinged_ids(cfg, batch)][None], dims=theta.layer_dims)
+        c_best = best_response(cfg, mv, gamma, ds)[hinged_ids(cfg, batch)]
+        lg = evaluate(cfg, mv.flat()[None], np.array([gamma]), batch, ds, c_best[None],
+                      dims=theta.layer_dims)
         worst = max(worst, abs(float(lg.value[0]) - (hinge / ds.n - gamma ** 2)))
     return _report("hinge_weight_identity", trials, worst, 0.0)
-
-
-def quantile_deviation(ds: Dataset, tau: MinVars, gamma: float) -> float:
-    """Effective selected-negative fraction: share with N-loss strictly above s'."""
-    f_neg = score_batch(tau.theta, ds.features.take(ds.neg_ids, axis=0))
-    losses = neg_branch_N(f_neg, tau.b, gamma)
-    return float(np.mean(losses > tau.s_prime))
 
 
 def run_bias_sweep(ds_train: Dataset, scorer_init: ScorerParams, kappas,
@@ -233,10 +225,13 @@ def run_bias_sweep(ds_train: Dataset, scorer_init: ScorerParams, kappas,
     runs = [(replace(obj_cfg_base, formulation="surrogate", kappa=kappa), kappa)
             for kappa in kappas]
     runs.append((replace(obj_cfg_base, formulation="unbiased"), None))
+    # beta-tilde: the share of negatives the exact hinge selects
+    hinge_cfg = replace(obj_cfg_base, formulation="unbiased", omega=0.0)
     rows = []
     for cfg, kappa in runs:
         tau, xv, _ = train(ds_train, None, scorer_init, solver_cfg, cfg)
-        beta_eff = quantile_deviation(ds_train, tau, xv.gamma)
+        selected = best_response(hinge_cfg, tau, xv.gamma, ds_train)
+        beta_eff = float(selected[ds_train.neg_ids].mean())
         rows.append({"kind": cfg.formulation, "kappa": kappa, "beta_eff": beta_eff,
                      "beta_dev": abs(beta_eff - cfg.beta)})
     return rows

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import paucopt.objectives
 from paucopt.data import Dataset, Minibatch, generate_synthetic, stratified_sample
 from paucopt.objectives import (
     MaxVars,
     MinVars,
     ObjectiveConfig,
     ObjectiveError,
+    best_response,
     evaluate,
     hinged_ids,
     neg_branch_N,
     pos_branch_P,
     softplus,
 )
-from paucopt.scorer import ScorerParams, init_scorer
+from paucopt.scorer import ScorerParams, init_scorer, param_count, score_batch
 from paucopt.solver import SolverConfig, asgda_step, init_state
 
 from points import evaluate_at
@@ -74,6 +76,24 @@ class TestBranches:
             g = rng.uniform(max(-a, b - 1), 1)
             f1, f2 = np.sort(rng.uniform(0, 1, 2))
             assert pos_branch_P(f2, a, g) <= pos_branch_P(f1, a, g) + 1e-12
+
+    def test_monotonicity_fails_just_outside_the_domain(self):
+        # the ranges above are exactly the domain: for gamma < b - 1, N
+        # decreases on [0, b - 1 - gamma); for gamma < -a, P increases above
+        # a + 1 + gamma
+        assert neg_branch_N(0.1, 0.8, -0.5) == pytest.approx(0.59)
+        assert neg_branch_N(0.2, 0.8, -0.5) == pytest.approx(0.56)
+        assert pos_branch_P(0.85, 0.5, -0.7) == pytest.approx(-0.3875)
+        assert pos_branch_P(0.95, 0.5, -0.7) == pytest.approx(-0.3675)
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            # N(f) = f^2 - 2*eps*f + b^2 at gamma = b - 1 - eps: N(eps) = N(0) - eps^2;
+            # P(f) = (f - 1 + eps)^2 + const at gamma = -a - eps: P(1) = P(1 - eps) + eps^2
+            a, b = rng.uniform(0, 0.98), rng.uniform(0.02, 1)
+            eps = rng.uniform(0.01, b)
+            assert neg_branch_N(eps, b, b - 1 - eps) < neg_branch_N(0.0, b, b - 1 - eps)
+            eps = rng.uniform(0.01, 1 - a)
+            assert pos_branch_P(1.0, a, -a - eps) > pos_branch_P(1.0 - eps, a, -a - eps)
 
 
 class TestConfig:
@@ -277,34 +297,28 @@ class TestUnbiasedValues:
         assert dict(zip(lg.c_ids, lg.grad_max_c))[1] == pytest.approx(-2 * 0.8 * 0.6 / 1)
 
     def test_c_maximization_recovers_hinge(self):
-        # coordinatewise optimum c* = 1{N - s' > 0} matches the exact-hinge value
+        # at best_response's c* the unbiased value is the exact-hinge value
         rng = np.random.default_rng(2)
         for _ in range(50):
             n = 12
             labels = np.array([1] * 4 + [0] * 8)
             ds = Dataset(rng.normal(size=(n, 2)), labels)
             theta = init_scorer("linear", 2, seed=int(rng.integers(1e6)))
-            cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.0,
-                                  prior_p=ds.prior_p)
+            cfg = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.5, 2.0, 0.0)
             mv = MinVars(theta, a=rng.uniform(0, 1), b=rng.uniform(0, 1),
                          s_prime=rng.uniform(0, 2))
             gamma = rng.uniform(-1, 1)
-            from paucopt.scorer import score_batch
-            f_neg = score_batch(theta, ds.features[ds.neg_ids])
-            N = neg_branch_N(f_neg, mv.b, gamma)
-            c = np.zeros(n)
-            c[ds.neg_ids] = (N - mv.s_prime > 0).astype(float)
+            c = best_response(cfg, mv, gamma, ds)
             lg = evaluate_at(cfg, mv, MaxVars(gamma, c),
                              Minibatch(ds.pos_ids, ds.neg_ids), ds)
             # hinge counterpart computed directly
-            from paucopt.objectives import pos_branch_P
-            f_pos = score_batch(theta, ds.features[ds.pos_ids])
-            P = pos_branch_P(f_pos, mv.a, gamma)
-            q = 1 - cfg.prior_p
-            hinge = (np.sum(P / cfg.prior_p)
+            N = neg_branch_N(score_batch(theta, ds.features[ds.neg_ids]), mv.b, gamma)
+            P = pos_branch_P(score_batch(theta, ds.features[ds.pos_ids]), mv.a, gamma)
+            p = ds.prior_p
+            hinge = (np.sum(P / p)
                      + np.sum((cfg.beta * mv.s_prime
                                + np.maximum(N - mv.s_prime, 0.0))
-                              / (cfg.beta * q))) / n - gamma ** 2
+                              / (cfg.beta * (1 - p)))) / n - gamma ** 2
             assert lg.value == pytest.approx(hinge, abs=1e-12)
 
     def test_missing_c_rejected(self):
@@ -318,6 +332,94 @@ class TestUnbiasedValues:
                 evaluate(cfg, tau, gamma, batch, ds, c, dims=theta.layer_dims)
 
 
+class TestBestResponse:
+    @staticmethod
+    def problem(rng, metric, kind, omega):
+        """A random unbiased problem with positives first, so score_batch's
+        rows are the stacked batch evaluate scores."""
+        n_pos, n_neg = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+        ds = Dataset(rng.normal(size=(n_pos + n_neg, 3)), np.repeat([1, 0], [n_pos, n_neg]))
+        dims = (3, 1) if kind == "linear" else (3, 4, 1)
+        theta = ScorerParams(kind, dims, 2.0 * rng.normal(size=param_count(dims)))
+        cfg = ObjectiveConfig(metric, "unbiased", float(rng.uniform(0.1, 1)),
+                              float(rng.uniform(0.1, 1)), omega=omega)
+        box = cfg.boxes
+        mv = MinVars(theta, *(float(rng.uniform(*box[k])) for k in ("a", "b", "s", "s_prime")))
+        return ds, cfg, mv, float(rng.uniform(*box["gamma"]))
+
+    @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_hinge_selection_at_omega_zero(self, metric, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            ds, cfg, mv, gamma = self.problem(rng, metric, kind, 0.0)
+            f = score_batch(mv.theta, ds.features)
+            want = np.zeros(ds.n)
+            want[ds.neg_ids] = neg_branch_N(f[ds.neg_ids], mv.b, gamma) - mv.s_prime > 0
+            if metric == "TPAUC":
+                want[ds.pos_ids] = pos_branch_P(f[ds.pos_ids], mv.a, gamma) - mv.s > 0
+            assert np.array_equal(best_response(cfg, mv, gamma, ds), want)
+
+    @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_kkt_conditions_at_positive_omega(self, metric, kind):
+        # the partial in c times B, at c*: 0 inside the box, <= 0 at its
+        # lower end and >= 0 at its upper end
+        rng = np.random.default_rng(8)
+        interior = 0
+        for _ in range(200):
+            ds, cfg, mv, gamma = self.problem(rng, metric, kind, float(rng.uniform(0.01, 2)))
+            c = best_response(cfg, mv, gamma, ds)
+            lg = evaluate_at(cfg, mv, MaxVars(gamma, c), Minibatch(ds.pos_ids, ds.neg_ids), ds)
+            g, c_ids = lg.grad_max_c * ds.n, c[lg.c_ids]
+            inside = (c_ids > 0) & (c_ids < 1)
+            assert np.all(np.abs(g[inside]) <= 1e-12)
+            assert np.all(g[c_ids == 0] <= 1e-12)
+            assert np.all(g[c_ids == 1] >= -1e-12)
+            interior += inside.sum()
+            if metric == "OPAUC":
+                assert not c[ds.pos_ids].any()
+        assert interior >= 50
+
+    @pytest.mark.parametrize("metric", ["OPAUC", "TPAUC"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_blocked_walk_matches_one_evaluate_call(self, metric, kind, monkeypatch):
+        # 4e4 rows: more than one call takes (2 * 16384 - 1)
+        ds = generate_synthetic(40_000, 0.3, 4, 2.0, seed=3)
+        theta = init_scorer(kind, 4, (8,), seed=3)
+        batch = Minibatch(ds.pos_ids, ds.neg_ids)
+        ids = hinged_ids(ObjectiveConfig(metric, "unbiased"), batch)
+        evaluate_calls = []
+        monkeypatch.setattr(paucopt.objectives, "evaluate",
+                            lambda *args, **kw: evaluate_calls.append(1) or evaluate(*args, **kw))
+        # thresholds at the median losses, so both sides of each are populated
+        f = score_batch(theta, ds.features)
+        a, b, gamma = 0.7, 0.2, 0.1
+        mv = MinVars(theta, a=a, b=b, s=float(np.median(pos_branch_P(f[ds.pos_ids], a, gamma))),
+                     s_prime=float(np.median(neg_branch_N(f[ds.neg_ids], b, gamma))))
+        for omega in (0.0, 0.1):
+            cfg = ObjectiveConfig(metric, "unbiased", 0.6, 0.3, omega=omega)
+            g = ds.n * evaluate(cfg, mv.flat()[None], np.array([gamma]), batch, ds,
+                                np.zeros((1, len(ids))), dims=theta.layer_dims).grad_max_c[0]
+            want = np.zeros(ds.n)
+            want[ids] = g > 0 if omega == 0 else np.clip(g / (2 * omega), 0, 1)
+            got = best_response(cfg, mv, gamma, ds)
+            if omega == 0:
+                assert np.array_equal(got, want)
+                assert 0 < got[ds.neg_ids].mean() < 1
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12
+                assert ((got > 0) & (got < 1)).any()
+        # one block of each class at each omega
+        assert len(evaluate_calls) == 2 * 2
+
+    def test_surrogate_has_no_c(self):
+        theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
+        for metric in ("OPAUC", "TPAUC"):
+            got = best_response(ObjectiveConfig(metric), MinVars(theta), 0.0, ds)
+            assert got.shape == (0,)
+
+
 class TestDegeneration:
     def test_tpauc_alpha_one_matches_opauc(self):
         # unbiased form with s at the top-k threshold (the minimum positive
@@ -329,7 +431,6 @@ class TestDegeneration:
             gamma = rng.uniform(-1, 1)
             a, b = rng.uniform(0, 1, 2)
             sp = rng.uniform(0, 2)
-            from paucopt.scorer import score_batch
             f_pos = score_batch(theta, ds.features[ds.pos_ids])
             P = pos_branch_P(f_pos, a, gamma)
             s = float(P.min())

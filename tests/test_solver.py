@@ -11,12 +11,11 @@ import paucopt.objectives
 import paucopt.scorer
 import paucopt.solver
 from paucopt.data import Dataset, Minibatch, generate_synthetic, row_blocks, split, SplitSpec
-from paucopt.objectives import LossGrad, ObjectiveConfig
+from paucopt.objectives import _RECORD_WIDTH, LossGrad, ObjectiveConfig
 from paucopt.scorer import init_scorer, score_batch, warmup_logistic
 from paucopt.solver import (
     SolverConfig,
     SolverError,
-    _RECORD_WIDTH,
     _record_value_grad,
     asgda_step,
     eta_schedule,
