@@ -54,8 +54,8 @@ def _out_dir(args) -> Path:
 
 def _refuse_taken_out(args) -> None:
     """Raise _out_dir's error for an --out that names, or lies below, an
-    existing non-directory, before a command's work; the directory itself is
-    made after the work, which checks the counts that size it."""
+    existing non-directory, before verify's checks; verify makes the directory
+    after them, as they check --trials and --only: a bad count leaves none."""
     out = Path(args.out or ".")
     # the walk ends at "." or the root; OSError(code, ...) is code's subclass
     taken = next(p for p in (out, *out.parents) if os.path.lexists(p))
@@ -343,11 +343,12 @@ def _metric_point(text: str) -> tuple[float, float]:
     return alpha, beta
 
 
-def _roc_svg(fpr: np.ndarray, tpr: np.ndarray, size: int = 400, margin: int = 20) -> str:
+def _roc_svg(fpr: np.ndarray, tpr: np.ndarray) -> str:
     """Minimal hand-rolled polyline rendering of an ROC curve. A point whose
     printed coordinates repeat the previous point's is left out: it would
     draw nothing. The points are printed one row_blocks block at a time; the
     text kept is bounded by the grid of printed coordinates, not by n."""
+    size, margin = 400, 20    # px: the square and the frame's inset
     span = size - 2 * margin
     texts, last = [], None
     for block in row_blocks(len(fpr), 2):
@@ -416,10 +417,9 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import BENCH_COLUMNS, bench_document, bench_rows
 
-    _refuse_taken_out(args)
+    out = _out_dir(args)    # an unusable --out fails before the timings
     rows = bench_rows(args.seed)
     doc = None if args.label is None else bench_document(args.label, rows, args.seed)
-    out = _out_dir(args)
     with open(out / "timings.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(BENCH_COLUMNS)

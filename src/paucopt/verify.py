@@ -46,9 +46,9 @@ def _report(name, trials, dev, bound) -> VerificationReport:
                               bool(dev <= bound))
 
 
-def _random_scores(rng, n_max=50):
-    n_pos = int(rng.integers(1, n_max // 2 + 1))
-    n_neg = int(rng.integers(1, n_max - n_pos + 1))
+def _random_scores(rng):
+    n_pos = int(rng.integers(1, 26))
+    n_neg = int(rng.integers(1, 51 - n_pos))
     return rng.uniform(0, 1, n_pos), rng.uniform(0, 1, n_neg)
 
 

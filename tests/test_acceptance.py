@@ -4,6 +4,9 @@ Each test prints `ACCEPTANCE <name>: PASS|FAIL` (visible with pytest -s or
 in captured output on failure) and asserts the stated tolerance.
 """
 
+import contextlib
+import io
+import json
 import math
 import time
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from paucopt.bench import bench_rows
+from paucopt.cli import main
 from paucopt.data import generate_synthetic, split, SplitSpec
 from paucopt.metrics import (
     closed_form_optimum,
@@ -23,15 +27,15 @@ from paucopt.objectives import (
     MaxVars,
     MinVars,
     ObjectiveConfig,
+    best_response,
     pos_branch_P,
 )
 from paucopt.data import Dataset, Minibatch, stratified_sample
-from paucopt.scorer import init_scorer, score_batch, warmup_logistic
+from paucopt.scorer import init_scorer, score_batch
 from paucopt.solver import SolverConfig, asgda_step, init_state, train
 from paucopt.verify import (
     _threshold_objective_min_hinge,
     _threshold_objective_min_soft,
-    run_bias_sweep,
     topk_threshold_min,
 )
 
@@ -118,7 +122,7 @@ def test_4_gradient_fidelity():
                               float(rng.uniform(0.2, 1.0)),
                               float(rng.uniform(0.2, 1.0)),
                               float(rng.uniform(1, 8)),
-                              float(rng.uniform(0, 2)), ds.prior_p)
+                              float(rng.uniform(0, 2)))
         mv = MinVars(theta, a=float(rng.uniform(0, 1)),
                      b=float(rng.uniform(0, 1)),
                      s=float(rng.uniform(-4, 1)),
@@ -164,8 +168,7 @@ def test_4_gradient_fidelity():
 def test_5_feasibility_invariant():
     ds = generate_synthetic(800, 0.2, 4, 2.0, seed=13)
     scorer = init_scorer("mlp", 4, (4,), seed=13)
-    obj = ObjectiveConfig("TPAUC", "unbiased", 0.6, 0.4, 4.0, 0.5,
-                          prior_p=ds.prior_p)
+    obj = ObjectiveConfig("TPAUC", "unbiased", 0.6, 0.4, 4.0, 0.5)
     cfg = SolverConfig(nu=1.5, lam=1.0, T=2000, batch_pos=16, batch_neg=48,
                        seed=13)
     st = init_state(ds, scorer, cfg, obj)
@@ -185,8 +188,7 @@ def test_6_optimization_sanity():
     for formulation in ("surrogate", "unbiased"):
         for metric, alpha, beta, floor in (("OPAUC", 1.0, 0.3, 0.95),
                                            ("TPAUC", 0.5, 0.5, 0.90)):
-            obj = ObjectiveConfig(metric, formulation, alpha, beta, 4.0, 0.1,
-                                  prior_p=tr.prior_p)
+            obj = ObjectiveConfig(metric, formulation, alpha, beta, 4.0, 0.1)
             cfg = SolverConfig(nu=0.5, lam=0.5, T=300, batch_pos=32,
                                batch_neg=224, seed=7, warmup_epochs=2,
                                eval_every=150)
@@ -198,18 +200,14 @@ def test_6_optimization_sanity():
     report("optimization_sanity", ok)
 
 
-def test_7_quantile_deviation_ordering():
-    seed = 0
-    ds = generate_synthetic(2000, 0.3, 5, 1.0, seed=seed)
-    tr, _, _ = split(ds, SplitSpec(seed=seed))
-    scorer = warmup_logistic(init_scorer("linear", 5, seed=seed), tr, 2, 0.3,
-                             seed=seed)
-    base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.3, 2.0, 0.1,
-                           prior_p=tr.prior_p)
-    cfg = SolverConfig(nu=0.05, lam=1.0, k_coef=1.0, m_coef=27.0, T=3000,
-                       batch_pos=32, batch_neg=224, seed=seed,
-                       freeze_theta=True, eval_every=3000)
-    rows = run_bias_sweep(tr, scorer, [2.0, 32.0], base, cfg)
+def test_7_quantile_deviation_ordering(tmp_path, monkeypatch):
+    # `paucopt sweep` at its defaults: the command holds the sweep's data,
+    # warm-up and solver settings. Its printed rows are kept from the
+    # PASS/FAIL line; they are the ones sweep.json holds.
+    monkeypatch.delenv("PAUC_SEED", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))
     dev = {(r["kind"], r["kappa"]): r["beta_dev"] for r in rows}
     hinge_dev = [v for (k, _), v in dev.items() if k == "unbiased"][0]
     ok = (hinge_dev <= dev[("surrogate", 2.0)]
@@ -254,14 +252,15 @@ def test_9_degenerations():
         P = pos_branch_P(f_pos, a, gamma)
         s = float(P.min())
         c = rng.uniform(0, 1, n)
-        c[ds.pos_ids] = (P - s > 0).astype(float)
         batch = Minibatch(ds.pos_ids, ds.neg_ids)
-        kw = dict(alpha=1.0, beta=0.5, kappa=2.0, omega=0.0,
-                  prior_p=ds.prior_p)
+        kw = dict(alpha=1.0, beta=0.5, kappa=2.0, omega=0.0)
         tp = ObjectiveConfig("TPAUC", "unbiased", **kw)
         op = ObjectiveConfig("OPAUC", "unbiased", **kw)
-        v_tp = evaluate_at(tp, MinVars(theta, a=a, b=b, s=s, s_prime=sp),
-                           MaxVars(gamma, c), batch, ds).value
+        mv_tp = MinVars(theta, a=a, b=b, s=s, s_prime=sp)
+        # c_pos at its best response; c_neg stays random, as the identity
+        # holds for any c_neg
+        c[ds.pos_ids] = best_response(tp, mv_tp, gamma, ds)[ds.pos_ids]
+        v_tp = evaluate_at(tp, mv_tp, MaxVars(gamma, c), batch, ds).value
         v_op = evaluate_at(op, MinVars(theta, a=a, b=b, s_prime=sp),
                            MaxVars(gamma, c), batch, ds).value
         ok &= abs(v_tp - v_op) <= 1e-12

@@ -977,9 +977,9 @@ class TestVerifyCmd:
 @pytest.mark.parametrize("command,work", [("verify", "run_all_checks"), ("bench", "bench_rows")])
 def test_existing_file_as_out_refused_before_the_work(tmp_path, capsys, monkeypatch,
                                                       command, work):
-    # verify and bench make --out after their work, whose count checks must
-    # leave no directory behind, but an existing file, or a path below one, is
-    # refused first
+    # verify makes --out after its work, whose count checks must leave no
+    # directory behind, and bench makes it first; either way an existing file,
+    # or a path below one, is refused before the work
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
@@ -993,6 +993,22 @@ def test_existing_file_as_out_refused_before_the_work(tmp_path, capsys, monkeypa
         assert run_cli(command, "--out", str(out)) == 2
         assert capsys.readouterr() == ("", f"error: {error}: {str(out)!r}\n")
     assert taken.read_text() == ""
+
+
+def test_bench_makes_out_before_the_timings(tmp_path, monkeypatch, capsys):
+    # as train and sweep do: an --out that cannot be made costs no timing
+    out = tmp_path / "b"
+    seen = []
+
+    def no_rows(seed):
+        seen.append(out.is_dir())
+        return []
+
+    monkeypatch.setattr(paucopt.bench, "bench_rows", no_rows)
+    assert run_cli("bench", "--out", str(out)) == 0
+    assert seen == [True]
+    assert (out / "timings.csv").read_text() == "batch_pos,batch_neg,median_ms,p90_ms,kind\n"
+    assert capsys.readouterr() == ("", "")
 
 
 def strict_json(text: str):

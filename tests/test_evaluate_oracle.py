@@ -44,6 +44,7 @@ from points import evaluate_at
 
 S_BOX = (-4.0, 1.0)
 S_PRIME_BOX = (0.0, 5.0)
+LAGRANGE_CAP = 1e9
 
 # grad_max_c is a dict id -> partial, batch members only
 LossGrad = namedtuple("LossGrad", "value grad_min grad_max_gamma grad_max_c")
@@ -107,8 +108,7 @@ def project_min_flat(vec: np.ndarray, n_theta: int, cfg: ObjectiveConfig) -> np.
     """project_min on the flat layout, in place on a copy."""
     out = vec.copy()
     lo = np.array([0.0, 0.0, S_BOX[0], S_PRIME_BOX[0], 0.0, 0.0])
-    hi = np.array([1.0, 1.0, S_BOX[1], S_PRIME_BOX[1],
-                   cfg.lagrange_cap, cfg.lagrange_cap])
+    hi = np.array([1.0, 1.0, S_BOX[1], S_PRIME_BOX[1], LAGRANGE_CAP, LAGRANGE_CAP])
     out[n_theta:] = np.clip(out[n_theta:], lo, hi)
     if cfg.metric_kind == "OPAUC":
         out[n_theta + 4] = 0.0
@@ -347,8 +347,7 @@ def test_evaluate_matches_two_evaluator_oracle(metric, formulation, kind):
         theta = init_scorer(kind, d, (4,), seed=seed)
         cfg = ObjectiveConfig(metric, formulation, float(rng.uniform(0.1, 1.0)),
                               float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 16)),
-                              float(rng.uniform(0, 2)) * (seed % 3 > 0),
-                              ds.prior_p)
+                              float(rng.uniform(0, 2)) * (seed % 3 > 0))
         mv = MinVars(theta, *(float(v) for v in rng.uniform(
             [0, 0, -4, 0, 0, 0], [1, 1, 1, 5, 3, 3])))
         c = rng.uniform(0, 1, ds.n)
@@ -382,7 +381,7 @@ def test_gamma_square_rounds_as_python_float_pow(formulation):
     gammas = [g for g in rng.uniform(-1, 1, 20_000).tolist() if g ** 2 != np.square(g)]
     assert len(gammas) >= 5
     ds = generate_synthetic(60, 0.3, 2, 1.0, seed=3)
-    cfg = ObjectiveConfig("TPAUC", formulation, 0.5, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    cfg = ObjectiveConfig("TPAUC", formulation, 0.5, 0.4, 4.0, 0.3)
     mv = MinVars(init_scorer("linear", 2, seed=3), 0.6, 0.3, -0.5, 0.8, 0.4, 0.7)
     batch = Minibatch(ds.pos_ids, ds.neg_ids)
     for gamma in gammas[:5]:
@@ -399,8 +398,7 @@ def test_asgda_step_matches_per_id_loop_oracle(metric, formulation, freeze_theta
     # large steps so that gamma and c run into their boxes; a frozen theta
     # is sweep's path
     ds = generate_synthetic(300, 0.3, 3, 1.0, seed=4)
-    obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2,
-                          prior_p=ds.prior_p)
+    obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2)
     cfg = SolverConfig(nu=1.0, lam=20.0, T=60, batch_pos=8, batch_neg=24, seed=4,
                        freeze_theta=freeze_theta)
     scorer = init_scorer("mlp", 3, (4,), seed=4)
@@ -445,7 +443,7 @@ def test_stacked_points_equal_one_point_calls(metric, formulation, kind, monkeyp
 
     monkeypatch.setattr(paucopt.solver, "evaluate", checked)
     ds = generate_synthetic(300, 0.3, 3, 1.0, seed=4)
-    obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2, prior_p=ds.prior_p)
+    obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2)
     cfg = SolverConfig(nu=1.0, lam=20.0, T=40, batch_pos=8, batch_neg=24, seed=4,
                        eval_every=20)
     train(ds, None, init_scorer(kind, 3, (8,), seed=4), cfg, obj)
@@ -465,7 +463,7 @@ def test_unsorted_repeated_ids_equal_fancy_indexed_rows(metric, formulation, kin
     assert not (np.diff(ids) > 0).all() and len(np.unique(ids)) == len(ids) - 1
     gathered = Dataset(ds.features[ids], ds.labels[ids])
     in_order = Minibatch(np.arange(len(pos)), np.arange(len(pos), len(ids)))
-    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3)
     theta = init_scorer(kind, 3, (4,), seed=6)
     tau = np.array([MinVars(theta, a, 1.0 - a, -0.5, 2 * a, a, 0.2).flat()
                     for a in (0.3, 0.7)])

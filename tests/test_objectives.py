@@ -168,7 +168,7 @@ class TestProjection:
         # asgda_step clamps gamma and the active c onto their boxes; with
         # eta = 1 the step lands on the pushed-out candidate itself
         ds = generate_synthetic(40, 0.3, 2, 1.0, seed=0)
-        cfg = ObjectiveConfig("OPAUC", "unbiased", prior_p=ds.prior_p)
+        cfg = ObjectiveConfig("OPAUC", "unbiased")
         scfg = SolverConfig(k_coef=2.0, m_coef=8.0, batch_pos=2, batch_neg=4)
         st = init_state(ds, init_scorer("linear", 2, seed=0), scfg, cfg)
         st.gamma, st.c = 0.5, np.full(ds.n, 0.3)
@@ -226,7 +226,7 @@ class TestSurrogateValues:
 
     def test_grad_max_c_empty(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
-        cfg = ObjectiveConfig("OPAUC", "surrogate", prior_p=0.5)
+        cfg = ObjectiveConfig("OPAUC", "surrogate")
         lg = evaluate_at(cfg, MinVars(theta), MaxVars(0.0, np.ones(2)),
                          Minibatch(np.array([0]), np.array([1])), ds)
         assert dict(zip(lg.c_ids, lg.grad_max_c)) == {}
@@ -234,8 +234,7 @@ class TestSurrogateValues:
     def test_batch_mean_linearity(self):
         ds = generate_synthetic(30, 0.4, 3, 1.0, seed=0)
         theta = init_scorer("mlp", 3, (3,), seed=0)
-        cfg = ObjectiveConfig("TPAUC", "surrogate", 0.5, 0.5, 3.0, 0.2,
-                              prior_p=ds.prior_p)
+        cfg = ObjectiveConfig("TPAUC", "surrogate", 0.5, 0.5, 3.0, 0.2)
         mv = MinVars(theta, a=0.6, b=0.3, s=-0.5, s_prime=0.8, theta_a=0.4,
                      theta_b=0.7)
         xv = MaxVars(0.2, np.ones(ds.n))
@@ -323,7 +322,7 @@ class TestUnbiasedValues:
 
     def test_missing_c_rejected(self):
         theta, ds = const_scorer_ds((0.5, 1), (0.5, 0))
-        cfg = ObjectiveConfig("OPAUC", "unbiased", prior_p=0.5)
+        cfg = ObjectiveConfig("OPAUC", "unbiased")
         batch = Minibatch(np.array([0]), np.array([1]))
         tau, gamma = MinVars(theta).flat()[None], np.zeros(1)
         # OPAUC hinges the one negative: c needs shape (1, 1)
@@ -435,13 +434,14 @@ class TestDegeneration:
             P = pos_branch_P(f_pos, a, gamma)
             s = float(P.min())
             c = rng.uniform(0, 1, ds.n)
-            c[ds.pos_ids] = (P - s > 0).astype(float)
             batch = Minibatch(ds.pos_ids, ds.neg_ids)
-            kw = dict(alpha=1.0, beta=0.5, kappa=2.0, omega=0.0,
-                      prior_p=ds.prior_p)
+            kw = dict(alpha=1.0, beta=0.5, kappa=2.0, omega=0.0)
             tp = ObjectiveConfig("TPAUC", "unbiased", **kw)
             op = ObjectiveConfig("OPAUC", "unbiased", **kw)
             mv_tp = MinVars(theta, a=a, b=b, s=s, s_prime=sp)
+            # c_pos at its best response; c_neg stays random, as the identity
+            # holds for any c_neg
+            c[ds.pos_ids] = best_response(tp, mv_tp, gamma, ds)[ds.pos_ids]
             mv_op = MinVars(theta, a=a, b=b, s_prime=sp)
             v_tp = evaluate_at(tp, mv_tp, MaxVars(gamma, c), batch, ds).value
             v_op = evaluate_at(op, mv_op, MaxVars(gamma, c), batch, ds).value
@@ -455,7 +455,7 @@ def test_value_ignores_later_writes_to_the_inputs(metric, formulation):
     # arrays, which the caller may have overwritten by then
     ds = generate_synthetic(60, 0.3, 3, 1.0, seed=8)
     rng = np.random.default_rng(8)
-    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3)
     theta = init_scorer("mlp", 3, (4,), seed=8)
     batch = stratified_sample(ds, 6, 10, rng)
     tau = np.array([project_min(MinVars(theta, a, 1.0 - a, -0.5, 2 * a, a, 0.2), cfg).flat()
@@ -486,7 +486,7 @@ class TestGradientFidelity:
                                   float(rng.uniform(0.2, 1.0)),
                                   float(rng.uniform(0.2, 1.0)),
                                   float(rng.uniform(1, 8)),
-                                  float(rng.uniform(0, 2)), ds.prior_p)
+                                  float(rng.uniform(0, 2)))
             mv = MinVars(theta, a=float(rng.uniform(0, 1)),
                          b=float(rng.uniform(0, 1)),
                          s=float(rng.uniform(-4, 1)),
@@ -538,7 +538,7 @@ def test_class_weighted_batches_average_to_the_full_batch(metric, formulation):
     rng = np.random.default_rng(3)
     labels = np.repeat([1, 0], [40, 160])
     ds = Dataset(rng.normal(size=(200, 3)) + labels[:, None], labels)
-    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3, prior_p=ds.prior_p)
+    cfg = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.3)
     theta = init_scorer("mlp", 3, (4,), seed=3)
     mv = project_min(MinVars(theta, 0.6, 0.3, -0.5, 0.8, 0.4, 0.2), cfg)
     xv = MaxVars(0.25, rng.uniform(0, 1, ds.n))

@@ -32,8 +32,7 @@ from points import evaluate_at
 def small_setup():
     ds = generate_synthetic(120, 0.3, 3, 1.5, seed=3)
     scorer = init_scorer("linear", 3, seed=3)
-    obj = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.4, 4.0, 0.1,
-                          prior_p=ds.prior_p)
+    obj = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.4, 4.0, 0.1)
     return ds, scorer, obj
 
 
@@ -109,8 +108,7 @@ class TestAsgdaStep:
         # the step oracle's problem; (1-eta)*theta + eta*theta can round off
         # theta, so only a box pinned at the start keeps it exact
         ds = generate_synthetic(300, 0.3, 3, 1.0, seed=4)
-        obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2,
-                              prior_p=ds.prior_p)
+        obj = ObjectiveConfig(metric, formulation, 0.6, 0.4, 4.0, 0.2)
         cfg = SolverConfig(nu=1.0, lam=20.0, T=60, batch_pos=8, batch_neg=24,
                            seed=4, freeze_theta=True)
         scorer = init_scorer("mlp", 3, (4,), seed=4)
@@ -122,7 +120,7 @@ class TestAsgdaStep:
     def test_feasible_after_every_step(self, small_setup, metric, formulation):
         ds, scorer, _ = small_setup
         obj = ObjectiveConfig(metric, formulation, 1.0 if metric == "OPAUC" else 0.6, 0.4,
-                              4.0, 0.1, prior_p=ds.prior_p)
+                              4.0, 0.1)
         cfg = SolverConfig(nu=2.0, lam=2.0, T=100, batch_pos=4, batch_neg=8,
                            seed=1)
         st = init_state(ds, scorer, cfg, obj)
@@ -173,8 +171,7 @@ class TestAsgdaStep:
         # drives s' to the top of its box, where for some eta past t ~ 1000
         # (1-eta)*5 + eta*5 rounds above 5 unless it is clamped again
         ds = generate_synthetic(200, 0.2, 3, 1.0, seed=0)
-        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1,
-                              prior_p=ds.prior_p)
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1)
         cfg = SolverConfig(nu=0.5, lam=0.0, T=1200, batch_pos=4,
                            batch_neg=16, seed=0, warmup_epochs=0)
         st = init_state(ds, init_scorer("linear", 3, seed=0), cfg, obj)
@@ -192,7 +189,7 @@ def test_batch_past_the_class_sizes_trains_as_the_capped_batch(metric, alpha, ba
     # the c step by the batch it drew, so the request past it changes nothing
     ds_train, ds_val, _ = split(generate_synthetic(300, 0.1, 3, 1.0, seed=2), SplitSpec(seed=2))
     assert (ds_train.n_pos, ds_train.n_neg) == (21, 189)
-    obj = ObjectiveConfig(metric, "unbiased", alpha, 0.3, 4.0, 0.1, prior_p=ds_train.prior_p)
+    obj = ObjectiveConfig(metric, "unbiased", alpha, 0.3, 4.0, 0.1)
     scorer = init_scorer("linear", 3, seed=2)
     runs = []
     for sizes in ((batch_pos, batch_neg),
@@ -218,8 +215,7 @@ class TestTrain:
         ds = generate_synthetic(2000, 0.1, 5, 4.0, seed=7)
         tr, va, _ = split(ds, SplitSpec(seed=7))
         scorer = init_scorer("linear", 5, seed=7)
-        obj = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.3, 4.0, 0.1,
-                              prior_p=tr.prior_p)
+        obj = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.3, 4.0, 0.1)
         cfg = SolverConfig(nu=0.5, lam=0.5, T=300, batch_pos=32,
                            batch_neg=224, seed=7, warmup_epochs=2,
                            eval_every=100)
@@ -232,8 +228,7 @@ class TestTrain:
         scorer = init_scorer("linear", 5, seed=7)
         results = {}
         for form in ("surrogate", "unbiased"):
-            obj = ObjectiveConfig("OPAUC", form, 1.0, 0.3, 4.0, 0.1,
-                                  prior_p=tr.prior_p)
+            obj = ObjectiveConfig("OPAUC", form, 1.0, 0.3, 4.0, 0.1)
             cfg = SolverConfig(nu=0.5, lam=0.5, T=300, batch_pos=32,
                                batch_neg=224, seed=7, warmup_epochs=2,
                                eval_every=300)
@@ -248,7 +243,7 @@ class TestTrain:
         # run must fail before its warm-up instead
         ds = generate_synthetic(2000, 0.1, 5, 4.0, seed=7)
         tr, va, _ = split(ds, SplitSpec(seed=7))
-        obj = ObjectiveConfig(metric, "surrogate", alpha, beta, prior_p=tr.prior_p)
+        obj = ObjectiveConfig(metric, "surrogate", alpha, beta)
 
         def no_work(*args, **kwargs):
             raise AssertionError("trained")
@@ -264,7 +259,7 @@ class TestTrain:
     def test_only_the_training_split_builds_class_ids(self):
         ds = generate_synthetic(2000, 0.1, 5, 4.0, seed=7)
         tr, va, te = split(ds, SplitSpec(seed=7))
-        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, prior_p=tr.prior_p)
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3)
         cfg = SolverConfig(T=20, eval_every=10, warmup_epochs=1, seed=7)
         train(tr, va, init_scorer("linear", 5, seed=7), cfg, obj)
         ids = {"pos_ids", "neg_ids"}
@@ -317,8 +312,7 @@ class TestGradMappingProxy:
         # frozen scorer: only (a, b, s', ...) move -> effectively convex
         ds = generate_synthetic(300, 0.3, 3, 2.0, seed=11)
         scorer = init_scorer("linear", 3, seed=11)
-        obj = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.4, 4.0, 0.5,
-                              prior_p=ds.prior_p)
+        obj = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.4, 4.0, 0.5)
         cfg = SolverConfig(nu=0.1, lam=0.3, T=2000, batch_pos=16,
                            batch_neg=48, seed=11, freeze_theta=True,
                            eval_every=100)
@@ -337,8 +331,7 @@ class TestStepIsBatchSized:
     @staticmethod
     def unbiased_setup(n):
         ds = generate_synthetic(n, 0.1, 5, 4.0, seed=7)
-        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1,
-                              prior_p=ds.prior_p)
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1)
         cfg = SolverConfig(nu=0.5, lam=0.5, T=10, batch_pos=32,
                            batch_neg=224, seed=7)
         return ds, obj, cfg, init_state(ds, init_scorer("linear", 5, seed=7), cfg, obj)
@@ -388,7 +381,7 @@ class TestStepIsBatchSized:
 
         monkeypatch.setattr(paucopt.objectives, "softplus", counting)
         ds = generate_synthetic(400, 0.2, 4, 2.0, seed=5)
-        obj = ObjectiveConfig("TPAUC", "surrogate", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+        obj = ObjectiveConfig("TPAUC", "surrogate", 0.5, 0.3, 4.0, 0.1)
         cfg = SolverConfig(T=30, batch_pos=8, batch_neg=24, seed=5, eval_every=10)
         scorer = init_scorer("mlp", 4, (8,), seed=5)
         st = init_state(ds, scorer, cfg, obj)
@@ -437,7 +430,7 @@ class TestBlockedRecord:
     def check_class_pure_blocks(ds, calls, blocks):
         """One record over ds, at c unlike at each id, makes calls over the
         given (positive, negative) numbers of blocks that cover its classes."""
-        obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, prior_p=ds.prior_p)
+        obj = ObjectiveConfig("TPAUC", "unbiased", 0.5)
         st = init_state(ds, init_scorer("linear", ds.dim, seed=1), SolverConfig(), obj)
         st.c = np.random.default_rng(1).uniform(size=ds.n)
         _record_value_grad(st, obj, ds)
@@ -475,7 +468,7 @@ class TestBlockedRecord:
     def test_split_inside_one_block_records_one_pass_bits(self, record_calls, metric,
                                                           formulation):
         ds = generate_synthetic(self.BLOCK, 0.2, 4, 2.0, seed=2)
-        obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+        obj = ObjectiveConfig(metric, formulation, 0.5, 0.3, 4.0, 0.1)
         cfg = SolverConfig(T=10, seed=2)
         tau, xv, trace = train(ds, None, init_scorer("mlp", 4, (4,), seed=2), cfg, obj)
         assert len(record_calls) == 1
@@ -486,7 +479,7 @@ class TestBlockedRecord:
         # the last block takes under twice BLOCK rows: 2 * BLOCK - 1 rows are
         # the most one call takes, and one row more is split by class
         ds = generate_synthetic(2 * self.BLOCK - 1, 0.2, 4, 2.0, seed=2)
-        obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+        obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1)
         cfg = SolverConfig(T=10, seed=2)
         tau, xv, trace = train(ds, None, init_scorer("mlp", 4, (4,), seed=2), cfg, obj)
         assert len(record_calls) == 1
@@ -503,7 +496,7 @@ class TestBlockedRecord:
             n_pos, n = blocks_pos * self.BLOCK, (blocks_pos + blocks_neg) * self.BLOCK
             rng = np.random.default_rng(3)
             ds = Dataset(rng.standard_normal((n, 2)), rng.permutation(np.arange(n) < n_pos))
-            obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1, prior_p=ds.prior_p)
+            obj = ObjectiveConfig("TPAUC", "unbiased", 0.5, 0.3, 4.0, 0.1)
             cfg = SolverConfig(seed=3)
             st = init_state(ds, init_scorer("linear", 2, seed=3), cfg, obj)
             # built on first read, as train's first step does, and kept
@@ -535,7 +528,7 @@ class TestBlockedRecord:
             return lg
 
         monkeypatch.setattr(paucopt.solver, "evaluate", one_block_inf)
-        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1, prior_p=large.prior_p)
+        obj = ObjectiveConfig("OPAUC", "unbiased", 1.0, 0.3, 4.0, 0.1)
         cfg = SolverConfig(T=20, seed=1, eval_every=5)
         with pytest.raises(SolverError, match=r"^non-finite objective at t=5$"):
             train(large, None, init_scorer("linear", 5, seed=1), cfg, obj)

@@ -49,8 +49,7 @@ def test_last_iterate_reaches_the_population_optimum(metric, formulation, alpha,
                        for d in (-0.5, 0.5))
     ds_train, _, _ = split(HARD.sample(20_000, seed), SplitSpec(seed=seed))
     scorer = init_scorer("linear", 2, seed=seed)
-    obj = ObjectiveConfig(metric, formulation, alpha, beta, kappa=8.0, omega=0.1,
-                          prior_p=ds_train.prior_p)
+    obj = ObjectiveConfig(metric, formulation, alpha, beta, kappa=8.0, omega=0.1)
     cfg = SolverConfig(nu=0.5, lam=0.5, T=2000, batch_pos=32, batch_neg=224, seed=seed,
                        warmup_epochs=2, eval_every=2000)
     # the warm-up train runs first, on the same arguments

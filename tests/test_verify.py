@@ -4,11 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from paucopt.data import generate_synthetic, split, SplitSpec
 from paucopt.metrics import closed_form_optimum, pairwise_surrogate_risk
 from paucopt.objectives import ObjectiveConfig, softplus
-from paucopt.scorer import init_scorer, warmup_logistic
-from paucopt.solver import SolverConfig
 from paucopt.verify import (
     check_hinge_weight_identity,
     check_monotone_branches,
@@ -17,7 +14,6 @@ from paucopt.verify import (
     check_topk_threshold,
     reports_to_json,
     run_all_checks,
-    run_bias_sweep,
     topk_threshold_min,
     _threshold_objective_min_hinge,
     _threshold_objective_min_soft,
@@ -142,22 +138,3 @@ class TestRunAll:
         with pytest.raises(ValueError, match=f"^trials must be at least 1, got {trials}$"):
             run_all_checks(trials=trials)
 
-
-@pytest.mark.slow
-class TestBiasSweep:
-    def test_orderings(self):
-        seed = 0
-        ds = generate_synthetic(2000, 0.3, 5, 1.0, seed=seed)
-        tr, _, _ = split(ds, SplitSpec(seed=seed))
-        scorer = warmup_logistic(init_scorer("linear", 5, seed=seed), tr, 2,
-                                 0.3, seed=seed)
-        base = ObjectiveConfig("OPAUC", "surrogate", 1.0, 0.3, 2.0, 0.1,
-                               prior_p=tr.prior_p)
-        cfg = SolverConfig(nu=0.05, lam=1.0, k_coef=1.0, m_coef=27.0, T=3000,
-                           batch_pos=32, batch_neg=224, seed=seed,
-                           freeze_theta=True, eval_every=3000)
-        rows = run_bias_sweep(tr, scorer, [2.0, 32.0], base, cfg)
-        dev = {(r["kind"], r["kappa"]): r["beta_dev"] for r in rows}
-        hinge_dev = [v for (k, _), v in dev.items() if k == "unbiased"][0]
-        assert hinge_dev <= dev[("surrogate", 2.0)]
-        assert dev[("surrogate", 32.0)] <= dev[("surrogate", 2.0)]
