@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import json
 import os
 import reprlib
@@ -25,7 +24,7 @@ from .metrics import empirical_auc, empirical_opauc, empirical_tpauc
 # bound under the old name, which perfbench's tracer wraps to time the ROC
 # (metrics.roc_s); cmd_evaluate looks it up here
 from .metrics import roc_points as roc_curve
-from .objectives import FLAT_SCALARS, ObjectiveConfig
+from .objectives import FLAT_SCALARS, ObjectiveConfig, best_response
 from .scorer import ScorerParams, init_scorer, score_batch, warmup_logistic
 from .solver import SolverConfig, TraceRecord, _val_pauc, check_val_counts, train
 # .bench and .verify are imported by the commands that run them, so that no
@@ -50,18 +49,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _refuse_taken_out(args) -> None:
-    """Raise _out_dir's error for an --out that names, or lies below, an
-    existing non-directory, before verify's checks; verify makes the directory
-    after them, as they check --trials and --only: a bad count leaves none."""
-    out = Path(args.out or ".")
-    # the walk ends at "." or the root; OSError(code, ...) is code's subclass
-    taken = next(p for p in (out, *out.parents) if os.path.lexists(p))
-    if not taken.is_dir():
-        code = errno.EEXIST if taken == out else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), args.out)
 
 
 def cmd_generate(args) -> int:
@@ -403,13 +390,16 @@ def _hundredths(v: np.ndarray) -> np.ndarray:
 def cmd_verify(args) -> int:
     from .verify import reports_to_json, run_all_checks
 
-    _refuse_taken_out(args)
     only = set(args.only) if args.only else None
-    reports = _build(run_all_checks, {"trials": "--trials", "only": "--only"}, seed=args.seed,
-                     only=only, trials=args.trials)
+    checks = _build(run_all_checks, {"trials": "--trials", "only": "--only"}, seed=args.seed,
+                    only=only, trials=args.trials)
+    # after the flag checks, so that a bad count leaves no directory behind,
+    # and before the first check
+    out = _out_dir(args) if args.out else None
+    reports = [check() for check in checks]
     text = reports_to_json(reports)
-    if args.out:
-        (_out_dir(args) / "verify.json").write_text(text + "\n", encoding="utf-8")
+    if out is not None:
+        (out / "verify.json").write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -433,15 +423,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .verify import run_bias_sweep
-
     seed = args.seed
     # every flag is checked before any data is made
     flags = {"kappa": "--kappas", "beta": "--beta", "omega": "--omega", "T": "--T"}
     obj_cfg = _build(ObjectiveConfig, flags, metric_kind="OPAUC", formulation="surrogate",
                      beta=args.beta, omega=args.omega)
-    for kappa in args.kappas:
-        _build(replace, flags, obj_cfg, kappa=kappa)
+    # the surrogate at each kappa, then the unbiased form, whose row's kappa is None
+    runs = [(_build(replace, flags, obj_cfg, kappa=kappa), kappa) for kappa in args.kappas]
+    runs.append((replace(obj_cfg, formulation="unbiased"), None))
     solver_cfg = _build(SolverConfig, flags, nu=0.05, lam=1.0, k_coef=1.0, m_coef=27.0,
                         T=args.T, seed=seed, freeze_theta=True, eval_every=max(1, args.T))
     ds = _build(generate_synthetic, _SYNTHETIC_FLAGS, args.n, args.imbalance, args.dim,
@@ -453,7 +442,16 @@ def cmd_sweep(args) -> int:
     # distribution, which a still-moving scorer would pull from under it
     scorer = warmup_logistic(init_scorer("linear", ds.dim, seed=seed),
                              ds_train, 2, 0.3, seed=seed)
-    rows = run_bias_sweep(ds_train, scorer, args.kappas, obj_cfg, solver_cfg)
+    # beta-tilde: the share of negatives the exact hinge selects. Every run
+    # shares the scorer and the solver seed, so only the hinge treatment moves
+    hinge_cfg = replace(obj_cfg, formulation="unbiased", omega=0.0)
+    rows = []
+    for cfg, kappa in runs:
+        tau, xv, _ = train(ds_train, None, scorer, solver_cfg, cfg)
+        selected = best_response(hinge_cfg, tau, xv.gamma, ds_train)
+        beta_eff = float(selected[ds_train.neg_ids].mean())
+        rows.append({"kind": cfg.formulation, "kappa": kappa, "beta_eff": beta_eff,
+                     "beta_dev": abs(beta_eff - cfg.beta)})
     # strict JSON: a non-finite value is a ValueError (exit 2), not a bare NaN
     text = json.dumps(rows, indent=2, allow_nan=False)
     (out / "sweep.json").write_text(text, encoding="utf-8")

@@ -7,9 +7,10 @@ minimization) or an analytic constant, and reports the worst deviation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .objectives import (
     softplus,
 )
 from .scorer import ScorerParams, expit, score_batch
-from .solver import SolverConfig, train
 
 
 @dataclass(frozen=True)
@@ -214,29 +214,6 @@ def check_hinge_weight_identity(trials: int = 1000, seed: int = 0) -> Verificati
     return _report("hinge_weight_identity", trials, worst, 0.0)
 
 
-def run_bias_sweep(ds_train: Dataset, scorer_init: ScorerParams, kappas,
-                   obj_cfg_base: ObjectiveConfig, solver_cfg: SolverConfig):
-    """Train the surrogate at each kappa plus one unbiased run, whose row's
-    kappa is None; report beta-tilde.
-
-    All runs share the scorer initialization and solver seed so the only
-    moving part is the hinge treatment.
-    """
-    runs = [(replace(obj_cfg_base, formulation="surrogate", kappa=kappa), kappa)
-            for kappa in kappas]
-    runs.append((replace(obj_cfg_base, formulation="unbiased"), None))
-    # beta-tilde: the share of negatives the exact hinge selects
-    hinge_cfg = replace(obj_cfg_base, formulation="unbiased", omega=0.0)
-    rows = []
-    for cfg, kappa in runs:
-        tau, xv, _ = train(ds_train, None, scorer_init, solver_cfg, cfg)
-        selected = best_response(hinge_cfg, tau, xv.gamma, ds_train)
-        beta_eff = float(selected[ds_train.neg_ids].mean())
-        rows.append({"kind": cfg.formulation, "kappa": kappa, "beta_eff": beta_eff,
-                     "beta_dev": abs(beta_eff - cfg.beta)})
-    return rows
-
-
 ALL_CHECKS = {
     "reformulation_equivalence": check_reformulation_equivalence,
     "topk_threshold": check_topk_threshold,
@@ -247,23 +224,18 @@ ALL_CHECKS = {
 
 
 def run_all_checks(seed: int = 0, only=None, trials=None):
-    """Run the named checks (all by default); returns a list of reports. An
-    unknown name in `only` is a ValueError, raised before any check runs."""
+    """The named checks (all by default), each a zero-argument call that runs
+    it and returns its report. A trials count below 1 or an unknown name in
+    `only` is a ValueError, raised before any check runs."""
     if trials is not None and not trials >= 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     unknown = sorted(set(only or ()) - ALL_CHECKS.keys())
     if unknown:
         raise ValueError(f"only names unknown check(s) {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(sorted(ALL_CHECKS))}")
-    reports = []
-    for name, fn in ALL_CHECKS.items():
-        if only is not None and name not in only:
-            continue
-        kwargs = {"seed": seed}
-        if trials is not None:
-            kwargs["trials"] = trials
-        reports.append(fn(**kwargs))
-    return reports
+    kwargs = {"seed": seed} if trials is None else {"seed": seed, "trials": trials}
+    return [functools.partial(fn, **kwargs) for name, fn in ALL_CHECKS.items()
+            if only is None or name in only]
 
 
 def reports_to_json(reports) -> str:

@@ -44,7 +44,7 @@ def calls(monkeypatch) -> collections.Counter:
     make data, warm a scorer or train; each call still runs."""
     counts = collections.Counter()
     for module, name in ((paucopt.cli, "generate_synthetic"), (paucopt.cli, "warmup_logistic"),
-                         (paucopt.cli, "train"), (paucopt.verify, "train")):
+                         (paucopt.cli, "train")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -959,32 +959,58 @@ class TestVerifyCmd:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 1
 
-    def test_zero_trials_usage_error(self):
-        assert run_cli("verify", "--trials", "0") == 2
+    def test_zero_trials_usage_error(self, tmp_path):
+        # the count is checked before --out is made
+        out = tmp_path / "v"
+        assert run_cli("verify", "--trials", "0", "--out", str(out)) == 2
+        assert not out.exists()
 
-    def test_unknown_only_name_usage_error_before_any_check(self, capsys, monkeypatch):
+    def test_unknown_only_name_usage_error_before_any_check(self, tmp_path, capsys,
+                                                             monkeypatch):
         def no_check(**kwargs):
             raise AssertionError("a check ran")
 
         monkeypatch.setitem(paucopt.verify.ALL_CHECKS, "topk_threshold", no_check)
-        assert run_cli("verify", "--only", "topk_threshold", "bogus") == 2
-        out, err = capsys.readouterr()
-        assert out == ""
+        out = tmp_path / "v"
+        assert run_cli("verify", "--only", "topk_threshold", "bogus", "--out", str(out)) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
         assert err.startswith("error: --only ") and "'bogus'" in err
         assert "known: " + ", ".join(sorted(paucopt.verify.ALL_CHECKS)) in err
+        assert not out.exists()
+
+    def test_makes_out_before_the_first_check(self, tmp_path, monkeypatch, capsys):
+        # as bench does before its timings: an --out that cannot be made costs no check
+        out = tmp_path / "v"
+        seen = []
+
+        def topk(**kwargs):
+            seen.append(out.is_dir())
+            return paucopt.verify.check_topk_threshold(**kwargs)
+
+        monkeypatch.setitem(paucopt.verify.ALL_CHECKS, "topk_threshold", topk)
+        assert run_cli("verify", "--trials", "5", "--only", "topk_threshold",
+                       "--out", str(out)) == 0
+        assert seen == [True]
+        assert capsys.readouterr().out == (out / "verify.json").read_text()
 
 
-@pytest.mark.parametrize("command,work", [("verify", "run_all_checks"), ("bench", "bench_rows")])
+@pytest.mark.parametrize("command,work", [("verify", "ALL_CHECKS"), ("bench", "bench_rows")])
 def test_existing_file_as_out_refused_before_the_work(tmp_path, capsys, monkeypatch,
                                                       command, work):
-    # verify makes --out after its work, whose count checks must leave no
-    # directory behind, and bench makes it first; either way an existing file,
-    # or a path below one, is refused before the work
+    # verify makes --out after its flag checks and before its first check,
+    # bench before its timings: an existing file, or a path below one, is
+    # refused before the work
     def no_work(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
-    # each command's work lives in the module named after it
-    monkeypatch.setattr(f"paucopt.{command}.{work}", no_work)
+    # each command's work lives in the module named after it; verify's is
+    # every entry of its table of checks
+    if command == "verify":
+        for name in paucopt.verify.ALL_CHECKS:
+            monkeypatch.setitem(paucopt.verify.ALL_CHECKS, name, no_work)
+    else:
+        monkeypatch.setattr(f"paucopt.{command}.{work}", no_work)
     taken = tmp_path / "file"
     taken.write_text("")
     for out, error in ((taken, "[Errno 17] File exists"),
@@ -1037,8 +1063,8 @@ class TestSweep:
 
     def test_non_finite_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
                                                          capsys):
-        monkeypatch.setattr(paucopt.verify, "run_bias_sweep", lambda *args: [
-            {"kind": "unbiased", "kappa": None, "beta_eff": float("nan")}])
+        monkeypatch.setattr(paucopt.cli, "best_response",
+                            lambda cfg, tau, gamma, ds: np.full(ds.n, np.nan))
         out = tmp_path / "s"
         assert run_cli("sweep", "--n", "300", "--T", "1", "--out", str(out)) == 2
         assert not (out / "sweep.json").exists()
@@ -1131,13 +1157,16 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("code", [
     # a command imports the bench and verify modules only when it runs them
     "import sys, paucopt.cli; assert not {'paucopt.bench', 'paucopt.verify'} & set(sys.modules)",
+    # the sweep runs its own rows
+    "import sys, paucopt.cli; assert paucopt.cli.main(['sweep', '--n', '300', '--T', '1', "
+    "'--out', sys.argv[1]]) == 0; assert 'paucopt.verify' not in sys.modules",
     # the package itself stays eager
     "import sys, paucopt; assert 'paucopt.solver' in sys.modules",
-], ids=["cli", "package"])
-def test_cold_start_imports(code):
+], ids=["cli", "sweep", "package"])
+def test_cold_start_imports(tmp_path, code):
     src = Path(paucopt.cli.__file__).parent.parent
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env={**os.environ, "PYTHONPATH": str(src)})
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "s")], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(src)}, stdout=subprocess.DEVNULL)
 
 
 def roc_svg_points_oracle(rows, size=400, margin=20):

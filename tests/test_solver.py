@@ -12,7 +12,7 @@ import paucopt.scorer
 import paucopt.solver
 from paucopt.data import Dataset, Minibatch, generate_synthetic, row_blocks, split, SplitSpec
 from paucopt.objectives import _RECORD_WIDTH, LossGrad, ObjectiveConfig
-from paucopt.scorer import init_scorer, score_batch, warmup_logistic
+from paucopt.scorer import init_scorer, warmup_logistic
 from paucopt.solver import (
     SolverConfig,
     SolverError,
