@@ -405,6 +405,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # the label names a file in --out, so a path in it fails before --out is made
+    if args.label is not None and any(c and c in args.label for c in (os.sep, os.altsep, "\0")):
+        raise ValueError(f"--label must hold no path separator or NUL, got {args.label!r}")
     from .bench import BENCH_COLUMNS, bench_document, bench_rows
 
     out = _out_dir(args)    # an unusable --out fails before the timings
@@ -501,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--label", default=None,
                    help="also time solver steps at n = 2e3, 2e5, 2e6 and whole train, "
                         "generate and evaluate commands, each in a fresh interpreter; "
-                        "write BENCH_<label>.json")
+                        "write BENCH_<label>.json, a label with no path separator or NUL")
     b.set_defaults(fn=cmd_bench)
 
     s = sub.add_parser("sweep", help="softplus-sharpness sensitivity sweep")

@@ -706,8 +706,8 @@ class TestEvaluate:
                      str(ckpt), "--at", "1,1", "1,0.3", "0.5,0.5",
                      "--out", str(out))
         assert rc == 0
-        lines = [json.loads(l) for l in
-                 capsys.readouterr().out.strip().splitlines() if l.startswith("{")]
+        printed = capsys.readouterr().out
+        lines = [json.loads(l) for l in printed.strip().splitlines() if l.startswith("{")]
         kinds = [l["metric_kind"] for l in lines]
         assert kinds == ["AUC", "OPAUC", "TPAUC"]
         with open(out / "roc.csv") as fh:
@@ -715,6 +715,13 @@ class TestEvaluate:
         assert len(rows) - 1 == 300 + 1  # n_pos + n_neg + 1 sweep points
         svg = (out / "roc.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+        # generate writes CRLF; LF and lone-CR copies of the file print the same lines
+        for end in (b"\n", b"\r"):
+            copy = tmp_path / "copy.csv"
+            copy.write_bytes(synth_csv.read_bytes().replace(b"\r\n", end))
+            assert run_cli("evaluate", "--data", str(copy), "--checkpoint", str(ckpt),
+                           "--at", "1,1", "1,0.3", "0.5,0.5") == 0
+            assert capsys.readouterr().out == printed
 
     def test_roc_csv_bytes_match_csv_writer(self, tmp_path, synth_csv):
         ckpt = self.make_checkpoint(tmp_path, synth_csv)
@@ -856,16 +863,22 @@ class TestEvaluate:
         assert f"argument --at: {at!r} is not ALPHA,BETA" in err
         assert "absent" not in err
 
-    @pytest.mark.parametrize("row", [
-        pytest.param(f"0.{'0' * csv.field_size_limit()}1,-2,1\n".encode(), id="long cell"),
-        pytest.param(b"\xff.25,3e-3,0\n", id="undecodable byte")])
-    def test_unreadable_csv_usage_error_names_the_file(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize("row,message", [
+        pytest.param(f"0.{'0' * csv.field_size_limit()}1,-2,1\n".encode(),
+                     f":3: field larger than field limit ({csv.field_size_limit()})",
+                     id="long cell"),
+        pytest.param(b"\xff.25,3e-3,0\n", ": not UTF-8 text, byte 0xff cannot be decoded",
+                     id="undecodable byte"),
+        pytest.param(b"0,inf,0\n", ":3: non-finite feature value", id="non-finite cell"),
+        # a blank line is not skipped
+        pytest.param(b"\n0.25,3e-3,0\n", ":3: expected 3 fields, got 0", id="blank line")])
+    def test_unreadable_csv_usage_error_names_the_file(self, tmp_path, capsys, row, message):
         data = tmp_path / "bad.csv"
         data.write_bytes(b"x0,x1,label\n1.5,-2,1\n" + row)
         # a valid checkpoint, as evaluate reads it before the data
         ckpt = write_checkpoint(tmp_path / "checkpoint.json", 2)
         assert run_cli("evaluate", "--data", str(data), "--checkpoint", str(ckpt)) == 2
-        assert capsys.readouterr().err.startswith(f"error: {data}")
+        assert capsys.readouterr() == ("", f"error: {data}{message}\n")
 
     def test_missing_checkpoint_named_before_the_data_is_read(self, tmp_path, capsys):
         ckpt = tmp_path / "absent.json"
@@ -959,10 +972,11 @@ class TestVerifyCmd:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 1
 
-    def test_zero_trials_usage_error(self, tmp_path):
+    def test_zero_trials_usage_error(self, tmp_path, capsys):
         # the count is checked before --out is made
         out = tmp_path / "v"
         assert run_cli("verify", "--trials", "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: --trials ")
         assert not out.exists()
 
     def test_unknown_only_name_usage_error_before_any_check(self, tmp_path, capsys,
@@ -1035,6 +1049,23 @@ def test_bench_makes_out_before_the_timings(tmp_path, monkeypatch, capsys):
     assert seen == [True]
     assert (out / "timings.csv").read_text() == "batch_pos,batch_neg,median_ms,p90_ms,kind\n"
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("char", [c for c in (os.sep, os.altsep, "\0") if c])
+def test_bench_label_holding_a_path_refused_before_the_timings(tmp_path, monkeypatch, capsys,
+                                                               char):
+    # the label names a file in --out: a path in it fails before --out is made
+    label = f"a{char}b"
+    ran = []
+    monkeypatch.setattr(paucopt.bench, "bench_rows", lambda *a: ran.append("bench_rows"))
+    monkeypatch.setattr(paucopt.bench, "bench_document",
+                        lambda *a: ran.append("bench_document"))
+    out = tmp_path / "b"
+    assert run_cli("bench", "--label", label, "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --label must hold no path separator or NUL, got {label!r}\n")
+    assert ran == []
+    assert not out.exists()
 
 
 def strict_json(text: str):
